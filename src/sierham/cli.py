@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .codes import eta, eta_inverse, gray_sequence
 from .graphs import (
+    MAX_VERTICES,
     Vertex,
     _check_scale,
     build_hamming,
@@ -221,9 +222,18 @@ def _render_rows(
     return serialize.hanoi_table_to_text(rows, n, m)
 
 
+def _check_rows(rows: int, what: str) -> None:
+    """Refuse a table of more than MAX_VERTICES rows before computing it."""
+    if rows > MAX_VERTICES:
+        raise ValueError(
+            f"refusing to print {rows} rows of {what} (limit {MAX_VERTICES})"
+        )
+
+
 def cmd_hanoi(config: CommandConfig) -> str:
     if config.mode == "classic":
         n, m = config.n, config.m
+        _check_rows(2**n, f"the classic solution for n={n}")
         mp = classic_solution(n, m)
         rows = [
             (ell, eta_inverse(ell, n), mp.positions[ell]) for ell in range(2**n)
@@ -233,6 +243,7 @@ def cmd_hanoi(config: CommandConfig) -> str:
     start = serialize.parse_vertex(config.position, m)
     n = len(start)
     v = tau_inverse(start, m) if config.coords == "T" else start
+    _check_rows(path_length_to_zero(v) + 1, f"the play from {config.position}")
     spath = shortest_path_to_zero(v, m)
     rows = [
         (path_length_to_zero(s), s, tau_forward(s, m)) for s in spath.positions
@@ -242,11 +253,13 @@ def cmd_hanoi(config: CommandConfig) -> str:
 
 def cmd_diplomats(config: CommandConfig) -> str:
     n = config.n
+    _check_rows(2**n, f"the diplomats table for n={n}")
     rows = [(ell, s, t) for ell, (s, t) in enumerate(diplomats_table(n))]
     return _render_rows(rows, n, 5, config.fmt)
 
 
 def cmd_gray(config: CommandConfig) -> str:
+    _check_rows(2**config.n, f"the Gray sequence for n={config.n}")
     seq = gray_sequence(config.n)
     lines = []
     for w in seq:

@@ -1,91 +1,66 @@
 """Array kernels for bulk edge generation and digit comparisons.
 
-Every kernel exists twice: a numba-compiled driver and a pure-numpy twin
-producing the same rows (possibly in a different order; graph constructors
-canonicalize). The compiled path is used when numba imports cleanly and the
-environment variable SIERHAM_NO_NUMBA is not set to "1".
+Each kernel is a closed form in numpy; the loop forms it replaces live in
+tests/oracles.py as references. Kernels emit rows in generation order, not
+canonical order; graph constructors canonicalize.
 
 Vertices are encoded as integers: code(v) = sum(v_i * m**(n-i)), digit v_1
 most significant, so integer order equals lexicographic order on tuples.
 """
 from __future__ import annotations
 
-import os
+from typing import Callable
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency here
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# (i, j, m) -> (tail digit after i, tail digit after j) for a level-h edge
+# between the digits i < j at position h.
+TailRule = Callable[[int, int, int], tuple[int, int]]
 
 
-USE_NUMBA = HAS_NUMBA and os.environ.get("SIERHAM_NO_NUMBA", "") != "1"
+def _crossed_tails(i: int, j: int, m: int) -> tuple[int, int]:
+    return j, i
 
 
-@njit(cache=True)
-def _sierpinski_edges_nb(n: int, m: int) -> np.ndarray:
-    total = (m ** (n + 1) - m) // 2
-    out = np.empty((total, 2), np.int64)
-    k = 0
+def _shared_tail(i: int, j: int, m: int) -> tuple[int, int]:
+    k = (i + j) % m
+    return k, k
+
+
+def _level_edges(n: int, m: int, tails: TailRule) -> np.ndarray:
+    """Edges joining i and j at position h after a shared prefix, by level h.
+
+    The tail rule fixes the constant run of digits after position h on
+    each side; (m^(n+1) - m) / 2 rows, smaller endpoint first.
+    """
+    chunks = []
     for h in range(1, n + 1):
         span = m ** (n - h)  # weight of digit h
         rep = (span - 1) // (m - 1)  # code of a length-(n-h) run of 1s
-        for p in range(m ** (h - 1)):
-            base = p * span * m
-            for i in range(m - 1):
-                for j in range(i + 1, m):
-                    out[k, 0] = base + i * span + j * rep
-                    out[k, 1] = base + j * span + i * rep
-                    k += 1
-    return out
-
-
-def _sierpinski_edges_np(n: int, m: int) -> np.ndarray:
-    chunks = []
-    for h in range(1, n + 1):
-        span = m ** (n - h)
-        rep = (span - 1) // (m - 1)
         bases = np.arange(m ** (h - 1), dtype=np.int64) * (span * m)
         for i in range(m - 1):
             for j in range(i + 1, m):
-                u = bases + (i * span + j * rep)
-                v = bases + (j * span + i * rep)
+                ti, tj = tails(i, j, m)
+                u = bases + (i * span + ti * rep)
+                v = bases + (j * span + tj * rep)
                 chunks.append(np.stack((u, v), axis=1))
     return np.concatenate(chunks, axis=0)
 
 
-@njit(cache=True)
-def _hamming_edges_nb(n: int, m: int) -> np.ndarray:
-    total = n * (m - 1) * m**n // 2
-    out = np.empty((total, 2), np.int64)
-    k = 0
-    for pos in range(n):  # 0 = least significant digit
-        w = m**pos
-        for a in range(m ** (n - pos - 1)):
-            for b in range(w):
-                base = a * w * m + b
-                for i in range(m - 1):
-                    for j in range(i + 1, m):
-                        out[k, 0] = base + i * w
-                        out[k, 1] = base + j * w
-                        k += 1
-    return out
+def sierpinski_edges(n: int, m: int) -> np.ndarray:
+    """Edge codes of S(n,m), one row per edge, smaller endpoint first."""
+    return _level_edges(n, m, _crossed_tails)
 
 
-def _hamming_edges_np(n: int, m: int) -> np.ndarray:
+def single_twist_edges(n: int, m: int) -> np.ndarray:
+    """Edge codes of the single twist: S(n,m) with the shared tail (i+j) mod m."""
+    return _level_edges(n, m, _shared_tail)
+
+
+def hamming_edges(n: int, m: int) -> np.ndarray:
+    """Edge codes of K_m^n, one row per edge, smaller endpoint first."""
     chunks = []
-    for pos in range(n):
+    for pos in range(n):  # 0 = least significant digit
         w = m**pos
         t = np.arange(m ** (n - 1), dtype=np.int64)
         bases = (t // w) * (w * m) + (t % w)
@@ -95,86 +70,13 @@ def _hamming_edges_np(n: int, m: int) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-@njit(cache=True)
-def _single_twist_edges_nb(n: int, m: int) -> np.ndarray:
-    total = (m ** (n + 1) - m) // 2
-    out = np.empty((total, 2), np.int64)
-    k = 0
-    for h in range(1, n + 1):
-        span = m ** (n - h)
-        rep = (span - 1) // (m - 1)
-        for p in range(m ** (h - 1)):
-            base = p * span * m
-            for i in range(m - 1):
-                for j in range(i + 1, m):
-                    tail = ((i + j) % m) * rep
-                    out[k, 0] = base + i * span + tail
-                    out[k, 1] = base + j * span + tail
-                    k += 1
-    return out
-
-
-def _single_twist_edges_np(n: int, m: int) -> np.ndarray:
-    chunks = []
-    for h in range(1, n + 1):
-        span = m ** (n - h)
-        rep = (span - 1) // (m - 1)
-        bases = np.arange(m ** (h - 1), dtype=np.int64) * (span * m)
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                tail = ((i + j) % m) * rep
-                u = bases + (i * span + tail)
-                v = bases + (j * span + tail)
-                chunks.append(np.stack((u, v), axis=1))
-    return np.concatenate(chunks, axis=0)
-
-
-@njit(cache=True)
-def _digit_diff_counts_nb(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
-    out = np.empty(a.shape[0], np.int64)
-    for t in range(a.shape[0]):
-        x = a[t]
-        y = b[t]
-        d = 0
-        for _ in range(n):
-            if x % m != y % m:
-                d += 1
-            x //= m
-            y //= m
-        out[t] = d
-    return out
-
-
-def _digit_diff_counts_np(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
-    out = np.zeros(a.shape[0], np.int64)
-    x = a.copy()
-    y = b.copy()
+def digit_diff_counts(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Number of differing base-m digits between paired codes a[t], b[t]."""
+    x = np.array(a, np.int64)
+    y = np.array(b, np.int64)
+    out = np.zeros(x.shape[0], np.int64)
     for _ in range(n):
         out += (x % m) != (y % m)
         x //= m
         y //= m
     return out
-
-
-def sierpinski_edges(n: int, m: int) -> np.ndarray:
-    """Edge codes of S(n,m), one row per edge, smaller endpoint first."""
-    f = _sierpinski_edges_nb if USE_NUMBA else _sierpinski_edges_np
-    return f(n, m)
-
-
-def hamming_edges(n: int, m: int) -> np.ndarray:
-    f = _hamming_edges_nb if USE_NUMBA else _hamming_edges_np
-    return f(n, m)
-
-
-def single_twist_edges(n: int, m: int) -> np.ndarray:
-    f = _single_twist_edges_nb if USE_NUMBA else _single_twist_edges_np
-    return f(n, m)
-
-
-def digit_diff_counts(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Number of differing base-m digits between paired codes a[t], b[t]."""
-    a = np.ascontiguousarray(a, np.int64)
-    b = np.ascontiguousarray(b, np.int64)
-    f = _digit_diff_counts_nb if USE_NUMBA else _digit_diff_counts_np
-    return f(a, b, n, m)

@@ -30,6 +30,7 @@ from .graphs import (
     build_sierpinski,
     check_vertex,
     code_to_vertex,
+    edge_keys,
     sierpinski_edge_count,
     vertex_to_code,
 )
@@ -316,9 +317,7 @@ def verify_embedding(vmap: VertexMap | Mapping[Vertex, Vertex], n: int, m: int) 
         )
     all_edges_distance_one = bad.shape[0] == 0
 
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    image_edges = np.unique(np.stack((lo, hi), axis=1), axis=0)
+    image_edges = edge_keys(a, b, m**n)
     edge_count_preserved = image_edges.shape[0] == sierpinski_edge_count(n, m)
 
     return {

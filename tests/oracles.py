@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from sierham.graphs import Vertex, code_to_vertex, is_sierpinski_edge
 
 
@@ -100,3 +102,60 @@ def legal_move_edges(n: int, m: int, legal) -> set[tuple[int, int]]:
                 if ca < cb and legal(a, b):
                     edges.add((ca, cb))
     return edges
+
+
+def _level_edges_loop(n: int, m: int, twisted: bool) -> list[tuple[int, int]]:
+    """Loop form of the level kernel: crossed tails, or the shared tail (i+j) mod m."""
+    out = []
+    for h in range(1, n + 1):
+        span = m ** (n - h)  # weight of digit h
+        rep = (span - 1) // (m - 1)  # code of a length-(n-h) run of 1s
+        for p in range(m ** (h - 1)):
+            base = p * span * m
+            for i in range(m - 1):
+                for j in range(i + 1, m):
+                    ti, tj = ((i + j) % m,) * 2 if twisted else (j, i)
+                    out.append((base + i * span + ti * rep, base + j * span + tj * rep))
+    return out
+
+
+def sierpinski_edges_loop(n: int, m: int) -> list[tuple[int, int]]:
+    return _level_edges_loop(n, m, twisted=False)
+
+
+def single_twist_edges_loop(n: int, m: int) -> list[tuple[int, int]]:
+    return _level_edges_loop(n, m, twisted=True)
+
+
+def hamming_edges_loop(n: int, m: int) -> list[tuple[int, int]]:
+    out = []
+    for pos in range(n):  # 0 = least significant digit
+        w = m**pos
+        for a in range(m ** (n - pos - 1)):
+            for b in range(w):
+                base = a * w * m + b
+                for i in range(m - 1):
+                    for j in range(i + 1, m):
+                        out.append((base + i * w, base + j * w))
+    return out
+
+
+def digit_diff_counts_loop(a, b, n: int, m: int) -> list[int]:
+    out = []
+    for x, y in zip(a, b):
+        x, y = int(x), int(y)
+        d = 0
+        for _ in range(n):
+            d += x % m != y % m
+            x //= m
+            y //= m
+        out.append(d)
+    return out
+
+
+def canonical_rows(rows):
+    """Rows ordered (min, max), deduplicated and sorted by a row-wise np.unique."""
+    rows = np.asarray(rows, np.int64).reshape(-1, 2)
+    lo = np.minimum(rows[:, 0], rows[:, 1])
+    hi = np.maximum(rows[:, 0], rows[:, 1])
+    return np.unique(np.stack((lo, hi), axis=1), axis=0)

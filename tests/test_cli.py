@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 
 from sierham.cli import FIXTURES, main, run_command
-from sierham.graphs import build_sierpinski, sierpinski_edge_count
+from sierham.graphs import MAX_VERTICES, build_sierpinski, sierpinski_edge_count
 from sierham.serialize import graph_from_json
 
 
@@ -207,6 +207,27 @@ def test_solve_bad_digits(capsys):
     assert main(["hanoi", "solve", "--from", "109"]) == 2
     err = capsys.readouterr().err
     assert "digit 9" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hanoi", "classic", "--n", "24"],
+        ["hanoi", "solve", "--from", "1" * 24],  # tau fixes 1^24: 2**24 rows
+        # in S coordinates the play has path_length_to_zero + 1 rows, that
+        # is the binary value of the digits plus one: 10**7 + 1 here
+        ["hanoi", "solve", "--coords", "S", "--from", format(10**7, "b")],
+        ["diplomats", "--n", "24"],
+        ["gray", "--n", "24"],
+    ],
+)
+def test_row_guard_refuses_oversize_tables(argv, capsys):
+    # 2**24 and 10**7 + 1 rows are the first counts above MAX_VERTICES
+    assert MAX_VERTICES == 10**7 < 2**24
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: refusing to print")
+    assert f"(limit {MAX_VERTICES})" in err
 
 
 # ---------------------------------------------------------------- the rest

@@ -244,11 +244,49 @@ def test_graph_canonicalizes_edges():
     assert g == build_sierpinski(1, 3)
 
 
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (4, 5), (6, 2)])
+def test_graph_canonical_rows_match_rowwise_unique(n, m):
+    # reversed and duplicated rows in random order, against the np.unique oracle
+    rng = np.random.default_rng(n * 100 + m)
+    size = m**n
+    u = rng.integers(0, size, 400)
+    v = (u + rng.integers(1, size, 400)) % size  # never equal to u
+    rows = np.stack((u, v), axis=1)
+    rows = np.concatenate((rows, rows[:150, ::-1], rows[50:120]))
+    rng.shuffle(rows)
+    g = Graph(n, m, "x", rows)
+    expected = oracles.canonical_rows(rows)
+    assert g.edges.dtype == np.int64
+    assert g.edges.shape == expected.shape
+    assert np.array_equal(g.edges, expected)
+
+
+def test_graph_empty_edge_list():
+    for empty in (np.empty((0, 2), np.int64), []):
+        g = Graph(2, 3, "x", empty)
+        assert g.edges.shape == (0, 2)
+        assert g.num_edges == 0
+        assert not g.has_edge((0, 0), (0, 1))
+        assert np.array_equal(g.degrees(), np.zeros(9, np.int64))
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(1, 3, "x", np.array([[0, 3]]))  # endpoint out of range
     with pytest.raises(ValueError):
+        Graph(2, 3, "x", np.array([[-1, 5]]))  # negative endpoint, V = 9
+    with pytest.raises(ValueError):
         Graph(1, 3, "x", np.array([[1, 1]]))  # self-loop
+    with pytest.raises(ValueError):
+        Graph(2, 3, "x", np.array([[0, 1], [4, 4]]))  # self-loop among edges
+
+
+def test_graph_scale_guard():
+    # V**2 would overflow the int64 edge keys; refuse as build_sierpinski does
+    with pytest.raises(ValueError, match="refusing to build"):
+        Graph(8, 10, "x", np.array([[0, 1]]))
+    with pytest.raises(ValueError, match="refusing to build"):
+        Graph(40, 3, "x", np.empty((0, 2), np.int64))
 
 
 def test_graph_is_immutable():
@@ -275,6 +313,34 @@ def test_has_edge_and_adjacency_agree():
             u = code_to_vertex(a, 2, 4)
             v = code_to_vertex(b, 2, 4)
             assert g.has_edge(u, v) == (b in adj[a])
+
+
+def _oracle_edges(kind: str, n: int, m: int) -> set[tuple[int, int]]:
+    if kind == "sierpinski":
+        return oracles.pairwise_sierpinski_edges(n, m)
+    if kind == "single-twist":
+        return {(min(a, b), max(a, b)) for a, b in oracles.single_twist_edges_loop(n, m)}
+    vs = oracles.all_vertices(n, m)
+    return {
+        (a, b)
+        for a in range(len(vs))
+        for b in range(a + 1, len(vs))
+        if sum(x != y for x, y in zip(vs[a], vs[b])) == 1
+    }
+
+
+@pytest.mark.parametrize(
+    "kind,build",
+    [("sierpinski", build_sierpinski), ("single-twist", build_single_twist), ("hamming", build_hamming)],
+)
+def test_has_edge_matches_oracle_on_every_pair(kind, build):
+    n, m = 3, 3
+    g = build(n, m)
+    expected = _oracle_edges(kind, n, m)
+    vs = oracles.all_vertices(n, m)
+    for a, u in enumerate(vs):
+        for b, v in enumerate(vs):
+            assert g.has_edge(u, v) == ((min(a, b), max(a, b)) in expected)
 
 
 def test_from_edge_list_validates():

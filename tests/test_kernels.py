@@ -1,4 +1,4 @@
-"""The compiled kernels and their numpy twins must emit the same edges."""
+"""The numpy kernels must emit the rows of their loop forms in tests/oracles.py."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,42 +7,28 @@ import pytest
 from sierham import kernels
 from sierham.graphs import code_to_vertex, hamming_edge_count, sierpinski_edge_count
 
+import oracles
+
 PAIRS = [(1, 2), (1, 5), (2, 3), (2, 10), (3, 3), (3, 7), (4, 5), (6, 3), (7, 2)]
 
-KERNEL_TWINS = [
-    (kernels._sierpinski_edges_nb, kernels._sierpinski_edges_np, sierpinski_edge_count),
-    (kernels._hamming_edges_nb, kernels._hamming_edges_np, hamming_edge_count),
-    (kernels._single_twist_edges_nb, kernels._single_twist_edges_np, sierpinski_edge_count),
+KERNEL_ORACLES = [
+    (kernels.sierpinski_edges, oracles.sierpinski_edges_loop, sierpinski_edge_count),
+    (kernels.hamming_edges, oracles.hamming_edges_loop, hamming_edge_count),
+    (kernels.single_twist_edges, oracles.single_twist_edges_loop, sierpinski_edge_count),
 ]
-
-
-def canonical(rows: np.ndarray) -> np.ndarray:
-    lo = np.minimum(rows[:, 0], rows[:, 1])
-    hi = np.maximum(rows[:, 0], rows[:, 1])
-    return np.unique(np.stack((lo, hi), axis=1), axis=0)
 
 
 @pytest.mark.parametrize("n,m", PAIRS)
 def test_backends_agree(n, m):
-    for compiled, plain, count in KERNEL_TWINS:
-        a = np.asarray(compiled(n, m))
-        b = plain(n, m)
+    for kernel, loop, count in KERNEL_ORACLES:
+        a = kernel(n, m)
+        b = np.array(loop(n, m), np.int64).reshape(-1, 2)
+        assert a.dtype == np.int64
         assert a.shape == b.shape == (count(n, m), 2)
-        ca = canonical(a)
-        cb = canonical(b)
+        assert (a[:, 0] < a[:, 1]).all()  # smaller endpoint first
+        ca = oracles.canonical_rows(a)
         assert ca.shape[0] == count(n, m)  # no duplicate rows hidden by unique
-        assert np.array_equal(ca, cb)
-
-
-def test_dispatch_follows_the_flag(monkeypatch):
-    monkeypatch.setattr(kernels, "USE_NUMBA", False)
-    assert np.array_equal(kernels.sierpinski_edges(2, 3), kernels._sierpinski_edges_np(2, 3))
-    assert np.array_equal(kernels.hamming_edges(2, 3), kernels._hamming_edges_np(2, 3))
-    assert np.array_equal(kernels.single_twist_edges(2, 3), kernels._single_twist_edges_np(2, 3))
-    monkeypatch.setattr(kernels, "USE_NUMBA", True)
-    assert np.array_equal(
-        kernels.sierpinski_edges(2, 3), np.asarray(kernels._sierpinski_edges_nb(2, 3))
-    )
+        assert np.array_equal(ca, oracles.canonical_rows(b))
 
 
 def diff_by_tuples(x: int, y: int, n: int, m: int) -> int:
@@ -58,11 +44,7 @@ def test_digit_diff_counts(n, m):
     b = rng.integers(0, m**n, size=200)
     expected = np.array([diff_by_tuples(int(x), int(y), n, m) for x, y in zip(a, b)])
     assert np.array_equal(kernels.digit_diff_counts(a, b, n, m), expected)
-    assert np.array_equal(kernels._digit_diff_counts_np(a.astype(np.int64), b.astype(np.int64), n, m), expected)
-    assert np.array_equal(
-        np.asarray(kernels._digit_diff_counts_nb(a.astype(np.int64), b.astype(np.int64), n, m)),
-        expected,
-    )
+    assert np.array_equal(oracles.digit_diff_counts_loop(a, b, n, m), expected)
 
 
 def test_digit_diff_extremes():
@@ -72,11 +54,3 @@ def test_digit_diff_extremes():
     lo = np.array([0])  # 0000
     hi = np.array([m**n - 1])  # 2222
     assert kernels.digit_diff_counts(lo, hi, n, m)[0] == n
-
-
-def test_numba_flag_reflects_environment():
-    # the module decides once at import; both values are legitimate, the
-    # flag just has to be a plain bool consistent with numba's presence
-    assert isinstance(kernels.USE_NUMBA, bool)
-    if not kernels.HAS_NUMBA:
-        assert not kernels.USE_NUMBA
