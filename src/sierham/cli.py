@@ -181,7 +181,7 @@ def _violation_line(item: dict, m: int) -> str:
         return f"collision: image {fv(item['image'])} hit {item['count']} times"
     if item["kind"] == "edge_count":
         return f"edge count {item['found']}, expected {item['expected']}"
-    return str(item)
+    return f"isomorphism violation: {item['detail']}"
 
 
 def cmd_verify(config: CommandConfig) -> tuple[str, int]:
@@ -205,7 +205,7 @@ def cmd_verify(config: CommandConfig) -> tuple[str, int]:
         lines.append(f"{key}: {'true' if report[key] else 'false'}")
     for item in report["violations"][:5]:
         lines.append(_violation_line(item, m))
-    extra = len(report["violations"]) - 5
+    extra = report.get("violations_total", len(report["violations"])) - 5
     if extra > 0:
         lines.append(f"... and {extra} more violations")
     lines.append("PASS" if report["verdict"] else "FAIL")

@@ -11,8 +11,10 @@ Three families, all lower-triangular linear maps mod m:
 phi_recursive rebuilds phi by the level-by-level recursion instead of the
 closed form; the two must agree pointwise. verify_embedding checks that a
 vertex map is a bijection sending every S(n,m) edge to a Hamming-distance-1
-pair; verify_coordinatization checks whether a candidate graph on the same
-vertex set actually is a relabeled S(n,m).
+pair. sierpinski_isomorphism decides whether a graph is a relabeled S(n,m)
+by reading every vertex's digits off its distances to the m corners, and
+returns the isomorphism as its witness; verify_coordinatization adds the
+gates that place the graph inside K_m^n.
 """
 from __future__ import annotations
 
@@ -329,73 +331,106 @@ def verify_embedding(vmap: VertexMap | Mapping[Vertex, Vertex], n: int, m: int) 
     }
 
 
-def _find_isomorphism(adj_a: list[list[int]], adj_b: list[list[int]]) -> list[int] | None:
-    """Degree-pruned depth-first search for a graph isomorphism.
+def _corner_distances(g: Graph, corners: np.ndarray) -> np.ndarray | None:
+    """Breadth-first distances from each corner, shape (len(corners), V).
 
-    Vertices of A are assigned in breadth-first order so each new vertex has
-    at least one mapped neighbor to constrain it (graphs here are
-    connected). Returns the mapping as a list, or None.
+    One search runs over len(corners) disjoint copies of g at once: state
+    k * V + v is vertex v seen from corner k. Neighbours come from CSR
+    arrays built once from g.edges, and each frontier is expanded with
+    numpy. Returns None once a search needs 2^n levels, since no vertex of
+    S(n,m) lies that far from a corner. Unreached vertices keep -1.
     """
-    na, nb = len(adj_a), len(adj_b)
-    if na != nb:
-        return None
-    deg_a = [len(x) for x in adj_a]
-    deg_b = [len(x) for x in adj_b]
-    if sorted(deg_a) != sorted(deg_b):
-        return None
+    size = g.num_vertices
+    src = g.edges.ravel()  # row t holds (u, v): slot 2t is u, 2t + 1 is v
+    order = np.argsort(src, kind="stable")
+    nbrs = g.edges[:, ::-1].ravel()[order]
+    start = np.zeros(size + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=size), out=start[1:])
 
-    sets_a = [set(x) for x in adj_a]
-    sets_b = [set(x) for x in adj_b]
+    limit = 2**g.n
+    dist = np.full(corners.shape[0] * size, -1, np.int32)
+    frontier = np.arange(corners.shape[0]) * size + corners
+    dist[frontier] = 0
+    level = 0
+    while frontier.shape[0]:
+        level += 1
+        copy, v = np.divmod(frontier, size)
+        counts = start[v + 1] - start[v]
+        ends = np.cumsum(counts)
+        slots = np.repeat(start[v] - ends + counts, counts) + np.arange(ends[-1])
+        nxt = np.repeat(copy * size, counts) + nbrs[slots]
+        nxt = nxt[dist[nxt] < 0]
+        if nxt.shape[0] and level >= limit:
+            return None
+        dist[nxt] = level
+        nxt.sort()
+        fresh = np.ones(nxt.shape[0], bool)
+        np.not_equal(nxt[1:], nxt[:-1], out=fresh[1:])
+        frontier = nxt[fresh]
+    return dist.reshape(corners.shape[0], size)
 
-    order: list[int] = []
-    seen = [False] * na
-    queue = [0]
-    seen[0] = True
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
-        for w in adj_a[u]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    if len(order) != na:  # disconnected candidate cannot match
-        order.extend(u for u in range(na) if not seen[u])
 
-    mapping = [-1] * na
-    used = [False] * nb
+def _corner_certificate(g: Graph) -> tuple[np.ndarray | None, str]:
+    """Labels that carry g onto S(n,m), or None with the reason there are none.
 
-    def extend(pos: int) -> bool:
-        if pos == na:
-            return True
-        u = order[pos]
-        for v in range(nb):
-            if used[v] or deg_b[v] != deg_a[u]:
-                continue
-            ok = True
-            for w in order[:pos]:
-                if (w in sets_a[u]) != (mapping[w] in sets_b[v]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[u] = v
-            used[v] = True
-            if extend(pos + 1):
-                return True
-            mapping[u] = -1
-            used[v] = False
-        return False
+    In S(n,m), d(v, i^n) = sum of 2^(n-j) over the digits v_j != i, so
+    bit n-j of the distance is clear for exactly one corner, i = v_j.
+    Alphabet permutations are automorphisms of S(n,m), so if g is a
+    relabeled S(n,m) some isomorphism sends its k-th corner (degree m-1,
+    ascending code) to k^n, and reading every vertex's digits off its
+    corner distances recovers that isomorphism. The labels are accepted
+    only if they are a bijection that carries the edge set of g onto the
+    edge set of S(n,m), so an accepted labeling is its own proof.
+    """
+    n, m, size = g.n, g.m, g.num_vertices
+    corners = np.flatnonzero(g.degrees() == m - 1)
+    if corners.shape[0] != m:
+        return None, f"{corners.shape[0]} vertices of degree {m - 1}, expected {m} corners"
+    dist = _corner_distances(g, corners)
+    if dist is None:
+        return None, f"a vertex lies {2**n} or more steps from a corner"
+    unreached = int((dist < 0).any(axis=0).sum())
+    if unreached:
+        return None, f"{unreached} vertices are not reachable from the corners"
+    labels = np.zeros(size, np.int64)
+    for bit in range(n - 1, -1, -1):  # bit n-j of the distances holds digit j
+        clear = ((dist >> bit) & 1) == 0
+        ambiguous = int((clear.sum(axis=0) != 1).sum())
+        if ambiguous:
+            return None, f"{ambiguous} vertices have no single corner for digit {n - bit}"
+        labels = labels * m + clear.argmax(axis=0)
+    if np.bincount(labels, minlength=size).max() > 1:
+        return None, "the corner-distance labels are not a bijection"
+    keys = edge_keys(labels[g.edges[:, 0]], labels[g.edges[:, 1]], size)
+    if not np.array_equal(keys, build_sierpinski(n, m)._keys):
+        return None, f"the corner-distance labels do not carry the edges onto S({n},{m})"
+    return labels, ""
 
-    return mapping if extend(0) else None
+
+def sierpinski_isomorphism(g: Graph) -> np.ndarray | None:
+    """An isomorphism from g onto S(g.n, g.m), or None if g is not one.
+
+    labels[c] is the S(n,m) code of the candidate vertex with code c; every
+    edge (u, v) of g is sent to the S(n,m) edge (labels[u], labels[v]).
+    Polynomial: one breadth-first search from the m corners, O(m E) work
+    spread over at most 2^n numpy steps.
+    """
+    return _corner_certificate(g)[0]
 
 
 def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | None = None) -> dict:
-    """Check whether a graph on {0..m-1}^n is a relabeled S(n,m).
+    """Check whether a graph on {0..m-1}^n is a relabeled S(n,m) inside K_m^n.
 
     Four gates: every edge joins vertices at Hamming distance 1, the edge
     count matches, the degree multiset matches (m vertices of degree m-1,
-    the rest of degree m), and finally an explicit isomorphism search. The
-    search only runs once the cheap gates pass.
+    the rest of degree m), and the graph is isomorphic to S(n,m), decided
+    by the corner-distance certificate of sierpinski_isomorphism. The
+    certificate runs once the edge count and degree gates pass, whatever
+    the distance gate says, so a relabeled S(n,m) that does not sit in
+    K_m^n reads isomorphic_to_sierpinski true with verdict false.
+
+    violations lists at most 10 items per kind; violations_total counts
+    them all.
     """
     n = candidate.n if n is None else n
     m = candidate.m if m is None else m
@@ -417,6 +452,7 @@ def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | Non
             }
         )
     all_edges_distance_one = bad.shape[0] == 0
+    total = bad.shape[0]
 
     expected_edges = sierpinski_edge_count(n, m)
     edge_count_matches = candidate.num_edges == expected_edges
@@ -428,13 +464,15 @@ def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | Non
                 "expected": expected_edges,
             }
         )
+        total += 1
 
     degs = candidate.degrees()
     expected_multiset = sorted([m - 1] * m + [m] * (m**n - m))
     degree_sequence_matches = sorted(int(d) for d in degs) == expected_multiset
     if not degree_sequence_matches:
         allowed = {m - 1, m}
-        for code in np.nonzero(~np.isin(degs, list(allowed)))[0][:10]:
+        off = np.nonzero(~np.isin(degs, list(allowed)))[0]
+        for code in off[:10]:
             violations.append(
                 {
                     "kind": "degree",
@@ -443,15 +481,15 @@ def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | Non
                     "allowed": sorted(allowed),
                 }
             )
+        total += off.shape[0]
 
     isomorphic = False
-    if all_edges_distance_one and edge_count_matches and degree_sequence_matches:
-        reference = build_sierpinski(n, m)
-        isomorphic = (
-            _find_isomorphism(candidate.adjacency(), reference.adjacency()) is not None
-        )
+    if edge_count_matches and degree_sequence_matches:
+        labels, reason = _corner_certificate(candidate)
+        isomorphic = labels is not None
         if not isomorphic:
-            violations.append({"kind": "isomorphism", "detail": "no isomorphism found"})
+            violations.append({"kind": "isomorphism", "detail": reason})
+            total += 1
 
     return {
         "all_edges_distance_one": bool(all_edges_distance_one),
@@ -465,6 +503,7 @@ def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | Non
             and isomorphic
         ),
         "violations": violations,
+        "violations_total": int(total),
     }
 
 

@@ -159,3 +159,75 @@ def canonical_rows(rows):
     lo = np.minimum(rows[:, 0], rows[:, 1])
     hi = np.maximum(rows[:, 0], rows[:, 1])
     return np.unique(np.stack((lo, hi), axis=1), axis=0)
+
+
+def refined_colors(adj: list[list[int]], colors: list[int]) -> list[int]:
+    """Colour refinement: split each colour class by the multiset of
+    neighbour colours until no class splits. Colours are renumbered from
+    the sorted signatures, so vertices of two graphs refined together get
+    comparable colours, and isomorphic vertices always end equal."""
+    while True:
+        sig = [(colors[u], tuple(sorted(colors[w] for w in adj[u]))) for u in range(len(adj))]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
+        if len(palette) == len(set(colors)):
+            return new
+        colors = new
+
+
+def backtracking_isomorphism(adj_a: list[list[int]], adj_b: list[list[int]]) -> list[int] | None:
+    """Individualization-refinement search for an isomorphism from A onto B.
+
+    Colours start from degrees and are refined over the disjoint union of A
+    and B; a colour class whose sizes differ between the two rules out
+    every mapping below it. Otherwise the search fixes one vertex of the
+    smallest class of A to each same-coloured vertex of B in turn, gives
+    the pair a fresh colour and refines again, until every class is a
+    single pair. Returns the mapping as a list, or None. Exponential in the
+    worst case; keep it to graphs of a few dozen vertices.
+    """
+    na = len(adj_a)
+    if na != len(adj_b):
+        return None
+    adj = adj_a + [[w + na for w in x] for x in adj_b]
+    sets_b = [set(x) for x in adj_b]
+
+    def search(colors: list[int]) -> list[int] | None:
+        colors = refined_colors(adj, colors)
+        col_a, col_b = colors[:na], colors[na:]
+        if sorted(col_a) != sorted(col_b):
+            return None
+        sizes = {c: col_a.count(c) for c in set(col_a)}
+        if max(sizes.values()) == 1:
+            where = {c: v for v, c in enumerate(col_b)}
+            mapping = [where[c] for c in col_a]
+            ok = all(mapping[w] in sets_b[mapping[u]] for u in range(na) for w in adj_a[u])
+            return mapping if ok else None
+        c = min((c for c in sizes if sizes[c] > 1), key=sizes.__getitem__)
+        u = col_a.index(c)
+        fresh = max(colors) + 1
+        for v in (v for v in range(na) if col_b[v] == c):
+            trial = list(colors)
+            trial[u] = trial[na + v] = fresh
+            found = search(trial)
+            if found is not None:
+                return found
+        return None
+
+    return search([len(x) for x in adj])
+
+
+def double_edge_swap(edges, rng) -> np.ndarray | None:
+    """Replace two disjoint edges (a, b), (c, d) by (a, d), (c, b).
+
+    Degrees are unchanged. Returns None when the rewired pair would repeat
+    an edge or the two picked edges share an endpoint.
+    """
+    edges = np.array(edges, np.int64)
+    s, t = rng.choice(edges.shape[0], size=2, replace=False)
+    a, b, c, d = (int(x) for x in (*edges[s], *edges[t]))
+    present = {frozenset(e) for e in edges.tolist()}
+    if len({a, b, c, d}) < 4 or frozenset((a, d)) in present or frozenset((c, b)) in present:
+        return None
+    edges[s], edges[t] = (a, d), (c, b)
+    return edges

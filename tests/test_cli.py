@@ -139,6 +139,21 @@ def test_verify_single_twist_fails():
     assert "degree violation: vertex 011 has degree 4, expected 2 or 3" in text
 
 
+def test_verify_counts_more_violations_from_the_total():
+    # the report lists 10 of the 36 degree violations; 5 are printed
+    text, _ = run(["verify", "single-twist", "--n", "5", "--m", "3"])
+    assert text.splitlines()[-2] == "... and 31 more violations"
+
+
+def test_isomorphism_violation_line():
+    from sierham.cli import _violation_line
+
+    item = {"kind": "isomorphism", "detail": "6 vertices are not reachable from the corners"}
+    assert _violation_line(item, 3) == (
+        "isomorphism violation: 6 vertices are not reachable from the corners"
+    )
+
+
 def test_verify_single_twist_depth_two_passes():
     text, code = run(["verify", "single-twist", "--n", "2", "--m", "5"])
     assert code == 0

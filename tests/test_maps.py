@@ -3,14 +3,18 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from sierham.graphs import (
+    Graph,
     build_hamming,
     build_sierpinski,
     build_single_twist,
     code_to_vertex,
     corners,
+    from_edge_list,
+    is_sierpinski_edge,
     sierpinski_edge_count,
 )
 from sierham.maps import (
@@ -24,6 +28,7 @@ from sierham.maps import (
     phi_forward,
     phi_inverse,
     phi_recursive,
+    sierpinski_isomorphism,
     tau_forward,
     tau_inverse,
     verify_coordinatization,
@@ -364,21 +369,19 @@ def test_constant_map_collides():
     assert any(item["kind"] == "collision" for item in report["violations"])
 
 
+def phi_image(n, m):
+    """S(n,m) with every edge pushed through phi."""
+    pairs = [
+        (phi_forward(code_to_vertex(a, n, m), m), phi_forward(code_to_vertex(b, n, m), m))
+        for a, b in build_sierpinski(n, m).edge_set()
+    ]
+    return from_edge_list(n, m, "phi-image", pairs)
+
+
 def test_coordinatization_accepts_the_phi_image():
     # raw S(3,3) is no coordinatization (connectors sit at distance 3);
     # pushing every edge through phi produces one
-    from sierham.graphs import from_edge_list
-
-    g = build_sierpinski(3, 3)
-    pairs = [
-        (
-            phi_forward(code_to_vertex(a, 3, 3), 3),
-            phi_forward(code_to_vertex(b, 3, 3), 3),
-        )
-        for a, b in g.edge_set()
-    ]
-    image = from_edge_list(3, 3, "phi-image", pairs)
-    report = verify_coordinatization(image)
+    report = verify_coordinatization(phi_image(3, 3))
     assert report["verdict"]
     assert report["violations"] == []
 
@@ -431,6 +434,146 @@ def test_coordinatization_distance_gate():
 def test_coordinatization_nm_mismatch():
     with pytest.raises(ValueError):
         verify_coordinatization(build_sierpinski(2, 3), 3, 3)
+
+
+def test_coordinatization_rejects_disconnected_candidate():
+    # a triangle plus K_{3,3}: 12 edges, three vertices of degree 2 and six
+    # of degree 3, like S(2,3), but the corners reach only the triangle
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    k33 = [(a, b) for a in (3, 4, 5) for b in (6, 7, 8)]
+    candidate = Graph(2, 3, "made-up", np.array(triangle + k33))
+    report = verify_coordinatization(candidate)
+    assert report["edge_count_matches"] and report["degree_sequence_matches"]
+    assert not report["isomorphic_to_sierpinski"]
+    assert not report["verdict"]
+    assert [v["kind"] for v in report["violations"]].count("isomorphism") == 1
+    assert sierpinski_isomorphism(candidate) is None
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (2, 5), (4, 3)])
+def test_coordinatization_separates_isomorphism_from_embedding(n, m):
+    # raw S(n,m) is S(n,m) up to relabeling, but its connectors leave K_m^n
+    report = verify_coordinatization(build_sierpinski(n, m))
+    assert report["isomorphic_to_sierpinski"]
+    assert not report["all_edges_distance_one"]
+    assert not report["verdict"]
+    assert {v["kind"] for v in report["violations"]} == {"distance"}
+
+
+def test_coordinatization_totals_next_to_capped_sample():
+    g = build_sierpinski(3, 3)
+    far = [
+        (u, v)
+        for u, v in g.edge_set()
+        if sum(a != b for a, b in zip(code_to_vertex(u, 3, 3), code_to_vertex(v, 3, 3))) != 1
+    ]
+    report = verify_coordinatization(g)
+    assert len(report["violations"]) == 10
+    assert report["violations_total"] == len(far) == 12
+
+    t = build_single_twist(5, 3)
+    off = int(np.isin(t.degrees(), [2, 3], invert=True).sum())
+    report = verify_coordinatization(t)
+    assert [v["kind"] for v in report["violations"]] == ["degree"] * 10
+    assert report["violations_total"] == off > 10
+
+
+# ---------------------------------------------------------------- certificate
+
+CROSS = [(2, 3), (3, 3), (2, 4), (2, 5), (3, 2), (4, 2), (2, 6)]
+
+
+def relabeled(g, rng):
+    """g under a seeded random vertex permutation."""
+    perm = rng.permutation(g.num_vertices)
+    return Graph(g.n, g.m, "relabeled", perm[g.edges])
+
+
+def swapped(g, rng, swaps):
+    """g after `swaps` degree-preserving double-edge swaps, then relabeled."""
+    edges = g.edges
+    for _ in range(swaps):
+        nxt = None
+        while nxt is None:
+            nxt = oracles.double_edge_swap(edges, rng)
+        edges = nxt
+    return relabeled(Graph(g.n, g.m, "swapped", edges), rng)
+
+
+def assert_witness(candidate, labels):
+    n, m = candidate.n, candidate.m
+    assert sorted(labels.tolist()) == list(range(m**n))
+    for u, v in candidate.edges:
+        a = code_to_vertex(int(labels[u]), n, m)
+        b = code_to_vertex(int(labels[v]), n, m)
+        assert is_sierpinski_edge(a, b, m), (a, b)
+
+
+# S(5,3): a degree-pruned backtracking search needs 84 s for one relabeling
+@pytest.mark.parametrize("n,m", CROSS + [(5, 3), (6, 3)])
+def test_certificate_accepts_permuted_sierpinski(n, m):
+    rng = np.random.default_rng(1000 * n + m)
+    g = build_sierpinski(n, m)
+    for _ in range(4):
+        h = relabeled(g, rng)
+        labels = sierpinski_isomorphism(h)
+        assert labels is not None
+        assert_witness(h, labels)
+        assert oracles.backtracking_isomorphism(h.adjacency(), g.adjacency()) is not None
+        assert verify_coordinatization(h)["isomorphic_to_sierpinski"]
+
+
+@pytest.mark.parametrize("n,m", CROSS)
+def test_certificate_agrees_with_backtracking_on_swaps(n, m):
+    rng = np.random.default_rng(2000 * n + m)
+    g = build_sierpinski(n, m)
+    for trial in range(8):
+        h = swapped(g, rng, 1 + trial % 3)
+        labels = sierpinski_isomorphism(h)
+        found = oracles.backtracking_isomorphism(h.adjacency(), g.adjacency())
+        assert (labels is None) == (found is None)
+        if labels is not None:
+            assert_witness(h, labels)
+        if found is not None:
+            assert_witness(h, np.array(found))
+
+
+@pytest.mark.parametrize("n,m", CROSS)
+def test_certificate_agrees_with_vf2(n, m):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(3000 * n + m)
+    g = build_sierpinski(n, m)
+    reference = nx.Graph(g.edges.tolist())
+    reference.add_nodes_from(range(m**n))
+    cases = [relabeled(g, rng) for _ in range(2)]
+    if m**n <= 27:  # VF2 needs seconds on some swapped S(2,6)
+        cases += [swapped(g, rng, 1 + t % 3) for t in range(6)]
+    for h in cases:
+        other = nx.Graph(h.edges.tolist())
+        other.add_nodes_from(range(m**n))
+        expected = nx.is_isomorphic(other, reference)
+        assert (sierpinski_isomorphism(h) is not None) == expected
+
+
+@pytest.mark.parametrize(
+    "n,m", [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)] + [(3, 4), (3, 5)]
+)
+def test_corner_distance_formula(n, m):
+    # d(v, i^n) = sum of 2^(n-j) over the digits v_j != i
+    g = build_sierpinski(n, m)
+    adj = g.adjacency()
+    vertices = oracles.all_vertices(n, m)
+    for i in range(m):
+        dist = oracles.bfs_distances(adj, (m**n - 1) // (m - 1) * i)
+        for code, v in enumerate(vertices):
+            assert dist[code] == sum(2 ** (n - j) for j in range(1, n + 1) if v[j - 1] != i)
+
+
+@pytest.mark.parametrize("n,m", [(5, 3), (4, 5)])
+def test_coordinatization_accepts_phi_relabeled(n, m):
+    report = verify_coordinatization(phi_image(n, m))
+    assert report["verdict"]
+    assert report["violations"] == [] and report["violations_total"] == 0
 
 
 # ---------------------------------------------------------------- layout
