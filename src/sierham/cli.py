@@ -2,6 +2,8 @@
 density, corners-search, plus a --check-fixtures mode that diffs live
 output against the shipped golden files.
 
+Every subcommand parser names its handler with set_defaults(run=...); a
+handler takes the parsed arguments and returns (output text, exit code).
 Exit codes: 0 success or PASS, 1 verification failure or fixture mismatch,
 2 usage or parameter error.
 """
@@ -10,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .codes import eta, eta_inverse, gray_sequence
+import numpy as np
+
+from .codes import eta, gray_sequence
 from .graphs import (
     MAX_VERTICES,
     Vertex,
@@ -22,7 +25,9 @@ from .graphs import (
     build_hamming,
     build_sierpinski,
     build_single_twist,
-    code_to_vertex,
+    digit_rows,
+    edge_density,
+    row_tuples,
 )
 from .hanoi import (
     classic_solution,
@@ -32,13 +37,10 @@ from .hanoi import (
     shortest_path_to_zero,
 )
 from .maps import (
+    LinearMap,
     TwistFamily,
     embedding_matrix,
-    epsilon_forward,
     invert_linear_map,
-    phi_forward,
-    phi_inverse,
-    tau_forward,
     tau_inverse,
     verify_coordinatization,
     verify_embedding,
@@ -56,108 +58,58 @@ FIXTURES: dict[str, list[str]] = {
 }
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    subcommand: str
-    kind: str | None = None
-    mode: str | None = None
-    n: int | None = None
-    m: int | None = None
-    c: int | None = None
-    c_list: str | None = None
-    matrix: bool = False
-    invert: bool = False
-    position: str | None = None
-    coords: str = "T"
-    fmt: str = "text"
-    out: str | None = None
-
-
-def _config_from_args(args: argparse.Namespace) -> CommandConfig:
-    fields = {}
-    for name in CommandConfig.__dataclass_fields__:
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    return CommandConfig(**fields)
-
-
-def _twist_from_config(config: CommandConfig) -> TwistFamily:
-    if config.c is not None and config.c_list is not None:
+def _twist_from_args(args: argparse.Namespace) -> TwistFamily:
+    if args.c is not None and args.c_list is not None:
         raise ValueError("--c and --c-list are mutually exclusive")
-    if config.c is not None:
-        return TwistFamily(config.m, (config.c,) * config.n)
-    if config.c_list is not None:
-        cs = tuple(int(part) for part in config.c_list.split(","))
-        if len(cs) != config.n:
+    if args.c is not None:
+        return TwistFamily(args.m, (args.c,) * args.n)
+    if args.c_list is not None:
+        cs = tuple(int(part) for part in args.c_list.split(","))
+        if len(cs) != args.n:
             raise ValueError(
-                f"--c-list has {len(cs)} entries, expected n={config.n}"
+                f"--c-list has {len(cs)} entries, expected n={args.n}"
             )
-        return TwistFamily(config.m, cs)
+        return TwistFamily(args.m, cs)
     raise ValueError("the epsilon map needs --c or --c-list")
 
 
-def _forward_map(config: CommandConfig):
-    n, m = config.n, config.m
-    if config.kind == "phi":
-        return lambda v: phi_forward(v, m)
-    if config.kind == "tau":
-        embedding_matrix("tau", n, m)  # reject even m before any work
-        return lambda v: tau_forward(v, m)
-    if config.kind == "epsilon":
-        tw = _twist_from_config(config)
-        return lambda v: epsilon_forward(v, tw)
-    raise ValueError(f"unknown map kind {config.kind!r}")
+def _matrix_for(args: argparse.Namespace) -> LinearMap:
+    if args.kind == "epsilon":
+        return embedding_matrix(_twist_from_args(args))
+    return embedding_matrix(args.kind, args.n, args.m)
 
 
-def _matrix_for(config: CommandConfig):
-    if config.kind == "epsilon":
-        return embedding_matrix(_twist_from_config(config))
-    return embedding_matrix(config.kind, config.n, config.m)
-
-
-def cmd_gen(config: CommandConfig) -> str:
+def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
     builders = {
         "sierpinski": build_sierpinski,
         "hamming": build_hamming,
         "single-twist": build_single_twist,
     }
-    g = builders[config.kind](config.n, config.m)
-    return serialize.render_graph(g, config.fmt)
+    g = builders[args.kind](args.n, args.m)
+    return serialize.render_graph(g, args.fmt), 0
 
 
-def cmd_embed(config: CommandConfig) -> str:
-    n, m = config.n, config.m
-    if config.matrix:
-        lm = _matrix_for(config)
-        if config.invert:
-            lm = invert_linear_map(lm)
-        if config.fmt == "json":
-            return serialize.matrix_to_json(lm)
-        if config.fmt == "csv":
-            return "\n".join(",".join(str(x) for x in row) for row in lm.rows) + "\n"
-        return serialize.matrix_to_text(lm)
+def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
+    n, m = args.n, args.m
+    if not args.matrix:
+        _check_scale(n, m)  # before the matrix, which has n^2 entries
+    lm = _matrix_for(args)
+    if args.invert:
+        lm = invert_linear_map(lm)
+    if args.matrix:
+        if args.fmt == "json":
+            return serialize.matrix_to_json(lm), 0
+        if args.fmt == "csv":
+            return "\n".join(",".join(str(x) for x in row) for row in lm.rows) + "\n", 0
+        return serialize.matrix_to_text(lm), 0
 
-    _check_scale(n, m)
-    if config.invert:
-        if config.kind == "phi":
-            f = lambda w: phi_inverse(w, m)  # noqa: E731
-        elif config.kind == "tau":
-            embedding_matrix("tau", n, m)
-            f = lambda w: tau_inverse(w, m)  # noqa: E731
-        else:
-            inv = invert_linear_map(_matrix_for(config))
-            f = inv.apply
-    else:
-        f = _forward_map(config)
-    rows = []
-    for code in range(m**n):
-        v = code_to_vertex(code, n, m)
-        rows.append((v, f(v)))
-    if config.fmt == "json":
-        return serialize.map_table_to_json(rows, n, m)
-    if config.fmt == "csv":
-        return serialize.map_table_to_csv(rows, m)
-    return serialize.map_table_to_text(rows, m)
+    v = digit_rows(np.arange(m**n), n, m)
+    rows = list(zip(row_tuples(v), row_tuples(lm.image(v))))
+    if args.fmt == "json":
+        return serialize.map_table_to_json(rows, n, m), 0
+    if args.fmt == "csv":
+        return serialize.map_table_to_csv(rows, m), 0
+    return serialize.map_table_to_text(rows, m), 0
 
 
 def _violation_line(item: dict, m: int) -> str:
@@ -184,23 +136,18 @@ def _violation_line(item: dict, m: int) -> str:
     return f"isomorphism violation: {item['detail']}"
 
 
-def cmd_verify(config: CommandConfig) -> tuple[str, int]:
-    n, m = config.n, config.m
-    if config.kind == "single-twist":
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    n, m = args.n, args.m
+    if args.kind == "single-twist":
         report = verify_coordinatization(build_single_twist(n, m))
-        checks = [
-            "all_edges_distance_one",
-            "edge_count_matches",
-            "degree_sequence_matches",
-            "isomorphic_to_sierpinski",
-        ]
     else:
-        report = verify_embedding(_forward_map(config), n, m)
-        checks = ["is_bijection", "all_edges_distance_one", "edge_count_preserved"]
+        _check_scale(n, m)  # before the matrix, which has n^2 entries
+        report = verify_embedding(_matrix_for(args), n, m)
+    checks = [k for k, v in report.items() if isinstance(v, bool) and k != "verdict"]
     code = 0 if report["verdict"] else 1
-    if config.fmt == "json":
+    if args.fmt == "json":
         return json.dumps(report, indent=2) + "\n", code
-    lines = [f"verify {config.kind} n={n} m={m}"]
+    lines = [f"verify {args.kind} n={n} m={m}"]
     for key in checks:
         lines.append(f"{key}: {'true' if report[key] else 'false'}")
     for item in report["violations"][:5]:
@@ -230,59 +177,59 @@ def _check_rows(rows: int, what: str) -> None:
         )
 
 
-def cmd_hanoi(config: CommandConfig) -> str:
-    if config.mode == "classic":
-        n, m = config.n, config.m
-        _check_rows(2**n, f"the classic solution for n={n}")
-        mp = classic_solution(n, m)
-        rows = [
-            (ell, eta_inverse(ell, n), mp.positions[ell]) for ell in range(2**n)
-        ]
-        return _render_rows(rows, n, m, config.fmt)
-    m = config.m
-    start = serialize.parse_vertex(config.position, m)
+def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
+    n, m = args.n, args.m
+    _check_rows(2**n, f"the classic solution for n={n}")
+    mp = classic_solution(n, m)
+    s_rows = row_tuples(digit_rows(np.arange(2**n), n, 2))
+    rows = list(zip(range(2**n), s_rows, mp.positions))
+    return _render_rows(rows, n, m, args.fmt), 0
+
+
+def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
+    m = args.m
+    start = serialize.parse_vertex(args.position, m)
     n = len(start)
-    v = tau_inverse(start, m) if config.coords == "T" else start
-    _check_rows(path_length_to_zero(v) + 1, f"the play from {config.position}")
+    v = tau_inverse(start, m) if args.coords == "T" else start
+    moves = path_length_to_zero(v)
+    _check_rows(moves + 1, f"the play from {args.position}")
     spath = shortest_path_to_zero(v, m)
-    rows = [
-        (path_length_to_zero(s), s, tau_forward(s, m)) for s in spath.positions
-    ]
-    return _render_rows(rows, n, m, config.fmt)
+    t_rows = row_tuples(embedding_matrix("tau", n, m).image(spath.positions))
+    # each step of the geodesic is one closer to 0^n
+    rows = list(zip(range(moves, -1, -1), spath.positions, t_rows))
+    return _render_rows(rows, n, m, args.fmt), 0
 
 
-def cmd_diplomats(config: CommandConfig) -> str:
-    n = config.n
+def cmd_diplomats(args: argparse.Namespace) -> tuple[str, int]:
+    n = args.n
     _check_rows(2**n, f"the diplomats table for n={n}")
     rows = [(ell, s, t) for ell, (s, t) in enumerate(diplomats_table(n))]
-    return _render_rows(rows, n, 5, config.fmt)
+    return _render_rows(rows, n, 5, args.fmt), 0
 
 
-def cmd_gray(config: CommandConfig) -> str:
-    _check_rows(2**config.n, f"the Gray sequence for n={config.n}")
-    seq = gray_sequence(config.n)
+def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
+    _check_rows(2**args.n, f"the Gray sequence for n={args.n}")
+    seq = gray_sequence(args.n)
     lines = []
     for w in seq:
         bits = serialize.format_vertex(w, 2)
-        if config.fmt == "int":
+        if args.fmt == "int":
             lines.append(str(eta(w)))
-        elif config.fmt == "both":
+        elif args.fmt == "both":
             lines.append(f"{bits} {eta(w)}")
         else:
             lines.append(bits)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_density(config: CommandConfig) -> str:
-    from .graphs import edge_density
-
-    return str(edge_density(config.n, config.m)) + "\n"
+def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
+    return str(edge_density(args.n, args.m)) + "\n", 0
 
 
-def cmd_corners_search(config: CommandConfig) -> str:
-    report = constant_corner_search(config.m, config.n)
-    if config.fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+def cmd_corners_search(args: argparse.Namespace) -> tuple[str, int]:
+    report = constant_corner_search(args.m, args.n)
+    if args.fmt == "json":
+        return json.dumps(report, indent=2) + "\n", 0
     lines = [f"constant-corner search n={report['n']} m={report['m']}"]
     lines.append(f"exists: {'true' if report['exists'] else 'false'}")
     if report.get("witness"):
@@ -294,7 +241,7 @@ def cmd_corners_search(config: CommandConfig) -> str:
         )
     if report.get("detail"):
         lines.append(report["detail"])
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
     )
     gen.add_argument("--out", help="write to this file instead of stdout")
+    gen.set_defaults(run=cmd_gen)
 
     emb = sub.add_parser("embed", help="print a map as a table or matrix")
     emb.add_argument("kind", choices=["phi", "tau", "epsilon"])
@@ -339,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="fmt", choices=["text", "csv", "json"], default="text"
     )
     emb.add_argument("--out")
+    emb.set_defaults(run=cmd_embed)
 
     ver = sub.add_parser("verify", help="verify a map or the single-twist graph")
     ver.add_argument("kind", choices=["phi", "tau", "epsilon", "single-twist"])
@@ -348,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--c-list", dest="c_list")
     ver.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
     ver.add_argument("--out")
+    ver.set_defaults(run=cmd_verify)
 
     han = sub.add_parser("hanoi", help="solution tables")
     hsub = han.add_subparsers(dest="mode", required=True)
@@ -358,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="fmt", choices=["text", "csv", "json"], default="text"
     )
     hc.add_argument("--out")
+    hc.set_defaults(run=cmd_classic)
     hs = hsub.add_parser("solve", help="optimal play from an arbitrary position")
     hs.add_argument(
         "--from",
@@ -372,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="fmt", choices=["text", "csv", "json"], default="text"
     )
     hs.add_argument("--out")
+    hs.set_defaults(run=cmd_solve)
 
     dip = sub.add_parser("diplomats", help="five-peg transport table")
     dip.add_argument("--n", type=int, default=4)
@@ -379,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="fmt", choices=["text", "csv", "json"], default="text"
     )
     dip.add_argument("--out")
+    dip.set_defaults(run=cmd_diplomats)
 
     gr = sub.add_parser("gray", help="emit the Gray sequence")
     gr.add_argument("--n", type=int, required=True)
@@ -386,11 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="fmt", choices=["bits", "int", "both"], default="bits"
     )
     gr.add_argument("--out")
+    gr.set_defaults(run=cmd_gray)
 
     den = sub.add_parser("density", help="exact edge density of S(n,m) in K_m^n")
     den.add_argument("--n", type=int, required=True)
     den.add_argument("--m", type=int, required=True)
     den.add_argument("--out")
+    den.set_defaults(run=cmd_density)
 
     cs = sub.add_parser(
         "corners-search", help="search for constant-corner relabelings"
@@ -399,28 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--n", type=int, default=2)
     cs.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
     cs.add_argument("--out")
+    cs.set_defaults(run=cmd_corners_search)
 
     return p
-
-
-def _dispatch(config: CommandConfig) -> tuple[str, int]:
-    if config.subcommand == "gen":
-        return cmd_gen(config), 0
-    if config.subcommand == "embed":
-        return cmd_embed(config), 0
-    if config.subcommand == "verify":
-        return cmd_verify(config)
-    if config.subcommand == "hanoi":
-        return cmd_hanoi(config), 0
-    if config.subcommand == "diplomats":
-        return cmd_diplomats(config), 0
-    if config.subcommand == "gray":
-        return cmd_gray(config), 0
-    if config.subcommand == "density":
-        return cmd_density(config), 0
-    if config.subcommand == "corners-search":
-        return cmd_corners_search(config), 0
-    raise ValueError(f"unknown subcommand {config.subcommand!r}")
 
 
 def run_command(argv: list[str]) -> tuple[str, int]:
@@ -429,7 +365,7 @@ def run_command(argv: list[str]) -> tuple[str, int]:
     args = parser.parse_args(argv)
     if args.subcommand is None:
         parser.error("a subcommand is required (or --check-fixtures)")
-    return _dispatch(_config_from_args(args))
+    return args.run(args)
 
 
 def check_fixtures() -> int:
@@ -460,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: a subcommand is required (or --check-fixtures)", file=sys.stderr)
         return 2
     try:
-        text, code = _dispatch(_config_from_args(args))
+        text, code = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,15 +2,18 @@
 
 S(n,2) is a path, and the additive recoordinatization carries it onto the
 reflected binary Gray code; eta is the natural base-2 value of a bit tuple
-and gamma the position of a codeword in the Gray order. Everything here is
-plain integer arithmetic, so n can exceed the machine word size.
+and gamma the position of a codeword in the Gray order. eta, eta_inverse
+and gamma are plain integer arithmetic, so n can exceed the machine word
+size; gray_sequence applies the phi matrix to all 2^n binary rows at once.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Vertex
-from .maps import phi_forward
+import numpy as np
+
+from .graphs import Vertex, digit_rows, row_tuples
+from .maps import embedding_matrix
 
 
 def _check_bits(v: Sequence[int]) -> None:
@@ -58,6 +61,5 @@ def gray_sequence(n: int) -> list[Vertex]:
     Consecutive entries differ in exactly one bit, and the sequence equals
     the classic reflect-and-prefix construction.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [phi_forward(eta_inverse(ell, n), 2) for ell in range(2**n)]
+    bits = digit_rows(np.arange(2**n), n, 2)
+    return row_tuples(embedding_matrix("phi", n, 2).image(bits))

@@ -8,8 +8,9 @@ graph replaces the crossed tails with a shared tail k = (i+j) mod m.
 
 Graphs store edges as an (E, 2) array of integer vertex codes,
 code(v) = sum(v_i * m**(n-i)), canonically sorted and frozen. Constructors
-refuse instances over 10**7 vertices; the counting and density formulas
-below work at any size with exact integer arithmetic.
+refuse instances over 10**7 vertices or, by the closed-form counts, 3 * 10**7
+edges; the counting and density formulas below work at any size with exact
+integer arithmetic. In bulk, vertices are rows of a (k, n) digit array.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from . import kernels
 Vertex = tuple[int, ...]
 
 MAX_VERTICES = 10**7
+MAX_EDGES = 3 * 10**7
+ROW_BLOCK = 1 << 16  # rows per step where a whole-table pass would hold copies
 
 
 def vertex_to_code(v: Sequence[int], m: int) -> int:
@@ -38,6 +41,37 @@ def code_to_vertex(code: int, n: int, m: int) -> Vertex:
     for i in range(n - 1, -1, -1):
         code, out[i] = divmod(code, m)
     return tuple(out)
+
+
+def digit_rows(codes: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The (k, n) base-m digits of k codes, most significant digit first.
+
+    Row t equals code_to_vertex(codes[t], n, m); needs n >= 1, and m**n in int64.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows = np.asarray(codes, np.int64)[:, None] // weights
+    rows %= m
+    return rows
+
+
+def row_codes(rows: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of digit_rows: the int64 code of every row of a (k, n) digit array."""
+    rows = np.asarray(rows, np.int64)
+    return rows @ (m ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def row_tuples(rows: np.ndarray) -> list[Vertex]:
+    """The rows of a (k, n) array as Vertex tuples of Python ints."""
+    rows = np.asarray(rows)
+    if rows.shape[1] == 0:
+        return [()] * rows.shape[0]
+    out: list[Vertex] = []
+    for start in range(0, rows.shape[0], ROW_BLOCK):
+        # one list per column, zipped, holds less at once than one per row
+        out.extend(zip(*rows[start : start + ROW_BLOCK].T.tolist()))
+    return out
 
 
 def check_vertex(v: Sequence[int], n: int, m: int) -> None:
@@ -61,6 +95,14 @@ def _check_scale(n: int, m: int) -> None:
         raise ValueError(
             f"refusing to build a graph on {m}^{n} = {m**n} vertices "
             f"(limit {MAX_VERTICES}); the counting formulas remain available"
+        )
+
+
+def _check_edges(n: int, m: int, count: int) -> None:
+    if count > MAX_EDGES:
+        raise ValueError(
+            f"refusing to build a graph with {count} edges on {m}^{n} vertices "
+            f"(limit {MAX_EDGES}); the counting formulas remain available"
         )
 
 
@@ -179,16 +221,19 @@ class Graph:
 
 def build_sierpinski(n: int, m: int) -> Graph:
     _check_scale(n, m)
+    _check_edges(n, m, sierpinski_edge_count(n, m))
     return Graph(n, m, "sierpinski", kernels.sierpinski_edges(n, m))
 
 
 def build_hamming(n: int, m: int) -> Graph:
     _check_scale(n, m)
+    _check_edges(n, m, hamming_edge_count(n, m))
     return Graph(n, m, "hamming", kernels.hamming_edges(n, m))
 
 
 def build_single_twist(n: int, m: int) -> Graph:
     _check_scale(n, m)
+    _check_edges(n, m, sierpinski_edge_count(n, m))  # one row per S(n,m) edge
     return Graph(n, m, "single-twist", kernels.single_twist_edges(n, m))
 
 
@@ -256,8 +301,5 @@ def km_decomposition(n: int, m: int) -> list[list[Vertex]]:
     restricted to a block is complete, and every other edge crosses blocks.
     """
     _check_scale(n, m)
-    blocks = []
-    for p in range(m ** (n - 1)):
-        prefix = code_to_vertex(p, n - 1, m)
-        blocks.append([prefix + (d,) for d in range(m)])
-    return blocks
+    vs = row_tuples(digit_rows(np.arange(m**n), n, m))  # a prefix owns m consecutive codes
+    return [vs[p : p + m] for p in range(0, m**n, m)]

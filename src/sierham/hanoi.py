@@ -6,7 +6,8 @@ numbers discs the other way around). For odd m, the halved map tau turns
 puzzle positions into S(n,m) coordinates where shortest plays become
 graph geodesics: solve by pulling a position back through tau, walking
 the unique geodesic to the all-zero corner, and pushing each step forward
-again.
+again. Whole tables (the classic play, the diplomats schedule, a solved
+play) are one tau-matrix LinearMap.image call on rows of S coordinates.
 
 A single move of disc d from peg i to peg j is legal when every smaller
 disc sits on peg (i+j)/2 mod m; for m = 3 that is the familiar physical
@@ -18,9 +19,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from .codes import eta_inverse
-from .graphs import Vertex, check_vertex
-from .maps import _inverse_of_two, tau_forward, tau_inverse
+from .graphs import Vertex, check_vertex, digit_rows, row_tuples
+from .maps import _inverse_of_two, embedding_matrix, tau_inverse
 
 HanoiPosition = Vertex
 
@@ -82,9 +85,9 @@ def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
 
 def solve_from_position(t: Sequence[int], m: int) -> MovePath:
     """Optimal play from an arbitrary position to all-discs-on-peg-0 (odd m)."""
-    _inverse_of_two(m)
+    tau = embedding_matrix("tau", len(t), m)
     spath = shortest_path_to_zero(tau_inverse(t, m), m)
-    return MovePath("T", m, tuple(tau_forward(p, m) for p in spath.positions))
+    return MovePath("T", m, tuple(row_tuples(tau.image(spath.positions))))
 
 
 def classic_solution(n: int, m: int = 3) -> MovePath:
@@ -94,11 +97,9 @@ def classic_solution(n: int, m: int = 3) -> MovePath:
     ell; the untransformed expansions walk the S(n,m) geodesic between the
     two corners in increasing lexicographic order.
     """
-    _inverse_of_two(m)
-    positions = tuple(
-        tau_forward(eta_inverse(ell, n), m) for ell in range(2**n)
-    )
-    return MovePath("T", m, positions)
+    tau = embedding_matrix("tau", n, m)
+    bits = digit_rows(np.arange(2**n), n, 2)
+    return MovePath("T", m, tuple(row_tuples(tau.image(bits))))
 
 
 def _check_step(ell: int, i: int, n: int) -> None:
@@ -182,13 +183,9 @@ def is_legal_move_physical(a: Sequence[int], b: Sequence[int]) -> bool:
 def diplomats_table(n: int) -> list[tuple[Vertex, Vertex]]:
     """The five-peg transport schedule: row ell pairs binary ell with its
     halved-map image over m = 5."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rows = []
-    for ell in range(2**n):
-        s = eta_inverse(ell, n)
-        rows.append((s, tau_forward(s, 5)))
-    return rows
+    bits = digit_rows(np.arange(2**n), n, 2)
+    t = embedding_matrix("tau", n, 5).image(bits)
+    return list(zip(row_tuples(bits), row_tuples(t)))
 
 
 def _max_exterior_edges(m: int, lines: list[set[tuple[int, int]]]) -> int:

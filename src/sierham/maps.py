@@ -8,13 +8,17 @@ Three families, all lower-triangular linear maps mod m:
 - the twist family epsilon: phi followed by an arbitrary unit scale per
   coordinate, parameterized by one multiplier per recursion level.
 
+The *_forward and *_inverse functions are the paper's formulas for one
+vertex; embedding_matrix gives each map as a LinearMap, whose image method
+maps a whole (k, n) digit array at once, and every table goes through it.
 phi_recursive rebuilds phi by the level-by-level recursion instead of the
 closed form; the two must agree pointwise. verify_embedding checks that a
-vertex map is a bijection sending every S(n,m) edge to a Hamming-distance-1
-pair. sierpinski_isomorphism decides whether a graph is a relabeled S(n,m)
-by reading every vertex's digits off its distances to the m corners, and
-returns the isomorphism as its witness; verify_coordinatization adds the
-gates that place the graph inside K_m^n.
+vertex map (a LinearMap, a callable or a mapping) is a bijection sending
+every S(n,m) edge to a Hamming-distance-1 pair. sierpinski_isomorphism
+decides whether a graph is a relabeled S(n,m) by reading every vertex's
+digits off its distances to the m corners, and returns the isomorphism as
+its witness; verify_coordinatization adds the gates that place the graph
+inside K_m^n.
 """
 from __future__ import annotations
 
@@ -26,13 +30,16 @@ import numpy as np
 
 from . import kernels
 from .graphs import (
+    ROW_BLOCK,
     Graph,
     Vertex,
     _check_scale,
     build_sierpinski,
     check_vertex,
     code_to_vertex,
+    digit_rows,
     edge_keys,
+    row_codes,
     sierpinski_edge_count,
     vertex_to_code,
 )
@@ -192,12 +199,21 @@ class LinearMap:
     def n(self) -> int:
         return len(self.rows)
 
+    def image(self, rows) -> np.ndarray:
+        """The images of the rows of a (k, n) digit array: rows @ A.T mod m.
+
+        Digits must lie in [0, m). Every dot product is below n (m-1)^2, so
+        the arithmetic runs in int64 while that bound is under 2^63, and in
+        exact Python integers (an object array) beyond it.
+        """
+        dtype = np.int64 if self.n * (self.m - 1) ** 2 < 2**63 else object
+        out = np.asarray(rows, dtype) @ np.array(self.rows, dtype).reshape(self.n, self.n).T
+        out %= self.m
+        return out
+
     def apply(self, v: Sequence[int]) -> Vertex:
         check_vertex(v, self.n, self.m)
-        return tuple(
-            sum(row[j] * v[j] for j in range(i + 1)) % self.m
-            for i, row in enumerate(self.rows)
-        )
+        return tuple(self.image([v])[0].tolist())
 
 
 def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | None = None) -> LinearMap:
@@ -249,25 +265,22 @@ def invert_linear_map(lm: LinearMap) -> LinearMap:
 def compose_linear_maps(outer: LinearMap, inner: LinearMap) -> LinearMap:
     if outer.m != inner.m or outer.n != inner.n:
         raise ValueError("matrix shape or modulus mismatch")
-    n, m = outer.n, outer.m
-    rows = tuple(
-        tuple(
-            sum(outer.rows[i][k] * inner.rows[k][j] for k in range(n)) % m
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return LinearMap(m, rows)
+    # outer.image(B) = B @ outer.T, so the image of inner's columns is (outer @ inner).T
+    product = outer.image(np.array(inner.rows, object).T).T
+    return LinearMap(outer.m, tuple(map(tuple, product.tolist())))
 
 
-def _as_callable(vmap: VertexMap | Mapping[Vertex, Vertex]) -> VertexMap:
-    if isinstance(vmap, Mapping):
-        return vmap.__getitem__
-    return vmap
-
-
-def _image_codes(vmap: VertexMap, n: int, m: int) -> np.ndarray:
-    f = _as_callable(vmap)
+def _image_codes(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> np.ndarray:
+    """Code of the image of every vertex code 0..m^n - 1."""
+    if isinstance(vmap, LinearMap):
+        if (vmap.n, vmap.m) != (n, m):
+            raise ValueError(f"a {vmap.n}x{vmap.n} matrix mod {vmap.m} does not map S({n},{m})")
+        codes = np.arange(m**n)
+        return np.concatenate([
+            row_codes(vmap.image(digit_rows(codes[s : s + ROW_BLOCK], n, m)), m)
+            for s in range(0, m**n, ROW_BLOCK)
+        ])
+    f = vmap.__getitem__ if isinstance(vmap, Mapping) else vmap
     img = np.empty(m**n, np.int64)
     for code in range(m**n):
         w = f(code_to_vertex(code, n, m))
@@ -276,8 +289,11 @@ def _image_codes(vmap: VertexMap, n: int, m: int) -> np.ndarray:
     return img
 
 
-def verify_embedding(vmap: VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
+def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
     """Check that vmap relabels S(n,m) onto a subgraph of K_m^n.
+
+    A LinearMap maps the vertices by LinearMap.image, in blocks of
+    ROW_BLOCK rows; a callable or a mapping is called once per vertex.
 
     Report: is_bijection, all_edges_distance_one, edge_count_preserved,
     verdict, violations. Bijectivity plus one differing coordinate per edge
@@ -507,9 +523,10 @@ def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | Non
     }
 
 
-def layout_metrics(vmap: VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
+def layout_metrics(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
     """Wirelength and bandwidth of laying S(n,m) out in K_m^n via vmap.
 
+    vmap is a LinearMap, a callable or a mapping, as in verify_embedding.
     Wirelength sums the Hamming distances of the edge images; bandwidth is
     their maximum.
     """

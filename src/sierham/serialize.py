@@ -2,14 +2,15 @@
 
 Digit strings: for m <= 10 a vertex prints as concatenated digits ("1020");
 for larger alphabets digits are space-separated and fields tab-separated.
-All writers are deterministic: same input, same bytes.
+All writers are deterministic: same input, same bytes. Graph writers
+format each vertex once, into a list of labels indexed by vertex code.
 """
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .graphs import Graph, Vertex, code_to_vertex, from_edge_list
+from .graphs import Graph, Vertex, from_edge_list
 from .maps import LinearMap
 
 
@@ -36,14 +37,19 @@ def parse_vertex(s: str, m: int, n: int | None = None) -> Vertex:
     return digits
 
 
-def _edge_strings(g: Graph) -> list[tuple[str, str]]:
-    return [
-        (
-            format_vertex(code_to_vertex(int(u), g.n, g.m), g.m),
-            format_vertex(code_to_vertex(int(v), g.n, g.m), g.m),
-        )
-        for u, v in g.edges
-    ]
+def _vertex_labels(n: int, m: int) -> list[str]:
+    """format_vertex of every vertex of {0..m-1}^n, indexed by vertex code."""
+    digits = [str(d) for d in range(m)]
+    sep = "" if m <= 10 else " "
+    labels = digits
+    for _ in range(n - 1):
+        labels = [p + sep + d for p in labels for d in digits]
+    return labels
+
+
+def _edge_strings(g: Graph) -> Iterator[tuple[str, str]]:
+    labels = _vertex_labels(g.n, g.m)
+    return ((labels[u], labels[v]) for u, v in zip(*g.edges.T.tolist()))
 
 
 def graph_to_edgelist(g: Graph) -> str:
@@ -84,11 +90,10 @@ def graph_from_json(text: str) -> Graph:
 
 def graph_to_dot(g: Graph) -> str:
     lines = [f'graph "{g.kind}_{g.n}_{g.m}" {{']
-    for code in range(g.num_vertices):
-        label = format_vertex(code_to_vertex(code, g.n, g.m), g.m)
+    for code, label in enumerate(_vertex_labels(g.n, g.m)):
         lines.append(f'  v{code} [label="{label}"];')
-    for u, v in g.edges:
-        lines.append(f"  v{int(u)} -- v{int(v)};")
+    for u, v in zip(*g.edges.T.tolist()):
+        lines.append(f"  v{u} -- v{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -231,3 +231,38 @@ def double_edge_swap(edges, rng) -> np.ndarray | None:
         return None
     edges[s], edges[t] = (a, d), (c, b)
     return edges
+
+
+# Scalar loop forms of the whole-table maps: one scalar formula per row,
+# as the library computed them before its tables went through LinearMap.image.
+
+
+def binary_expansion(ell: int, n: int) -> Vertex:
+    return tuple((ell >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def classic_positions_loop(n: int, m: int) -> list[Vertex]:
+    from sierham.maps import tau_forward
+
+    return [tau_forward(binary_expansion(ell, n), m) for ell in range(2**n)]
+
+
+def diplomats_rows_loop(n: int) -> list[tuple[Vertex, Vertex]]:
+    from sierham.maps import tau_forward
+
+    bits = [binary_expansion(ell, n) for ell in range(2**n)]
+    return [(s, tau_forward(s, 5)) for s in bits]
+
+
+def gray_sequence_loop(n: int) -> list[Vertex]:
+    from sierham.maps import phi_forward
+
+    return [phi_forward(binary_expansion(ell, n), 2) for ell in range(2**n)]
+
+
+def solve_positions_loop(t, m: int) -> list[Vertex]:
+    from sierham.hanoi import shortest_path_to_zero
+    from sierham.maps import tau_forward, tau_inverse
+
+    path = shortest_path_to_zero(tau_inverse(t, m), m)
+    return [tau_forward(p, m) for p in path.positions]

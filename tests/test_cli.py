@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from sierham import kernels
 from sierham.cli import FIXTURES, main, run_command
 from sierham.graphs import MAX_VERTICES, build_sierpinski, sierpinski_edge_count
 from sierham.serialize import graph_from_json
@@ -243,6 +244,26 @@ def test_row_guard_refuses_oversize_tables(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: refusing to print")
     assert f"(limit {MAX_VERTICES})" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "sierpinski", "--n", "2", "--m", "1001"],
+        ["gen", "hamming", "--n", "23", "--m", "2"],
+        ["verify", "epsilon", "--n", "2", "--m", "1001", "--c", "5"],
+    ],
+)
+def test_edge_guard_refuses_oversize_graphs(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an edge kernel ran past the scale guard")
+
+    for name in ("sierpinski_edges", "hamming_edges", "single_twist_edges"):
+        monkeypatch.setattr(kernels, name, refuse)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: refusing to build a graph with")
 
 
 # ---------------------------------------------------------------- the rest

@@ -60,6 +60,11 @@ def test_gray_sequence_matches_reflected_construction(n):
     assert gray_sequence(n) == oracles.reflected_gray(n)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gray_sequence_matches_the_scalar_loop(n):
+    assert gray_sequence(n) == oracles.gray_sequence_loop(n)
+
+
 def test_gray_sequence_small_values():
     assert gray_sequence(1) == [(0,), (1,)]
     assert [eta(w) for w in gray_sequence(2)] == [0, 1, 3, 2]

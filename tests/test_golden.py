@@ -1,0 +1,77 @@
+"""Byte-for-byte CLI output, frozen in tests/golden/.
+
+Each file holds the stdout of one command; every command exits 0. The
+files were written by an earlier version of the program, so a change to
+how maps, solvers or writers compute their tables must keep every byte.
+They are kept apart from the shipped fixtures (sierham --check-fixtures).
+
+Regenerate after an intended output change with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from sierham.cli import run_command
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+_EMBED = {
+    "phi": ["--n", "3", "--m", "4"],
+    "tau": ["--n", "3", "--m", "5"],
+    "epsilon": ["--n", "3", "--m", "5", "--c-list", "2,3,4"],
+}
+
+GOLDEN: dict[str, list[str]] = {
+    **{
+        f"embed_{kind}{'_invert' if inv else ''}.{fmt}.txt": [
+            "embed", kind, *args, *(["--invert"] if inv else []), "--format", fmt,
+        ]
+        for kind, args in _EMBED.items()
+        for inv in (False, True)
+        for fmt in ("text", "csv", "json")
+    },
+    "embed_epsilon_invert_matrix.json.txt": [
+        "embed", "epsilon", "--n", "4", "--m", "7", "--c", "3",
+        "--matrix", "--invert", "--format", "json",
+    ],
+    "gen_sierpinski_n2_m12.dot.txt": [
+        "gen", "sierpinski", "--n", "2", "--m", "12", "--format", "dot",
+    ],
+    "gen_sierpinski_n2_m12.edgelist.txt": [
+        "gen", "sierpinski", "--n", "2", "--m", "12", "--format", "edgelist",
+    ],
+    "hanoi_solve_m13_S.txt": [
+        "hanoi", "solve", "--from", "1,0,7,12", "--m", "13", "--coords", "S",
+    ],
+    "hanoi_solve_m13_T.txt": [
+        "hanoi", "solve", "--from", "1,0,7,12", "--m", "13", "--coords", "T",
+    ],
+    "hanoi_classic_n3_m7.csv.txt": [
+        "hanoi", "classic", "--n", "3", "--m", "7", "--format", "csv",
+    ],
+    "diplomats_n4.txt": ["diplomats"],
+    "diplomats_n3.json.txt": ["diplomats", "--n", "3", "--format", "json"],
+    "gray_n4_both.txt": ["gray", "--n", "4", "--format", "both"],
+    "verify_tau_n3_m5.txt": ["verify", "tau", "--n", "3", "--m", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden_file(name):
+    text, code = run_command(GOLDEN[name])
+    assert code == 0
+    assert text == (GOLDEN_DIR / name).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(GOLDEN.items()):
+        text, code = run_command(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+        (GOLDEN_DIR / name).write_text(text)
+        print(f"wrote {name}")

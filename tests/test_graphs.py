@@ -8,8 +8,10 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from sierham import kernels
 from sierham.graphs import (
     Graph,
+    MAX_EDGES,
     MAX_VERTICES,
     PermutationSymmetry,
     apply_symmetry,
@@ -19,11 +21,14 @@ from sierham.graphs import (
     check_vertex,
     code_to_vertex,
     corners,
+    digit_rows,
     edge_density,
     from_edge_list,
     hamming_edge_count,
     is_sierpinski_edge,
     km_decomposition,
+    row_codes,
+    row_tuples,
     sierpinski_edge_count,
     vertex_to_code,
 )
@@ -128,6 +133,46 @@ def test_scale_guard():
         build_hamming(25, 5)
     g = build_hamming(2, 100)  # 10^4 vertices is fine
     assert g.num_edges == hamming_edge_count(2, 100)
+
+
+def no_kernels(monkeypatch):
+    """Make every edge kernel fail, so a guard that lets a build through
+    fails the test instead of allocating."""
+    def refuse(*args):
+        raise AssertionError("an edge kernel ran past the scale guard")
+
+    for name in ("sierpinski_edges", "hamming_edges", "single_twist_edges"):
+        monkeypatch.setattr(kernels, name, refuse)
+
+
+def test_edge_guard_refuses_before_any_kernel(monkeypatch):
+    assert MAX_EDGES == 3 * 10**7
+    # the largest graph of the performance baseline stays buildable
+    assert sierpinski_edge_count(8, 7) <= MAX_EDGES
+    no_kernels(monkeypatch)
+    # S(2,1001): 1,002,001 vertices pass MAX_VERTICES, 5.0e8 edges do not
+    for build in (build_sierpinski, build_single_twist):
+        with pytest.raises(ValueError, match=r"refusing to build a graph with 501501000 edges"):
+            build(2, 1001)
+    with pytest.raises(ValueError, match=r"with 96468992 edges on 2\^23 vertices"):
+        build_hamming(23, 2)
+    # the vertex guard speaks first
+    with pytest.raises(ValueError, match=r"graph on 3\^15 = 14348907 vertices"):
+        build_hamming(15, 3)
+
+
+# ---------------------------------------------------------------- digit rows
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (3, 4), (4, 5), (2, 12), (5, 2)])
+def test_digit_rows_round_trip(n, m):
+    codes = np.arange(m**n)
+    rows = digit_rows(codes, n, m)
+    assert rows.shape == (m**n, n)
+    assert row_tuples(rows) == [code_to_vertex(c, n, m) for c in range(m**n)]
+    assert np.array_equal(row_codes(rows, m), codes)
+    assert row_tuples(rows[:0]) == []
+    assert row_tuples(np.zeros((2, 0), np.int64)) == [(), ()]
 
 
 # ---------------------------------------------------------------- edge rule

@@ -234,6 +234,23 @@ def test_classic_rejects_even_m():
         classic_solution(3, 4)
 
 
+# odd moduli from 3 up to 10**29 + 1; from 10**10 + 19 on, tau's matrix
+# products leave int64 and run in exact Python integers
+BIG_MODULI = [(1, 3), (5, 3), (4, 5), (3, 7), (3, 13), (4, 10**10 + 19), (3, 10**29 + 1)]
+
+
+@pytest.mark.parametrize("n,m", BIG_MODULI)
+def test_classic_matches_the_scalar_loop(n, m):
+    assert list(classic_solution(n, m).positions) == oracles.classic_positions_loop(n, m)
+
+
+@pytest.mark.parametrize("n,m", BIG_MODULI)
+def test_solve_matches_the_scalar_loop(n, m):
+    starts = [(m - 1,) * n, tuple((7 * i + 1) % m for i in range(n)), (0,) * n]
+    for t in starts:
+        assert list(solve_from_position(t, m).positions) == oracles.solve_positions_loop(t, m)
+
+
 # ---------------------------------------------------------------- digit formulas
 
 
@@ -360,6 +377,11 @@ def test_diplomats_table_is_the_five_peg_classic():
     rows = diplomats_table(4)
     assert [s for s, _ in rows] == [eta_inverse(ell, 4) for ell in range(16)]
     assert tuple(t for _, t in rows) == classic_solution(4, 5).positions
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_diplomats_table_matches_the_scalar_loop(n):
+    assert diplomats_table(n) == oracles.diplomats_rows_loop(n)
 
 
 def test_diplomats_rejects_bad_n():

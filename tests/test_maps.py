@@ -205,6 +205,7 @@ def test_matrices_agree_with_functions(n, m):
         embedding_matrix("tau", 4, 5),
         embedding_matrix("phi", 5, 4),
         embedding_matrix(TwistFamily(5, (2, 3, 4))),
+        embedding_matrix("tau", 3, 2**61 - 1),  # products beyond int64
     ],
 )
 def test_inverse_composes_to_identity(lm):
@@ -232,6 +233,76 @@ def test_embedding_matrix_argument_checks():
         embedding_matrix("rho", 2, 3)
     with pytest.raises(ValueError):
         embedding_matrix(TwistFamily(5, (1, 2)), n=3)  # level mismatch
+
+
+# ---------------------------------------------------------------- LinearMap.image
+
+ENGINE_SIZES = [(1, 3), (3, 3), (4, 5), (3, 7), (2, 12), (2, 257)]
+
+
+def some_twist(n, m):
+    us = units(m)
+    return TwistFamily(m, tuple(us[(3 * i + 1) % len(us)] for i in range(n)))
+
+
+def image_tuples(lm, vs):
+    return [tuple(r) for r in lm.image(vs).tolist()]
+
+
+@pytest.mark.parametrize("n,m", ENGINE_SIZES)
+def test_image_matches_the_scalar_formulas(n, m):
+    vs = oracles.all_vertices(n, m)
+    phi_m = embedding_matrix("phi", n, m)
+    assert image_tuples(phi_m, vs) == [phi_forward(v, m) for v in vs]
+    assert image_tuples(invert_linear_map(phi_m), vs) == [phi_inverse(v, m) for v in vs]
+    tw = some_twist(n, m)
+    eps_m = embedding_matrix(tw)
+    assert image_tuples(eps_m, vs) == [epsilon_forward(v, tw) for v in vs]
+    inv = invert_linear_map(eps_m)
+    assert image_tuples(inv, vs) == [inv.apply(v) for v in vs]
+    if m % 2:
+        tau_m = embedding_matrix("tau", n, m)
+        assert image_tuples(tau_m, vs) == [tau_forward(v, m) for v in vs]
+        assert image_tuples(invert_linear_map(tau_m), vs) == [tau_inverse(v, m) for v in vs]
+
+
+def test_image_is_exact_beyond_int64():
+    n, m = 5, 2**61 - 1
+    assert n * (m - 1) ** 2 >= 2**63  # the object path
+    rng = np.random.default_rng(3)
+    vs = [tuple(int(x) * 4 + 3 for x in row) for row in rng.integers(0, m // 4, (50, n))]
+    lm = embedding_matrix("tau", n, m)
+    out = lm.image(vs)
+    assert out.dtype == object
+    assert [tuple(r) for r in out.tolist()] == [tau_forward(v, m) for v in vs]
+    assert image_tuples(invert_linear_map(lm), out) == vs
+
+
+def all_ones_below(n, m):
+    """w_i = v_1 + ... + v_i: unit lower-triangular, not an embedding."""
+    return LinearMap(m, tuple(tuple(1 if j <= i else 0 for j in range(n)) for i in range(n)))
+
+
+VERIFY_SIZES = [(3, 3), (4, 5), (3, 7), (3, 12)]
+
+
+@pytest.mark.parametrize("n,m", VERIFY_SIZES)
+def test_verifiers_take_a_linear_map(n, m):
+    maps = [embedding_matrix("phi", n, m), embedding_matrix(some_twist(n, m)), all_ones_below(n, m)]
+    if m % 2:
+        maps.append(embedding_matrix("tau", n, m))
+    for lm in maps:
+        report = verify_embedding(lm, n, m)
+        assert report == verify_embedding(lm.apply, n, m)  # violation order too
+        assert layout_metrics(lm, n, m) == layout_metrics(lm.apply, n, m)
+    assert not verify_embedding(all_ones_below(n, m), n, m)["verdict"]
+
+
+def test_verifiers_reject_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError):
+        verify_embedding(embedding_matrix("phi", 3, 3), 4, 3)
+    with pytest.raises(ValueError):
+        layout_metrics(embedding_matrix("phi", 3, 3), 3, 5)
 
 
 # ---------------------------------------------------------------- epsilon

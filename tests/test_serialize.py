@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sierham.graphs import build_hamming, build_sierpinski
+from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex
 from sierham.maps import embedding_matrix
 from sierham.serialize import (
     format_vertex,
@@ -63,6 +63,18 @@ def test_edgelist():
     wide = graph_to_edgelist(build_hamming(1, 12))
     first = wide.splitlines()[0]
     assert first == "0\t1"  # n=1, alphabet 12: tab between endpoints
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (2, 10), (2, 11), (3, 12)])
+def test_graph_writers_label_vertices_as_format_vertex(n, m):
+    # the writers format each vertex once; the labels must be the ones
+    # format_vertex gives, on both sides of the m <= 10 switch
+    g = build_sierpinski(n, m)
+    label = [format_vertex(code_to_vertex(c, n, m), m) for c in range(m**n)]
+    sep = " " if m <= 10 else "\t"
+    assert graph_to_edgelist(g) == "".join(f"{label[u]}{sep}{label[v]}\n" for u, v in g.edges.tolist())
+    dot = graph_to_dot(g).splitlines()
+    assert dot[1 : 1 + m**n] == [f'  v{c} [label="{label[c]}"];' for c in range(m**n)]
 
 
 def test_text_header():
