@@ -17,22 +17,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import eta, gray_sequence
+from .codes import gray_sequence
 from .graphs import (
     MAX_VERTICES,
-    Vertex,
     _check_scale,
+    _power_text,
     build_hamming,
     build_sierpinski,
     build_single_twist,
     digit_rows,
     edge_density,
-    row_tuples,
+    row_codes,
 )
 from .hanoi import (
     classic_solution,
     constant_corner_search,
-    diplomats_table,
     path_length_to_zero,
     shortest_path_to_zero,
 )
@@ -91,8 +90,11 @@ def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
+    # both refusals come before the matrix, which checks its n^2 entries in Python
+    if args.matrix and n * n > MAX_VERTICES:
+        raise ValueError(f"refusing to print a {n}x{n} matrix (limit {MAX_VERTICES} entries)")
     if not args.matrix:
-        _check_scale(n, m)  # before the matrix, which has n^2 entries
+        _check_scale(n, m)
     lm = _matrix_for(args)
     if args.invert:
         lm = invert_linear_map(lm)
@@ -104,12 +106,12 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
         return serialize.matrix_to_text(lm), 0
 
     v = digit_rows(np.arange(m**n), n, m)
-    rows = list(zip(row_tuples(v), row_tuples(lm.image(v))))
+    w = lm.image(v)
     if args.fmt == "json":
-        return serialize.map_table_to_json(rows, n, m), 0
+        return serialize.map_table_to_json(v, w, n, m), 0
     if args.fmt == "csv":
-        return serialize.map_table_to_csv(rows, m), 0
-    return serialize.map_table_to_text(rows, m), 0
+        return serialize.map_table_to_csv(v, w, m), 0
+    return serialize.map_table_to_text(v, w, m), 0
 
 
 def _violation_line(item: dict, m: int) -> str:
@@ -159,31 +161,28 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
-def _render_rows(
-    rows: list[tuple[int, Vertex, Vertex]], n: int, m: int, fmt: str
-) -> str:
+def _render_rows(ell: np.ndarray, s: np.ndarray, t: np.ndarray, n: int, m: int, fmt: str) -> str:
     if fmt == "csv":
-        return serialize.hanoi_table_to_csv(rows, m)
+        return serialize.hanoi_table_to_csv(ell, s, t, m)
     if fmt == "json":
-        return serialize.hanoi_table_to_json(rows, n, m)
-    return serialize.hanoi_table_to_text(rows, n, m)
+        return serialize.hanoi_table_to_json(ell, s, t, n, m)
+    return serialize.hanoi_table_to_text(ell, s, t, n, m)
 
 
-def _check_rows(rows: int, what: str) -> None:
-    """Refuse a table of more than MAX_VERTICES rows before computing it."""
-    if rows > MAX_VERTICES:
+def _check_rows(n: int, what: str) -> None:
+    """Refuse a table of 2^n rows, more than MAX_VERTICES, before computing it."""
+    if n >= MAX_VERTICES.bit_length() or 2**n > MAX_VERTICES:
         raise ValueError(
-            f"refusing to print {rows} rows of {what} (limit {MAX_VERTICES})"
+            f"refusing to print {_power_text(2, n)} rows of {what} (limit {MAX_VERTICES})"
         )
 
 
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
-    _check_rows(2**n, f"the classic solution for n={n}")
+    _check_rows(n, f"the classic solution for n={n}")
     mp = classic_solution(n, m)
-    s_rows = row_tuples(digit_rows(np.arange(2**n), n, 2))
-    rows = list(zip(range(2**n), s_rows, mp.positions))
-    return _render_rows(rows, n, m, args.fmt), 0
+    ell = np.arange(2**n)
+    return _render_rows(ell, digit_rows(ell, n, 2), mp.positions, n, m, args.fmt), 0
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
@@ -192,33 +191,25 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     n = len(start)
     v = tau_inverse(start, m) if args.coords == "T" else start
     moves = path_length_to_zero(v)
-    _check_rows(moves + 1, f"the play from {args.position}")
-    spath = shortest_path_to_zero(v, m)
-    t_rows = row_tuples(embedding_matrix("tau", n, m).image(spath.positions))
+    if moves >= MAX_VERTICES:  # moves + 1 rows; 2^k <= moves < 2^(k+1)
+        count = moves + 1 if moves < 2**60 else f"more than 2^{moves.bit_length() - 1}"
+        what = f"the play from {args.position}"
+        raise ValueError(f"refusing to print {count} rows of {what} (limit {MAX_VERTICES})")
+    s = shortest_path_to_zero(v, m).positions
+    t = embedding_matrix("tau", n, m).image(s)
     # each step of the geodesic is one closer to 0^n
-    rows = list(zip(range(moves, -1, -1), spath.positions, t_rows))
-    return _render_rows(rows, n, m, args.fmt), 0
-
-
-def cmd_diplomats(args: argparse.Namespace) -> tuple[str, int]:
-    n = args.n
-    _check_rows(2**n, f"the diplomats table for n={n}")
-    rows = [(ell, s, t) for ell, (s, t) in enumerate(diplomats_table(n))]
-    return _render_rows(rows, n, 5, args.fmt), 0
+    return _render_rows(np.arange(moves, -1, -1), s, t, n, m, args.fmt), 0
 
 
 def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
-    _check_rows(2**args.n, f"the Gray sequence for n={args.n}")
+    _check_rows(args.n, f"the Gray sequence for n={args.n}")
     seq = gray_sequence(args.n)
-    lines = []
-    for w in seq:
-        bits = serialize.format_vertex(w, 2)
-        if args.fmt == "int":
-            lines.append(str(eta(w)))
-        elif args.fmt == "both":
-            lines.append(f"{bits} {eta(w)}")
-        else:
-            lines.append(bits)
+    if args.fmt == "bits":
+        lines = serialize.vertex_labels(seq, 2)
+    elif args.fmt == "int":
+        lines = map(str, row_codes(seq, 2).tolist())
+    else:
+        lines = map("{} {}".format, serialize.vertex_labels(seq, 2), row_codes(seq, 2).tolist())
     return "\n".join(lines) + "\n", 0
 
 
@@ -331,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="fmt", choices=["text", "csv", "json"], default="text"
     )
     dip.add_argument("--out")
-    dip.set_defaults(run=cmd_diplomats)
+    dip.set_defaults(run=cmd_classic, m=5)  # the five-peg classic play
 
     gr = sub.add_parser("gray", help="emit the Gray sequence")
     gr.add_argument("--n", type=int, required=True)

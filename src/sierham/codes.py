@@ -4,7 +4,7 @@ S(n,2) is a path, and the additive recoordinatization carries it onto the
 reflected binary Gray code; eta is the natural base-2 value of a bit tuple
 and gamma the position of a codeword in the Gray order. eta, eta_inverse
 and gamma are plain integer arithmetic, so n can exceed the machine word
-size; gray_sequence applies the phi matrix to all 2^n binary rows at once.
+size; gray_sequence is phi of all 2^n binary rows, as one (2^n, n) array.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Vertex, digit_rows, row_tuples
+from .graphs import Vertex, digit_rows
 from .maps import embedding_matrix
 
 
@@ -55,11 +55,11 @@ def gamma(w: Sequence[int]) -> int:
     return value
 
 
-def gray_sequence(n: int) -> list[Vertex]:
-    """All 2^n codewords in Gray order: entry ell is phi applied to binary ell.
+def gray_sequence(n: int) -> np.ndarray:
+    """All 2^n codewords in Gray order: row ell is phi applied to binary ell.
 
     Consecutive entries differ in exactly one bit, and the sequence equals
     the classic reflect-and-prefix construction.
     """
     bits = digit_rows(np.arange(2**n), n, 2)
-    return row_tuples(embedding_matrix("phi", n, 2).image(bits))
+    return embedding_matrix("phi", n, 2).image(bits)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -89,11 +89,17 @@ def _check_params(n: int, m: int) -> None:
         raise ValueError(f"m must be >= 2, got {m}")
 
 
+def _power_text(m: int, n: int) -> str:
+    """'m^n = value' for small powers (n * floor(log2 m) < 60, so below 2^120), else 'm^n'."""
+    return f"{m}^{n} = {m**n}" if n * (m.bit_length() - 1) < 60 else f"{m}^{n}"
+
+
 def _check_scale(n: int, m: int) -> None:
     _check_params(n, m)
-    if m**n > MAX_VERTICES:
+    # m**n > MAX_VERTICES for every m >= 2 once n reaches 24: skip computing it
+    if n >= MAX_VERTICES.bit_length() or m**n > MAX_VERTICES:
         raise ValueError(
-            f"refusing to build a graph on {m}^{n} = {m**n} vertices "
+            f"refusing to build a graph on {_power_text(m, n)} vertices "
             f"(limit {MAX_VERTICES}); the counting formulas remain available"
         )
 
@@ -183,15 +189,8 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def vertices(self) -> Iterator[Vertex]:
-        for code in range(self.num_vertices):
-            yield code_to_vertex(code, self.n, self.m)
-
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.num_vertices)
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
 
     def has_edge(self, u: Sequence[int], v: Sequence[int]) -> bool:
         check_vertex(u, self.n, self.m)
@@ -201,13 +200,6 @@ class Graph:
         key = min(a, b) * self.num_vertices + max(a, b)
         idx = int(np.searchsorted(self._keys, key))
         return idx < self._keys.shape[0] and int(self._keys[idx]) == key
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            adj[int(u)].append(int(v))
-            adj[int(v)].append(int(u))
-        return adj
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

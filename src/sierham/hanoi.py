@@ -15,7 +15,7 @@ rule, and both formulations are implemented so tests can compare them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -28,30 +28,41 @@ from .maps import _inverse_of_two, embedding_matrix, tau_inverse
 HanoiPosition = Vertex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MovePath:
-    """An ordered run of positions, tagged with its coordinatization."""
+    """An ordered run of positions, tagged with its coordinatization.
+
+    positions is a read-only (k, n) digit array, k >= 1: int64, or an
+    object array of Python ints when the digits do not fit in int64. An
+    array passed in is not copied; the path holds a read-only view of it.
+    """
 
     coords: str  # "S" for graph coordinates, "T" for peg-per-disc
     m: int
-    positions: tuple[Vertex, ...]
+    positions: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.coords not in ("S", "T"):
             raise ValueError(f"coords must be 'S' or 'T', got {self.coords!r}")
-        if not self.positions:
-            raise ValueError("a path holds at least its starting position")
-        n = len(self.positions[0])
-        for p in self.positions:
-            check_vertex(p, n, self.m)
+        try:
+            p = np.asarray(self.positions, np.int64)
+        except OverflowError:
+            p = np.asarray(self.positions, object)
+        if p.ndim != 2 or p.shape[0] == 0:
+            raise ValueError("a path holds at least its starting position, as rows of digits")
+        if p.size and (p.min() < 0 or p.max() >= self.m):
+            raise ValueError(f"a digit is out of range for alphabet {{0..{self.m - 1}}}")
+        p = p.view()  # read-only without changing the caller's array
+        p.setflags(write=False)
+        object.__setattr__(self, "positions", p)
 
     @property
     def n(self) -> int:
-        return len(self.positions[0])
+        return self.positions.shape[1]
 
     @property
     def moves(self) -> int:
-        return len(self.positions) - 1
+        return self.positions.shape[0] - 1
 
 
 def path_length_to_zero(v: Sequence[int]) -> int:
@@ -80,14 +91,14 @@ def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
             c = cur[h]
             cur = cur[:h] + (0,) + (c,) * (n - 1 - h)
         positions.append(cur)
-    return MovePath("S", m, tuple(positions))
+    return MovePath("S", m, positions)
 
 
 def solve_from_position(t: Sequence[int], m: int) -> MovePath:
     """Optimal play from an arbitrary position to all-discs-on-peg-0 (odd m)."""
     tau = embedding_matrix("tau", len(t), m)
     spath = shortest_path_to_zero(tau_inverse(t, m), m)
-    return MovePath("T", m, tuple(row_tuples(tau.image(spath.positions))))
+    return MovePath("T", m, tau.image(spath.positions))
 
 
 def classic_solution(n: int, m: int = 3) -> MovePath:
@@ -99,7 +110,7 @@ def classic_solution(n: int, m: int = 3) -> MovePath:
     """
     tau = embedding_matrix("tau", n, m)
     bits = digit_rows(np.arange(2**n), n, 2)
-    return MovePath("T", m, tuple(row_tuples(tau.image(bits))))
+    return MovePath("T", m, tau.image(bits))
 
 
 def _check_step(ell: int, i: int, n: int) -> None:

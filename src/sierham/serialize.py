@@ -3,14 +3,17 @@
 Digit strings: for m <= 10 a vertex prints as concatenated digits ("1020");
 for larger alphabets digits are space-separated and fields tab-separated.
 All writers are deterministic: same input, same bytes. Graph writers
-format each vertex once, into a list of labels indexed by vertex code.
+format each vertex once, into a list of labels indexed by vertex code;
+table writers take (k, n) digit-array columns and label each once.
 """
 from __future__ import annotations
 
 import json
 from typing import Iterator, Sequence
 
-from .graphs import Graph, Vertex, from_edge_list
+import numpy as np
+
+from .graphs import ROW_BLOCK, Graph, Vertex, from_edge_list
 from .maps import LinearMap
 
 
@@ -18,6 +21,23 @@ def format_vertex(v: Sequence[int], m: int) -> str:
     if m <= 10:
         return "".join(str(d) for d in v)
     return " ".join(str(d) for d in v)
+
+
+def vertex_labels(rows: np.ndarray, m: int) -> list[str]:
+    """format_vertex of every row of a (k, n) digit array.
+
+    For m <= 10 the rows become one byte matrix (digit + ord("0"), a newline
+    per row), decoded in one call; multi-digit cells go row by row.
+    """
+    rows = np.asarray(rows)
+    if m > 10 or rows.dtype == object:
+        blocks = (rows[i : i + ROW_BLOCK].tolist() for i in range(0, len(rows), ROW_BLOCK))
+        return [format_vertex(v, m) for block in blocks for v in block]
+    k, n = rows.shape
+    text = np.empty((k, n + 1), np.uint8)
+    np.add(rows, ord("0"), out=text[:, :n], casting="unsafe")
+    text[:, n] = ord("\n")
+    return text.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def parse_vertex(s: str, m: int, n: int | None = None) -> Vertex:
@@ -119,63 +139,39 @@ def matrix_to_json(lm: LinearMap) -> str:
     return json.dumps({"m": lm.m, "rows": [list(row) for row in lm.rows]}, indent=2) + "\n"
 
 
-def map_table_to_text(rows: list[tuple[Vertex, Vertex]], m: int) -> str:
-    return "\n".join(
-        f"{format_vertex(v, m)}  {format_vertex(w, m)}" for v, w in rows
-    ) + "\n"
+def map_table_to_text(v: np.ndarray, w: np.ndarray, m: int) -> str:
+    return "\n".join(map("{}  {}".format, vertex_labels(v, m), vertex_labels(w, m))) + "\n"
 
 
-def map_table_to_csv(rows: list[tuple[Vertex, Vertex]], m: int) -> str:
-    out = ["v,image"]
-    for v, w in rows:
-        out.append(f"{format_vertex(v, m)},{format_vertex(w, m)}")
-    return "\n".join(out) + "\n"
+def map_table_to_csv(v: np.ndarray, w: np.ndarray, m: int) -> str:
+    rows = map("{},{}".format, vertex_labels(v, m), vertex_labels(w, m))
+    return "\n".join(["v,image", *rows]) + "\n"
 
 
-def map_table_to_json(rows: list[tuple[Vertex, Vertex]], n: int, m: int) -> str:
-    payload = {
-        "n": n,
-        "m": m,
-        "map": [[format_vertex(v, m), format_vertex(w, m)] for v, w in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def map_table_to_json(v: np.ndarray, w: np.ndarray, n: int, m: int) -> str:
+    pairs = map(list, zip(vertex_labels(v, m), vertex_labels(w, m)))
+    return json.dumps({"n": n, "m": m, "map": list(pairs)}, indent=2) + "\n"
 
 
-def hanoi_table_to_text(
-    rows: list[tuple[int, Vertex, Vertex]], n: int, m: int
-) -> str:
+def hanoi_table_to_text(ell: np.ndarray, s: np.ndarray, t: np.ndarray, n: int, m: int) -> str:
     """Three-column solution table: step index, S position, T position."""
     s_head = f"S({n},{m})"
     t_head = f"T({n},{m})"
-    wl = max(3, max((len(str(ell)) for ell, _, _ in rows), default=3))
-    ws = max(
-        len(s_head),
-        max((len(format_vertex(s, m)) for _, s, _ in rows), default=0),
-    )
+    steps = [str(e) for e in np.asarray(ell).tolist()]
+    s_labels = vertex_labels(s, m)
+    wl = max(3, max(map(len, steps), default=3))
+    ws = max(len(s_head), max(map(len, s_labels), default=0))
     lines = [f"{'ell':>{wl}}  {s_head:<{ws}}  {t_head}"]
-    for ell, s, t in rows:
-        lines.append(
-            f"{ell:>{wl}}  {format_vertex(s, m):<{ws}}  {format_vertex(t, m)}"
-        )
+    lines.extend(f"{e:>{wl}}  {a:<{ws}}  {b}" for e, a, b in zip(steps, s_labels, vertex_labels(t, m)))
     return "\n".join(lines) + "\n"
 
 
-def hanoi_table_to_csv(rows: list[tuple[int, Vertex, Vertex]], m: int) -> str:
-    out = ["ell,s,t"]
-    for ell, s, t in rows:
-        out.append(f"{ell},{format_vertex(s, m)},{format_vertex(t, m)}")
-    return "\n".join(out) + "\n"
+def hanoi_table_to_csv(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
+    rows = map("{},{},{}".format, np.asarray(ell).tolist(), vertex_labels(s, m), vertex_labels(t, m))
+    return "\n".join(["ell,s,t", *rows]) + "\n"
 
 
-def hanoi_table_to_json(
-    rows: list[tuple[int, Vertex, Vertex]], n: int, m: int
-) -> str:
-    payload = {
-        "n": n,
-        "m": m,
-        "rows": [
-            {"ell": ell, "s": format_vertex(s, m), "t": format_vertex(t, m)}
-            for ell, s, t in rows
-        ],
-    }
+def hanoi_table_to_json(ell: np.ndarray, s: np.ndarray, t: np.ndarray, n: int, m: int) -> str:
+    rows = zip(np.asarray(ell).tolist(), vertex_labels(s, m), vertex_labels(t, m))
+    payload = {"n": n, "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]}
     return json.dumps(payload, indent=2) + "\n"

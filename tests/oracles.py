@@ -14,8 +14,28 @@ import numpy as np
 from sierham.graphs import Vertex, code_to_vertex, is_sierpinski_edge
 
 
+def as_tuples(rows: np.ndarray) -> list[Vertex]:
+    """The rows of a (k, n) digit array as tuples of Python ints."""
+    assert isinstance(rows, np.ndarray) and rows.ndim == 2
+    return [tuple(r) for r in rows.tolist()]
+
+
 def all_vertices(n: int, m: int) -> list[Vertex]:
     return [code_to_vertex(code, n, m) for code in range(m**n)]
+
+
+def adjacency(g) -> list[list[int]]:
+    """Neighbour lists of a Graph, indexed by vertex code, in edge order."""
+    adj: list[list[int]] = [[] for _ in range(g.num_vertices)]
+    for u, v in g.edges.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def edge_set(g) -> set[tuple[int, int]]:
+    """The (u, v) code pairs of a Graph's edges, u < v."""
+    return {(u, v) for u, v in g.edges.tolist()}
 
 
 def bfs_distances(adj: list[list[int]], src: int) -> list[int]:
@@ -265,4 +285,4 @@ def solve_positions_loop(t, m: int) -> list[Vertex]:
     from sierham.maps import tau_forward, tau_inverse
 
     path = shortest_path_to_zero(tau_inverse(t, m), m)
-    return [tau_forward(p, m) for p in path.positions]
+    return [tau_forward(p, m) for p in path.positions.tolist()]

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from sierham import kernels
+from sierham import cli, kernels
 from sierham.cli import FIXTURES, main, run_command
 from sierham.graphs import MAX_VERTICES, build_sierpinski, sierpinski_edge_count
 from sierham.serialize import graph_from_json
@@ -249,6 +249,39 @@ def test_row_guard_refuses_oversize_tables(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "phi", "--n", "100000", "--m", "3"],
+        ["embed", "tau", "--n", "100000", "--m", "3"],
+        ["hanoi", "classic", "--n", "100000"],
+        ["gray", "--n", "20000"],
+    ],
+)
+def test_refusals_name_huge_counts_as_powers(argv, capsys):
+    # 3^100000 and 2^20000 have more digits than Python converts to a string
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: refusing")
+    assert f"^{argv[argv.index('--n') + 1]} " in err
+
+
+@pytest.mark.parametrize("invert", [False, True])
+def test_matrix_guard_refuses_before_building_the_matrix(invert, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the matrix was built past the size guard")
+
+    monkeypatch.setattr(cli, "embedding_matrix", refuse)
+    # 3163^2 = 10,004,569 entries is the first square above MAX_VERTICES
+    assert 3162**2 <= MAX_VERTICES < 3163**2
+    argv = ["embed", "phi", "--n", "3163", "--m", "3", "--matrix"]
+    assert main(argv + (["--invert"] if invert else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: refusing to print a 3163x3163 matrix")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["gen", "sierpinski", "--n", "2", "--m", "1001"],
         ["gen", "hamming", "--n", "23", "--m", "2"],
         ["verify", "epsilon", "--n", "2", "--m", "1001", "--c", "5"],
@@ -278,6 +311,14 @@ def test_diplomats_table():
         "  2  10      13\n"
         "  3  11      11\n"
     )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_diplomats_is_the_five_peg_classic_play(n, fmt):
+    diplomats = run(["diplomats", "--n", str(n), "--format", fmt])
+    assert diplomats == run(["hanoi", "classic", "--n", str(n), "--m", "5", "--format", fmt])
+    assert diplomats[1] == 0
 
 
 def test_gray_formats():

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from sierham.graphs import (
@@ -50,7 +51,7 @@ def test_path_length_examples():
 @pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (1, 5), (2, 5), (3, 5), (4, 5)])
 def test_distance_formula_matches_bfs(n, m):
     g = build_sierpinski(n, m)
-    dist = oracles.bfs_distances(g.adjacency(), 0)
+    dist = oracles.bfs_distances(oracles.adjacency(g), 0)
     for code in range(g.num_vertices):
         v = code_to_vertex(code, n, m)
         assert path_length_to_zero(v) == dist[code]
@@ -59,7 +60,7 @@ def test_distance_formula_matches_bfs(n, m):
 @pytest.mark.parametrize("n,m", [(1, 3), (3, 3), (5, 3), (6, 3), (3, 5), (4, 5)])
 def test_geodesic_to_zero_is_unique(n, m):
     g = build_sierpinski(n, m)
-    counts = oracles.geodesic_counts(g.adjacency(), 0)
+    counts = oracles.geodesic_counts(oracles.adjacency(g), 0)
     assert counts == [1] * g.num_vertices
 
 
@@ -68,11 +69,12 @@ def test_shortest_path_walks_edges(n, m):
     for code in range(m**n):
         v = code_to_vertex(code, n, m)
         path = shortest_path_to_zero(v, m)
+        positions = oracles.as_tuples(path.positions)
         assert path.coords == "S"
-        assert path.positions[0] == v
-        assert path.positions[-1] == (0,) * n
+        assert positions[0] == v
+        assert positions[-1] == (0,) * n
         assert path.moves == path_length_to_zero(v)
-        for a, b in zip(path.positions, path.positions[1:]):
+        for a, b in zip(positions, positions[1:]):
             assert is_sierpinski_edge(a, b, m)
             assert path_length_to_zero(b) == path_length_to_zero(a) - 1
 
@@ -81,12 +83,12 @@ def test_case_two_step():
     # when the last digit is already zero, the deepest nonzero digit c
     # trades places with its all-zero tail: c 0 ... 0 -> 0 c ... c
     path = shortest_path_to_zero((1, 0, 0), 3)
-    assert path.positions == ((1, 0, 0), (0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+    assert oracles.as_tuples(path.positions) == [(1, 0, 0), (0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
 
 
 def test_shortest_path_from_the_far_corner():
     path = shortest_path_to_zero((1, 2, 1, 0), 3)
-    assert path.positions == (
+    assert oracles.as_tuples(path.positions) == [
         (1, 2, 1, 0),
         (1, 2, 0, 1),
         (1, 2, 0, 0),
@@ -102,7 +104,7 @@ def test_shortest_path_from_the_far_corner():
         (0, 0, 1, 0),
         (0, 0, 0, 1),
         (0, 0, 0, 0),
-    )
+    ]
 
 
 # ---------------------------------------------------------------- solving
@@ -112,7 +114,7 @@ def test_solve_from_1020():
     path = solve_from_position((1, 0, 2, 0), 3)
     assert path.coords == "T"
     assert path.moves == 14
-    assert path.positions == (
+    assert oracles.as_tuples(path.positions) == [
         (1, 0, 2, 0),
         (1, 0, 1, 0),
         (1, 0, 1, 1),
@@ -128,7 +130,7 @@ def test_solve_from_1020():
         (0, 0, 1, 2),
         (0, 0, 0, 2),
         (0, 0, 0, 0),
-    )
+    ]
 
 
 def test_solve_every_start_n4_m3():
@@ -137,10 +139,11 @@ def test_solve_every_start_n4_m3():
     for code in range(3**4):
         t = code_to_vertex(code, 4, 3)
         path = solve_from_position(t, 3)
-        assert path.positions[0] == t
-        assert path.positions[-1] == (0, 0, 0, 0)
+        positions = oracles.as_tuples(path.positions)
+        assert positions[0] == t
+        assert positions[-1] == (0, 0, 0, 0)
         assert path.moves == path_length_to_zero(tau_inverse(t, 3))
-        for a, b in zip(path.positions, path.positions[1:]):
+        for a, b in zip(positions, positions[1:]):
             assert is_legal_move(a, b, 3)
             assert is_legal_move_physical(a, b)
 
@@ -148,9 +151,9 @@ def test_solve_every_start_n4_m3():
 def test_solve_every_start_n3_m5():
     for code in range(5**3):
         t = code_to_vertex(code, 3, 5)
-        path = solve_from_position(t, 5)
-        assert path.positions[-1] == (0, 0, 0)
-        for a, b in zip(path.positions, path.positions[1:]):
+        positions = oracles.as_tuples(solve_from_position(t, 5).positions)
+        assert positions[-1] == (0, 0, 0)
+        for a, b in zip(positions, positions[1:]):
             assert is_legal_move(a, b, 5)
 
 
@@ -177,11 +180,11 @@ def test_solve_path_lengths_match_bfs_on_the_move_graph():
 
 
 def test_classic_two_discs():
-    assert classic_solution(2, 3).positions == ((0, 0), (0, 2), (1, 2), (1, 1))
+    assert oracles.as_tuples(classic_solution(2, 3).positions) == [(0, 0), (0, 2), (1, 2), (1, 1)]
 
 
 def test_classic_one_disc():
-    assert classic_solution(1, 3).positions == ((0,), (1,))
+    assert oracles.as_tuples(classic_solution(1, 3).positions) == [(0,), (1,)]
 
 
 def test_classic_n4_m5_frozen():
@@ -203,29 +206,30 @@ def test_classic_n4_m5_frozen():
         (1, 1, 1, 4),
         (1, 1, 1, 1),
     ]
-    assert list(classic_solution(4, 5).positions) == expected
+    assert oracles.as_tuples(classic_solution(4, 5).positions) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_classic_moves_everything_to_peg_one(n):
     mp = classic_solution(n, 3)
+    positions = oracles.as_tuples(mp.positions)
     assert mp.moves == 2**n - 1
-    assert mp.positions[0] == (0,) * n
-    assert mp.positions[-1] == (1,) * n
-    assert len(set(mp.positions)) == 2**n  # no position repeats
+    assert positions[0] == (0,) * n
+    assert positions[-1] == (1,) * n
+    assert len(set(positions)) == 2**n  # no position repeats
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_classic_is_legal_both_rules(n):
-    mp = classic_solution(n, 3)
-    for a, b in zip(mp.positions, mp.positions[1:]):
+    positions = oracles.as_tuples(classic_solution(n, 3).positions)
+    for a, b in zip(positions, positions[1:]):
         assert is_legal_move(a, b, 3)
         assert is_legal_move_physical(a, b)
 
 
 def test_classic_m5_is_legal():
-    mp = classic_solution(4, 5)
-    for a, b in zip(mp.positions, mp.positions[1:]):
+    positions = oracles.as_tuples(classic_solution(4, 5).positions)
+    for a, b in zip(positions, positions[1:]):
         assert is_legal_move(a, b, 5)
 
 
@@ -241,14 +245,14 @@ BIG_MODULI = [(1, 3), (5, 3), (4, 5), (3, 7), (3, 13), (4, 10**10 + 19), (3, 10*
 
 @pytest.mark.parametrize("n,m", BIG_MODULI)
 def test_classic_matches_the_scalar_loop(n, m):
-    assert list(classic_solution(n, m).positions) == oracles.classic_positions_loop(n, m)
+    assert oracles.as_tuples(classic_solution(n, m).positions) == oracles.classic_positions_loop(n, m)
 
 
 @pytest.mark.parametrize("n,m", BIG_MODULI)
 def test_solve_matches_the_scalar_loop(n, m):
     starts = [(m - 1,) * n, tuple((7 * i + 1) % m for i in range(n)), (0,) * n]
     for t in starts:
-        assert list(solve_from_position(t, m).positions) == oracles.solve_positions_loop(t, m)
+        assert oracles.as_tuples(solve_from_position(t, m).positions) == oracles.solve_positions_loop(t, m)
 
 
 # ---------------------------------------------------------------- digit formulas
@@ -331,7 +335,7 @@ def test_algebraic_equals_physical_for_three_pegs(n):
 def test_move_graph_is_the_tau_image_of_sierpinski(n, m):
     moves = oracles.legal_move_edges(n, m, lambda a, b: is_legal_move(a, b, m))
     mapped = set()
-    for a, b in build_sierpinski(n, m).edge_set():
+    for a, b in oracles.edge_set(build_sierpinski(n, m)):
         u = vertex_to_code(tau_forward(code_to_vertex(a, n, m), m), m)
         v = vertex_to_code(tau_forward(code_to_vertex(b, n, m), m), m)
         mapped.add((min(u, v), max(u, v)))
@@ -376,7 +380,7 @@ def test_diplomats_table_rows():
 def test_diplomats_table_is_the_five_peg_classic():
     rows = diplomats_table(4)
     assert [s for s, _ in rows] == [eta_inverse(ell, 4) for ell in range(16)]
-    assert tuple(t for _, t in rows) == classic_solution(4, 5).positions
+    assert [t for _, t in rows] == oracles.as_tuples(classic_solution(4, 5).positions)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -432,3 +436,39 @@ def test_move_path_validation():
     mp = MovePath("S", 3, ((0, 1), (0, 0)))
     assert mp.n == 2
     assert mp.moves == 1
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        (),  # empty
+        np.zeros((0, 2), np.int64),  # no rows
+        ((0, 1), (0,)),  # ragged
+        (0, 1),  # one flat row, not a (k, n) array
+        ((0, 1), (0, -1)),  # below the alphabet
+        np.array([(0, 1), (3, 0)]),  # past the alphabet
+        ((10**29 + 1, 0),),  # past the alphabet, beyond int64
+    ],
+)
+def test_move_path_rejects_bad_positions(positions):
+    with pytest.raises(ValueError):
+        MovePath("S", 3, positions)
+
+
+def test_move_path_positions_are_read_only():
+    rows = np.array([(0, 1), (0, 0)])
+    mp = MovePath("S", 3, rows)
+    assert mp.positions.dtype == np.int64
+    assert not mp.positions.flags.writeable
+    with pytest.raises(ValueError):
+        mp.positions[0, 0] = 2
+    assert rows.flags.writeable  # the path holds a read-only view of it
+    for path in (classic_solution(3, 3), solve_from_position((1, 0, 2), 3), shortest_path_to_zero((1, 2), 3)):
+        assert not path.positions.flags.writeable
+
+
+def test_move_path_keeps_digits_beyond_int64_exact():
+    m = 10**29 + 1
+    mp = MovePath("T", m, ((m - 1, 0), (0, 0)))
+    assert mp.positions.dtype == object
+    assert oracles.as_tuples(mp.positions) == [(m - 1, 0), (0, 0)]

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex
+from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex, digit_rows
 from sierham.maps import embedding_matrix
 from sierham.serialize import (
     format_vertex,
@@ -25,6 +26,7 @@ from sierham.serialize import (
     matrix_to_text,
     parse_vertex,
     render_graph,
+    vertex_labels,
 )
 
 
@@ -127,16 +129,19 @@ def test_matrix_json():
 
 
 def test_map_tables():
-    rows = [((0, 1), (0, 1)), ((1, 0), (1, 1))]
-    assert map_table_to_text(rows, 3) == "01  01\n10  11\n"
-    assert map_table_to_csv(rows, 3) == "v,image\n01,01\n10,11\n"
-    payload = json.loads(map_table_to_json(rows, 2, 3))
+    v = np.array([(0, 1), (1, 0)])
+    w = np.array([(0, 1), (1, 1)])
+    assert map_table_to_text(v, w, 3) == "01  01\n10  11\n"
+    assert map_table_to_csv(v, w, 3) == "v,image\n01,01\n10,11\n"
+    payload = json.loads(map_table_to_json(v, w, 2, 3))
     assert payload == {"n": 2, "m": 3, "map": [["01", "01"], ["10", "11"]]}
 
 
 def test_hanoi_table_text_frozen():
-    rows = [(14, (1, 2, 1, 0), (1, 0, 2, 0)), (13, (1, 2, 0, 1), (1, 0, 1, 0))]
-    text = hanoi_table_to_text(rows, 4, 3)
+    ell = np.array([14, 13])
+    s = np.array([(1, 2, 1, 0), (1, 2, 0, 1)])
+    t = np.array([(1, 0, 2, 0), (1, 0, 1, 0)])
+    text = hanoi_table_to_text(ell, s, t, 4, 3)
     assert text == (
         "ell  S(4,3)  T(4,3)\n"
         " 14  1210    1020\n"
@@ -145,8 +150,8 @@ def test_hanoi_table_text_frozen():
 
 
 def test_hanoi_table_wide_alphabet():
-    rows = [(0, (10, 0), (10, 0))]
-    text = hanoi_table_to_text(rows, 2, 11)
+    s = t = np.array([(10, 0)])
+    text = hanoi_table_to_text(np.array([0]), s, t, 2, 11)
     lines = text.splitlines()
     # the S column pads to the wider of the header and the digit strings
     assert lines[0].startswith("ell  S(2,11)")
@@ -154,7 +159,30 @@ def test_hanoi_table_wide_alphabet():
 
 
 def test_hanoi_table_csv_and_json():
-    rows = [(1, (0, 1), (0, 2))]
-    assert hanoi_table_to_csv(rows, 3) == "ell,s,t\n1,01,02\n"
-    payload = json.loads(hanoi_table_to_json(rows, 2, 3))
+    ell, s, t = np.array([1]), np.array([(0, 1)]), np.array([(0, 2)])
+    assert hanoi_table_to_csv(ell, s, t, 3) == "ell,s,t\n1,01,02\n"
+    payload = json.loads(hanoi_table_to_json(ell, s, t, 2, 3))
     assert payload == {"n": 2, "m": 3, "rows": [{"ell": 1, "s": "01", "t": "02"}]}
+
+
+@pytest.mark.parametrize("n,m", [(5, 2), (4, 3), (3, 10), (3, 11), (2, 13)])
+def test_vertex_labels_match_format_vertex(n, m):
+    rows = digit_rows(np.arange(m**n), n, m)
+    assert vertex_labels(rows, m) == [format_vertex(v, m) for v in rows.tolist()]
+
+
+def test_vertex_labels_of_exact_and_wide_images():
+    # an object array with digits past int64, and an int64 tau image whose
+    # digits have ten characters each
+    big = 10**29 + 1
+    rows = np.array([(big - 1, 0, 12345), (0, 0, 0), (7, big - 2, 1)], dtype=object)
+    assert vertex_labels(rows, big) == [format_vertex(v, big) for v in rows.tolist()]
+    m = 10**9 + 7
+    tau = embedding_matrix("tau", 3, m).image(digit_rows(np.arange(27), 3, 3))
+    assert tau.dtype == np.int64
+    assert vertex_labels(tau, m) == [format_vertex(v, m) for v in tau.tolist()]
+
+
+def test_vertex_labels_of_no_rows():
+    assert vertex_labels(np.zeros((0, 3), np.int64), 3) == []
+    assert vertex_labels(np.zeros((0, 3), np.int64), 12) == []
