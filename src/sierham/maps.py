@@ -23,7 +23,7 @@ inside K_m^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -33,15 +33,15 @@ from .graphs import (
     ROW_BLOCK,
     Graph,
     Vertex,
+    _check_params,
     _check_scale,
     build_sierpinski,
     check_vertex,
-    code_to_vertex,
     digit_rows,
     edge_keys,
     row_codes,
+    row_tuples,
     sierpinski_edge_count,
-    vertex_to_code,
 )
 
 VertexMap = Callable[[Vertex], Vertex]
@@ -137,29 +137,27 @@ class TwistFamily:
 
     m: int
     multipliers: tuple[int, ...]
+    _scales: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
         if len(self.multipliers) < 1:
             raise ValueError("need at least one multiplier")
-        reduced = tuple(c % self.m for c in self.multipliers)
-        for c in reduced:
+        cs = tuple(c % self.m for c in self.multipliers)
+        for c in cs:
             if math.gcd(c, self.m) != 1:
                 raise ValueError(f"multiplier {c} is not invertible mod {self.m}")
-        object.__setattr__(self, "multipliers", reduced)
-
-    def scales(self) -> tuple[int, ...]:
-        cs = self.multipliers
-        m = self.m
-        if len(cs) == 1:
-            return (1,)
-        s = [cs[0] * pow(cs[1], -1, m) % m]
+        object.__setattr__(self, "multipliers", cs)
+        scales = [1] if len(cs) == 1 else [cs[0] * pow(cs[1], -1, self.m) % self.m]
         acc = 1
         for c in cs[1:]:
-            acc = acc * c % m
-            s.append(acc)
-        return tuple(s)
+            acc = acc * c % self.m
+            scales.append(acc)
+        object.__setattr__(self, "_scales", tuple(scales))
+
+    def scales(self) -> tuple[int, ...]:
+        return self._scales
 
 
 def epsilon_forward(v: Sequence[int], tw: TwistFamily) -> Vertex:
@@ -181,6 +179,7 @@ class LinearMap:
 
     def __post_init__(self) -> None:
         n = len(self.rows)
+        _check_params(n, self.m)
         norm = []
         for i, row in enumerate(self.rows):
             if len(row) != n:
@@ -229,6 +228,7 @@ def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | Non
     else:
         if n is None or m is None:
             raise ValueError("n and m are required for named map kinds")
+        _check_params(n, m)  # the rows below are reduced mod m
         if kind == "phi":
             scales = (1,) * n
         elif kind == "tau":
@@ -270,69 +270,74 @@ def compose_linear_maps(outer: LinearMap, inner: LinearMap) -> LinearMap:
     return LinearMap(outer.m, tuple(map(tuple, product.tolist())))
 
 
-def _image_codes(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> np.ndarray:
-    """Code of the image of every vertex code 0..m^n - 1."""
+def _labels(codes: np.ndarray, n: int, m: int) -> list[Vertex]:
+    return row_tuples(digit_rows(codes, n, m))
+
+
+def _edge_images(
+    vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """S(n,m)'s edges, the image code of every vertex, and the images of both edge ends.
+
+    Vertices are mapped as digit rows, ROW_BLOCK at a time: a LinearMap by
+    image, a callable or a mapping once per row tuple, each output checked
+    by check_vertex before the block is encoded.
+    """
     if isinstance(vmap, LinearMap):
         if (vmap.n, vmap.m) != (n, m):
             raise ValueError(f"a {vmap.n}x{vmap.n} matrix mod {vmap.m} does not map S({n},{m})")
-        codes = np.arange(m**n)
-        return np.concatenate([
-            row_codes(vmap.image(digit_rows(codes[s : s + ROW_BLOCK], n, m)), m)
-            for s in range(0, m**n, ROW_BLOCK)
-        ])
-    f = vmap.__getitem__ if isinstance(vmap, Mapping) else vmap
-    img = np.empty(m**n, np.int64)
-    for code in range(m**n):
-        w = f(code_to_vertex(code, n, m))
-        check_vertex(w, n, m)
-        img[code] = vertex_to_code(w, m)
-    return img
+        step = vmap.image
+    else:
+        f = vmap.__getitem__ if isinstance(vmap, Mapping) else vmap
+
+        def step(rows: np.ndarray) -> list:
+            out = []
+            for v in row_tuples(rows):  # checked in vertex order, as each output arrives
+                out.append(f(v))
+                check_vertex(out[-1], n, m)
+            return out
+
+    edges = build_sierpinski(n, m).edges
+    codes = np.arange(m**n)
+    img = np.concatenate([
+        row_codes(step(digit_rows(codes[s : s + ROW_BLOCK], n, m)), m)
+        for s in range(0, m**n, ROW_BLOCK)
+    ])
+    return edges, img, img[edges[:, 0]], img[edges[:, 1]]
 
 
 def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
     """Check that vmap relabels S(n,m) onto a subgraph of K_m^n.
 
-    A LinearMap maps the vertices by LinearMap.image, in blocks of
-    ROW_BLOCK rows; a callable or a mapping is called once per vertex.
+    Every form of vmap is mapped as digit rows, ROW_BLOCK at a time: a
+    LinearMap by LinearMap.image, a callable or a mapping once per vertex.
 
     Report: is_bijection, all_edges_distance_one, edge_count_preserved,
-    verdict, violations. Bijectivity plus one differing coordinate per edge
-    image certifies an isomorphism onto the image, because the edge counts
-    already agree.
+    verdict, violations (at most 10 collisions, every distance violation).
+    Bijectivity plus one differing coordinate per edge image certifies an
+    isomorphism onto the image, because the edge counts already agree.
     """
-    g = build_sierpinski(n, m)
-    img = _image_codes(vmap, n, m)
-    violations: list[dict] = []
+    edges, img, a, b = _edge_images(vmap, n, m)
+    counts = np.bincount(img, minlength=m**n)
+    hit = np.flatnonzero(counts > 1)
+    is_bijection = hit.shape[0] == 0
+    violations: list[dict] = [
+        {"kind": "collision", "image": w, "count": c}
+        for w, c in zip(_labels(hit[:10], n, m), counts[hit[:10]].tolist())
+    ]
 
-    is_bijection = np.unique(img).shape[0] == m**n
-    if not is_bijection:
-        values, counts = np.unique(img, return_counts=True)
-        for val in values[counts > 1][:10]:
-            violations.append(
-                {
-                    "kind": "collision",
-                    "image": code_to_vertex(int(val), n, m),
-                    "count": int(counts[values == val][0]),
-                }
-            )
-
-    a = img[g.edges[:, 0]]
-    b = img[g.edges[:, 1]]
     diffs = kernels.digit_diff_counts(a, b, n, m)
-    bad = np.nonzero(diffs != 1)[0]
-    for idx in bad:
-        u, v = g.edges[idx]
-        violations.append(
-            {
-                "kind": "distance",
-                "edge": (code_to_vertex(int(u), n, m), code_to_vertex(int(v), n, m)),
-                "images": (
-                    code_to_vertex(int(a[idx]), n, m),
-                    code_to_vertex(int(b[idx]), n, m),
-                ),
-                "distance": int(diffs[idx]),
-            }
+    bad = np.flatnonzero(diffs != 1)
+    violations += [
+        {"kind": "distance", "edge": (u, v), "images": (x, y), "distance": d}
+        for u, v, x, y, d in zip(
+            _labels(edges[bad, 0], n, m),
+            _labels(edges[bad, 1], n, m),
+            _labels(a[bad], n, m),
+            _labels(b[bad], n, m),
+            diffs[bad].tolist(),
         )
+    ]
     all_edges_distance_one = bad.shape[0] == 0
 
     image_edges = edge_keys(a, b, m**n)
@@ -452,21 +457,20 @@ def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | Non
     m = candidate.m if m is None else m
     if (candidate.n, candidate.m) != (n, m):
         raise ValueError("candidate graph has different (n, m)")
-    violations: list[dict] = []
 
     diffs = kernels.digit_diff_counts(
         candidate.edges[:, 0], candidate.edges[:, 1], n, m
     )
-    bad = np.nonzero(diffs != 1)[0]
-    for idx in bad[:10]:
-        u, v = candidate.edges[idx]
-        violations.append(
-            {
-                "kind": "distance",
-                "edge": (code_to_vertex(int(u), n, m), code_to_vertex(int(v), n, m)),
-                "distance": int(diffs[idx]),
-            }
+    bad = np.flatnonzero(diffs != 1)
+    first = bad[:10]
+    violations: list[dict] = [
+        {"kind": "distance", "edge": (u, v), "distance": d}
+        for u, v, d in zip(
+            _labels(candidate.edges[first, 0], n, m),
+            _labels(candidate.edges[first, 1], n, m),
+            diffs[first].tolist(),
         )
+    ]
     all_edges_distance_one = bad.shape[0] == 0
     total = bad.shape[0]
 
@@ -482,21 +486,16 @@ def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | Non
         )
         total += 1
 
-    degs = candidate.degrees()
-    expected_multiset = sorted([m - 1] * m + [m] * (m**n - m))
-    degree_sequence_matches = sorted(int(d) for d in degs) == expected_multiset
+    degs = candidate.degrees()  # one entry per vertex, m^n in all
+    degree_sequence_matches = (
+        np.count_nonzero(degs == m - 1) == m and np.count_nonzero(degs == m) == m**n - m
+    )
     if not degree_sequence_matches:
-        allowed = {m - 1, m}
-        off = np.nonzero(~np.isin(degs, list(allowed)))[0]
-        for code in off[:10]:
-            violations.append(
-                {
-                    "kind": "degree",
-                    "vertex": code_to_vertex(int(code), n, m),
-                    "degree": int(degs[code]),
-                    "allowed": sorted(allowed),
-                }
-            )
+        off = np.flatnonzero((degs != m - 1) & (degs != m))
+        violations += [
+            {"kind": "degree", "vertex": v, "degree": d, "allowed": [m - 1, m]}
+            for v, d in zip(_labels(off[:10], n, m), degs[off[:10]].tolist())
+        ]
         total += off.shape[0]
 
     isomorphic = False
@@ -530,7 +529,6 @@ def layout_metrics(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int
     Wirelength sums the Hamming distances of the edge images; bandwidth is
     their maximum.
     """
-    g = build_sierpinski(n, m)
-    img = _image_codes(vmap, n, m)
-    diffs = kernels.digit_diff_counts(img[g.edges[:, 0]], img[g.edges[:, 1]], n, m)
+    _, _, a, b = _edge_images(vmap, n, m)
+    diffs = kernels.digit_diff_counts(a, b, n, m)
     return {"wirelength": int(diffs.sum()), "bandwidth": int(diffs.max())}

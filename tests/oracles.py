@@ -7,11 +7,13 @@ evidence rather than tautology.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from typing import Mapping
 
 import numpy as np
 
-from sierham.graphs import Vertex, code_to_vertex, is_sierpinski_edge
+from sierham.graphs import Vertex, check_vertex, code_to_vertex, is_sierpinski_edge, vertex_to_code
+from sierham.maps import LinearMap
 
 
 def as_tuples(rows: np.ndarray) -> list[Vertex]:
@@ -286,3 +288,113 @@ def solve_positions_loop(t, m: int) -> list[Vertex]:
 
     path = shortest_path_to_zero(tau_inverse(t, m), m)
     return [tau_forward(p, m) for p in path.positions.tolist()]
+
+
+# Per-vertex forms of the verifiers: one scalar image and one code_to_vertex
+# per vertex, as the library computed its reports before they went through
+# digit rows in blocks.
+
+
+def reference_images(vmap, n: int, m: int) -> list[int]:
+    """Image code of every vertex code, one vertex at a time.
+
+    A LinearMap is applied as a plain matrix-vector product mod m; a
+    callable or a mapping is called on each vertex, and each output checked.
+    """
+    if isinstance(vmap, LinearMap):
+        def f(v):
+            return tuple(sum(a * d for a, d in zip(row, v)) % m for row in vmap.rows)
+    else:
+        f = vmap.__getitem__ if isinstance(vmap, Mapping) else vmap
+    img = []
+    for code in range(m**n):
+        w = f(code_to_vertex(code, n, m))
+        check_vertex(w, n, m)
+        img.append(vertex_to_code(w, m))
+    return img
+
+
+def _hamming(a: int, b: int, n: int, m: int) -> int:
+    return sum(x != y for x, y in zip(code_to_vertex(a, n, m), code_to_vertex(b, n, m)))
+
+
+def reference_verify_embedding(vmap, n: int, m: int) -> dict:
+    """verify_embedding's report, from recursive_sierpinski_edges and per-vertex images."""
+    img = reference_images(vmap, n, m)
+    edges = sorted(recursive_sierpinski_edges(n, m))
+    counts = Counter(img)
+    violations = [
+        {"kind": "collision", "image": code_to_vertex(val, n, m), "count": counts[val]}
+        for val in sorted(val for val, k in counts.items() if k > 1)[:10]
+    ]
+    for u, v in edges:
+        d = _hamming(img[u], img[v], n, m)
+        if d != 1:
+            violations.append(
+                {
+                    "kind": "distance",
+                    "edge": (code_to_vertex(u, n, m), code_to_vertex(v, n, m)),
+                    "images": (code_to_vertex(img[u], n, m), code_to_vertex(img[v], n, m)),
+                    "distance": d,
+                }
+            )
+    is_bijection = len(counts) == m**n
+    distance_one = not any(item["kind"] == "distance" for item in violations)
+    image_edges = {(min(img[u], img[v]), max(img[u], img[v])) for u, v in edges}
+    count_preserved = len(image_edges) == len(edges)
+    return {
+        "is_bijection": is_bijection,
+        "all_edges_distance_one": distance_one,
+        "edge_count_preserved": count_preserved,
+        "verdict": is_bijection and distance_one and count_preserved,
+        "violations": violations,
+    }
+
+
+def reference_layout_metrics(vmap, n: int, m: int) -> dict:
+    img = reference_images(vmap, n, m)
+    dists = [_hamming(img[u], img[v], n, m) for u, v in recursive_sierpinski_edges(n, m)]
+    return {"wirelength": sum(dists), "bandwidth": max(dists)}
+
+
+def reference_coordinatization_gates(g) -> dict:
+    """The distance, edge-count and degree gates of verify_coordinatization.
+
+    Returns their three booleans, their violation items in report order
+    (at most 10 per kind) and the count of all of them, per edge and per
+    vertex; the isomorphism gate is left to the certificate's own tests.
+    """
+    n, m = g.n, g.m
+    violations = []
+    total = 0
+    for u, v in g.edges.tolist():
+        d = _hamming(u, v, n, m)
+        if d != 1:
+            total += 1
+            if total <= 10:
+                edge = (code_to_vertex(u, n, m), code_to_vertex(v, n, m))
+                violations.append({"kind": "distance", "edge": edge, "distance": d})
+    distance_one = total == 0
+    expected = (m ** (n + 1) - m) // 2
+    count_matches = g.num_edges == expected
+    if not count_matches:
+        violations.append({"kind": "edge_count", "found": g.num_edges, "expected": expected})
+        total += 1
+    deg = [0] * m**n
+    for u, v in g.edges.tolist():
+        deg[u] += 1
+        deg[v] += 1
+    degrees_match = sorted(deg) == sorted([m - 1] * m + [m] * (m**n - m))
+    if not degrees_match:
+        off = [code for code, d in enumerate(deg) if d not in (m - 1, m)]
+        for c in off[:10]:
+            vertex = code_to_vertex(c, n, m)
+            violations.append({"kind": "degree", "vertex": vertex, "degree": deg[c], "allowed": [m - 1, m]})
+        total += len(off)
+    return {
+        "all_edges_distance_one": distance_one,
+        "edge_count_matches": count_matches,
+        "degree_sequence_matches": degrees_match,
+        "violations": violations,
+        "violations_total": total,
+    }

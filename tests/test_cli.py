@@ -219,6 +219,25 @@ def test_classic_even_m(capsys):
     assert "no multiplicative inverse of 2 mod 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hanoi", "classic", "--n", "3", "--m", "1"],
+        ["embed", "phi", "--n", "3", "--m", "1", "--matrix"],
+        ["embed", "phi", "--n", "3", "--m", "0", "--matrix"],
+        ["embed", "tau", "--n", "2", "--m", "-5", "--matrix"],
+        ["embed", "phi", "--n", "0", "--m", "3", "--matrix"],
+        ["hanoi", "solve", "--from", "00", "--m", "1"],
+        ["hanoi", "classic", "--n", "3", "--m", "-3"],
+    ],
+)
+def test_maps_refuse_n_below_one_and_m_below_two(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_solve_bad_digits(capsys):
     assert main(["hanoi", "solve", "--from", "109"]) == 2
     err = capsys.readouterr().err

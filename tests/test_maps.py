@@ -1,6 +1,7 @@
 """Recoordinatization maps: phi, tau, twist families, matrices, verifiers."""
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import numpy as np
@@ -226,6 +227,22 @@ def test_linear_map_validation():
         compose_linear_maps(identity_map(2, 3), identity_map(3, 3))
 
 
+def test_linear_map_rejects_small_parameters():
+    with pytest.raises(ValueError, match=r"^m must be >= 2, got 1$"):
+        LinearMap(1, ((0,),))
+    with pytest.raises(ValueError, match=r"^m must be >= 2, got -5$"):
+        LinearMap(-5, ((1,),))
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        LinearMap(3, ())
+    # embedding_matrix reduces its rows mod m before LinearMap sees them
+    with pytest.raises(ValueError, match=r"^m must be >= 2, got 0$"):
+        embedding_matrix("phi", 3, 0)
+    with pytest.raises(ValueError, match=r"^m must be >= 2, got 1$"):
+        embedding_matrix("tau", 3, 1)
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        embedding_matrix("phi", 0, 3)
+
+
 def test_embedding_matrix_argument_checks():
     with pytest.raises(ValueError):
         embedding_matrix("phi")  # n, m required for named kinds
@@ -298,6 +315,80 @@ def test_verifiers_take_a_linear_map(n, m):
     assert not verify_embedding(all_ones_below(n, m), n, m)["verdict"]
 
 
+def vertex_maps(n, m):
+    """Every form the verifiers take (callable, mapping, LinearMap), embeddings or not."""
+    forms = {
+        "identity": lambda v: v,
+        "constant": lambda v: (0,) * n,
+        "fold": lambda v: (0,) + v[1:],  # m^(n-1) collisions, past the cap of 10
+        "blockwise-phi": lambda v: (v[0],) + phi_forward(v[1:], m),
+        "phi": lambda v: phi_forward(v, m),
+        "phi-recursive": phi_recursive(n, m),
+        "phi-matrix": embedding_matrix("phi", n, m),
+        "twist-matrix": embedding_matrix(some_twist(n, m)),
+        "all-ones-matrix": all_ones_below(n, m),
+    }
+    if m % 2:
+        forms["tau"] = lambda v: tau_forward(v, m)
+        forms["tau-matrix"] = embedding_matrix("tau", n, m)
+    return forms
+
+
+def typed(x):
+    """x with each dict's items in order and each value next to its exact type."""
+    if isinstance(x, dict):
+        return dict, [(k, typed(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return type(x), [typed(v) for v in x]
+    return type(x), x
+
+
+ORACLE_SIZES = [(3, 3), (4, 3), (3, 4), (3, 5), (2, 7), (3, 12), (5, 3), (4, 5)]
+
+
+@pytest.mark.parametrize(
+    "n,m,form", [(n, m, form) for n, m in ORACLE_SIZES for form in vertex_maps(n, m)]
+)
+def test_verifiers_equal_the_per_vertex_reference(n, m, form):
+    vmap = vertex_maps(n, m)[form]
+    report = verify_embedding(vmap, n, m)
+    assert typed(report) == typed(oracles.reference_verify_embedding(vmap, n, m))
+    json.dumps(report)
+    layout = layout_metrics(vmap, n, m)
+    assert typed(layout) == typed(oracles.reference_layout_metrics(vmap, n, m))
+
+
+@pytest.mark.parametrize("build", [build_sierpinski, build_single_twist])
+@pytest.mark.parametrize("n,m", ORACLE_SIZES)
+def test_coordinatization_gates_equal_the_per_vertex_reference(n, m, build):
+    report = verify_coordinatization(build(n, m))
+    json.dumps(report)
+    ref = oracles.reference_coordinatization_gates(build(n, m))
+    certificate = [item for item in report["violations"] if item["kind"] == "isomorphism"]
+    for key in ("all_edges_distance_one", "edge_count_matches", "degree_sequence_matches"):
+        assert typed(report[key]) == typed(ref[key])
+    assert typed(report["violations"]) == typed(ref["violations"] + certificate)
+    assert typed(report["violations_total"]) == typed(ref["violations_total"] + len(certificate))
+
+
+@pytest.mark.parametrize(
+    "w,message",
+    [
+        ((2, 2), "expected 3 digits, got 2"),
+        ((2, 2, 3), "digit 3 out of range"),
+        ((-1, 2, 2), "digit -1 out of range"),
+    ],
+)
+def test_verifiers_reject_malformed_callable_outputs(w, message):
+    # the identity, except that the last vertex goes to w
+    f = lambda v: w if v == (2, 2, 2) else v  # noqa: E731
+    for verifier in (verify_embedding, layout_metrics):
+        with pytest.raises(ValueError, match=message):
+            verifier(f, 3, 3)
+        with pytest.raises(ValueError, match=message):
+            verifier({v: f(v) for v in oracles.all_vertices(3, 3)}, 3, 3)
+
+
 def test_verifiers_reject_a_matrix_of_the_wrong_shape():
     with pytest.raises(ValueError):
         verify_embedding(embedding_matrix("phi", 3, 3), 4, 3)
@@ -327,6 +418,11 @@ def test_twist_scales():
     # tau's multiplier tuple: every level uses the inverse of 2
     inv2 = 3
     assert TwistFamily(5, (inv2,) * 4).scales() == (1, 3, 3 * 3 % 5, 3**3 % 5)
+    # computed once; the stored tuple takes no part in equality, hash or repr
+    tw = TwistFamily(7, (3, 5, 2))
+    assert tw.scales() is tw.scales()
+    assert tw == TwistFamily(7, (10, 5, 2)) and hash(tw) == hash(TwistFamily(7, (10, 5, 2)))
+    assert repr(tw) == "TwistFamily(m=7, multipliers=(3, 5, 2))"
 
 
 def test_epsilon_all_ones_is_phi():
