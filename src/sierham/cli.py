@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.set_defaults(run=cmd_density)
 
     cs = sub.add_parser(
-        "corners-search", help="search for constant-corner relabelings"
+        "corners-search", help="decide whether constant-corner relabelings exist"
     )
     cs.add_argument("--m", type=int, required=True)
     cs.add_argument("--n", type=int, default=2)

@@ -16,13 +16,12 @@ rule, and both formulations are implemented so tests can compare them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .codes import eta_inverse
-from .graphs import Vertex, check_vertex, digit_rows, row_tuples
+from .graphs import Vertex, _check_params, check_vertex, digit_rows, row_tuples
 from .maps import _inverse_of_two, embedding_matrix, tau_inverse
 
 HanoiPosition = Vertex
@@ -96,6 +95,7 @@ def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
 
 def solve_from_position(t: Sequence[int], m: int) -> MovePath:
     """Optimal play from an arbitrary position to all-discs-on-peg-0 (odd m)."""
+    check_vertex(t, len(t), m)
     tau = embedding_matrix("tau", len(t), m)
     spath = shortest_path_to_zero(tau_inverse(t, m), m)
     return MovePath("T", m, tau.image(spath.positions))
@@ -199,63 +199,28 @@ def diplomats_table(n: int) -> list[tuple[Vertex, Vertex]]:
     return list(zip(row_tuples(bits), row_tuples(t)))
 
 
-def _max_exterior_edges(m: int, lines: list[set[tuple[int, int]]]) -> int:
-    """Most block-crossing edges a corner-per-line decomposition can host.
-
-    Every pair of lines may contribute at most one Hamming-distance-1 edge,
-    endpoints must avoid the corners, and no vertex serves twice.
-    Branch-and-bound over the line pairs.
-    """
-    pairs = list(combinations(range(m), 2))
-    candidates: list[list[tuple[tuple[int, int], tuple[int, int]]]] = []
-    for i, j in pairs:
-        opts = []
-        for p in lines[i]:
-            if p == (i, i):
-                continue
-            for q in lines[j]:
-                if q == (j, j):
-                    continue
-                if (p[0] == q[0]) != (p[1] == q[1]):  # Hamming distance 1
-                    opts.append((p, q))
-        candidates.append(opts)
-
-    best = 0
-    used: set[tuple[int, int]] = set()
-
-    def extend(idx: int, count: int) -> None:
-        nonlocal best
-        if count + len(pairs) - idx <= best:
-            return
-        if idx == len(pairs):
-            best = count
-            return
-        for p, q in candidates[idx]:
-            if p in used or q in used:
-                continue
-            used.add(p)
-            used.add(q)
-            extend(idx + 1, count + 1)
-            used.discard(p)
-            used.discard(q)
-        extend(idx + 1, count)  # the pair may also stay unconnected
-
-    extend(0, 0)
-    return best
-
-
 def constant_corner_search(m: int, n: int = 2) -> dict:
     """Can S(n,m) be relabeled inside K_m^n keeping every corner constant?
 
-    Odd m: yes, the halved map is a witness. Even m, n = 2: exhaustively
-    try every assignment of one axis line per corner that partitions the
-    vertex set, and count how many block-crossing edges survive; existence
-    needs one per line pair, and the search always falls short. Even m with
-    n > 2 is refused: the two-dimensional argument does not transfer and no
-    search is attempted.
+    Odd m: yes, the halved map is a witness. Even m with n != 2 is refused:
+    the argument below is two-dimensional. Even m, n = 2: no. Block i of
+    S(2,m) is an m-clique through the corner (i, i), so it lands on the row
+    or the column through (i, i); each of the m(m-1)/2 block pairs {i, j}
+    then needs one exterior edge joining line i to line j off the corners.
+
+    * Two decompositions. A row line and a column line always meet, so the
+      lines partition the vertices only when all are rows or all columns.
+    * At most m(m-2)/2 edges. With all rows, pair {i, j} needs an edge
+      (i, y) - (j, y), y not in {i, j}, and no vertex serves twice. Column
+      y holds m - 1 non-corner vertices, an odd count, so it hosts at most
+      (m-2)/2 of these edges.
+    * The maximum is reached. Number the rows Z_(m-1) plus inf = m - 1.
+      Column a in Z_(m-1) takes {a-t, a+t} for 1 <= t <= (m-2)/2, the
+      round-robin near-1-factorization of K_(m-1). Column inf takes
+      {2t-1, 2t mod (m-1)}, and the column that held that pair takes
+      {inf, 2t-1} in its place.
     """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    _check_params(n, m)
     if m % 2 == 1:
         return {
             "m": m,
@@ -266,35 +231,19 @@ def constant_corner_search(m: int, n: int = 2) -> dict:
         }
     if n != 2:
         raise ValueError(
-            "the even-m search is only implemented for n=2; whether "
+            "the even-m argument is only implemented for n=2; whether "
             "constant-corner relabelings exist for even m and larger n "
             "is not attempted here"
         )
+    best = m * (m - 2) // 2
     required = m * (m - 1) // 2
-    best = 0
-    decompositions = 0
-    for mask in range(2**m):
-        lines = []
-        for i in range(m):
-            if mask >> i & 1:
-                lines.append({(i, y) for y in range(m)})
-            else:
-                lines.append({(x, i) for x in range(m)})
-        if len(set().union(*lines)) != m * m:
-            continue  # chosen lines overlap, not a decomposition
-        decompositions += 1
-        best = max(best, _max_exterior_edges(m, lines))
     return {
         "m": m,
         "n": 2,
-        "exists": best >= required,
+        "exists": False,
         "witness": None,
         "max_exterior_edges": best,
         "required_exterior_edges": required,
-        "decompositions_searched": decompositions,
-        "detail": (
-            f"max exterior edges {best} < {required} required"
-            if best < required
-            else f"found a decomposition carrying {best} exterior edges"
-        ),
+        "decompositions_searched": 2,
+        "detail": f"max exterior edges {best} < {required} required",
     }

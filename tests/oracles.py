@@ -8,6 +8,7 @@ evidence rather than tautology.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -397,4 +398,94 @@ def reference_coordinatization_gates(g) -> dict:
         "degree_sequence_matches": degrees_match,
         "violations": violations,
         "violations_total": total,
+    }
+
+
+# The constant-corner question for even m and n = 2 by exhaustive search,
+# as the library answered it before its closed form: every choice of one
+# axis line per corner, and a branch-and-bound over the line pairs for each
+# choice that partitions the vertex set. Exponential in m; m <= 6 is quick.
+
+
+def _max_exterior_edges(m: int, lines: list[set[tuple[int, int]]]) -> int:
+    """Most block-crossing edges a corner-per-line decomposition can host.
+
+    Every pair of lines may contribute at most one Hamming-distance-1 edge,
+    endpoints must avoid the corners, and no vertex serves twice.
+    """
+    pairs = list(combinations(range(m), 2))
+    candidates: list[list[tuple[tuple[int, int], tuple[int, int]]]] = []
+    for i, j in pairs:
+        opts = []
+        for p in lines[i]:
+            if p == (i, i):
+                continue
+            for q in lines[j]:
+                if q == (j, j):
+                    continue
+                if (p[0] == q[0]) != (p[1] == q[1]):  # Hamming distance 1
+                    opts.append((p, q))
+        candidates.append(opts)
+
+    best = 0
+    used: set[tuple[int, int]] = set()
+
+    def extend(idx: int, count: int) -> None:
+        nonlocal best
+        if count + len(pairs) - idx <= best:
+            return
+        if idx == len(pairs):
+            best = count
+            return
+        for p, q in candidates[idx]:
+            if p in used or q in used:
+                continue
+            used.add(p)
+            used.add(q)
+            extend(idx + 1, count + 1)
+            used.discard(p)
+            used.discard(q)
+        extend(idx + 1, count)  # the pair may also stay unconnected
+
+    extend(0, 0)
+    return best
+
+
+def constant_corner_search_loop(m: int) -> dict:
+    """constant_corner_search(m)'s report for n = 2, by search when m is even."""
+    if m % 2 == 1:
+        return {
+            "m": m,
+            "n": 2,
+            "exists": True,
+            "witness": "tau_forward",
+            "detail": "the halved map fixes every corner and embeds S(n,m)",
+        }
+    required = m * (m - 1) // 2
+    best = 0
+    decompositions = 0
+    for mask in range(2**m):
+        lines = []
+        for i in range(m):
+            if mask >> i & 1:
+                lines.append({(i, y) for y in range(m)})
+            else:
+                lines.append({(x, i) for x in range(m)})
+        if len(set().union(*lines)) != m * m:
+            continue  # chosen lines overlap, not a decomposition
+        decompositions += 1
+        best = max(best, _max_exterior_edges(m, lines))
+    return {
+        "m": m,
+        "n": 2,
+        "exists": best >= required,
+        "witness": None,
+        "max_exterior_edges": best,
+        "required_exterior_edges": required,
+        "decompositions_searched": decompositions,
+        "detail": (
+            f"max exterior edges {best} < {required} required"
+            if best < required
+            else f"found a decomposition carrying {best} exterior edges"
+        ),
     }

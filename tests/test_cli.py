@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +388,29 @@ def test_corners_search_json():
 def test_corners_search_deep_even(capsys):
     assert main(["corners-search", "--m", "4", "--n", "3"]) == 2
     assert "only implemented for n=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_corners_search_rejects_bad_n(n, capsys):
+    assert main(["corners-search", "--m", "3", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize("m, best, required", [(8, 24, 28), (1000, 499000, 499500)])
+def test_corners_search_answers_large_even_m_in_time(m, best, required):
+    # a fresh interpreter with a timeout, so a search that never returns
+    # fails this test instead of stalling the suite
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sierham.cli", "corners-search", "--m", str(m)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0
+    assert f"max_exterior_edges: {best}\n" in proc.stdout
+    assert f"required_exterior_edges: {required}\n" in proc.stdout
 
 
 # ---------------------------------------------------------------- plumbing

@@ -57,6 +57,11 @@ GOLDEN: dict[str, list[str]] = {
     "diplomats_n3.json.txt": ["diplomats", "--n", "3", "--format", "json"],
     "gray_n4_both.txt": ["gray", "--n", "4", "--format", "both"],
     "verify_tau_n3_m5.txt": ["verify", "tau", "--n", "3", "--m", "5"],
+    **{
+        f"corners_search_m{m}.txt": ["corners-search", "--m", str(m)]
+        for m in (2, 4, 5, 6)
+    },
+    "corners_search_m4.json.txt": ["corners-search", "--m", "4", "--format", "json"],
 }
 
 

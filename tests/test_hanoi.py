@@ -162,6 +162,13 @@ def test_solve_rejects_even_m():
         solve_from_position((0, 1), 4)
 
 
+@pytest.mark.parametrize("t", [(5, 0), (3, 0), (-1, 0, 2)])
+def test_solve_rejects_digits_outside_the_alphabet(t):
+    # tau_inverse alone reduces digits mod m and would solve from (2, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        solve_from_position(t, 3)
+
+
 def test_solve_path_lengths_match_bfs_on_the_move_graph():
     # the move graph is the tau image of S(n,m); distances must agree
     n, m = 4, 3
@@ -421,6 +428,54 @@ def test_corner_search_refuses_deep_even():
         constant_corner_search(4, n=3)
     with pytest.raises(ValueError):
         constant_corner_search(1)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("n", [0, -5])
+def test_corner_search_rejects_bad_n(n, m):
+    with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+        constant_corner_search(m, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_corner_search_matches_the_exhaustive_search(m):
+    assert constant_corner_search(m) == oracles.constant_corner_search_loop(m)
+
+
+def column_matchings(m: int) -> dict[int, list[tuple[int, int]]]:
+    """Exterior edges reaching m(m-2)/2 for even m, all rows as the lines.
+
+    Column y lists pairs {i, j} of rows, the edge (i, y) - (j, y). Rows are
+    Z_(m-1) plus inf = m - 1: column a takes {a-t, a+t}; column inf takes
+    {2t-1, 2t}, and the column that held that pair takes {inf, 2t-1}.
+    """
+    k, inf = m - 1, m - 1
+    cols = {
+        a: [tuple(sorted(((a - t) % k, (a + t) % k))) for t in range(1, m // 2)]
+        for a in range(k)
+    }
+    cols[inf] = []
+    for t in range(1, m // 2):
+        pair = tuple(sorted((2 * t - 1, 2 * t % k)))
+        donor = next(a for a in range(k) if pair in cols[a])
+        cols[donor][cols[donor].index(pair)] = (2 * t - 1, inf)
+        cols[inf].append(pair)
+    return cols
+
+
+@pytest.mark.parametrize("m", range(2, 41, 2))
+def test_column_matchings_reach_the_reported_maximum(m):
+    used = []
+    for y, pairs in column_matchings(m).items():
+        ends = [(i, y) for pair in pairs for i in pair]
+        assert len(set(ends)) == len(ends)  # vertex-disjoint
+        assert (y, y) not in ends  # off the corner
+        for i, j in pairs:
+            assert 0 <= i < m and 0 <= j < m
+            assert sum(x != z for x, z in zip((i, y), (j, y))) == 1
+        used += [frozenset(pair) for pair in pairs]
+    assert len(set(used)) == len(used)  # no block pair twice
+    assert len(used) == constant_corner_search(m)["max_exterior_edges"] == m * (m - 2) // 2
 
 
 # ---------------------------------------------------------------- MovePath
