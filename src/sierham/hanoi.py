@@ -4,10 +4,11 @@ A position is an n-tuple whose digit i is the peg holding disc i, with
 disc 1 the LARGEST disc (radii shrink as the index grows; most folklore
 numbers discs the other way around). For odd m, the halved map tau turns
 puzzle positions into S(n,m) coordinates where shortest plays become
-graph geodesics: solve by pulling a position back through tau, walking
-the unique geodesic to the all-zero corner, and pushing each step forward
-again. Whole tables (the classic play, the diplomats schedule, a solved
-play) are one tau-matrix LinearMap.image call on rows of S coordinates.
+graph geodesics: solve by pulling a position back through tau, reading
+off the unique geodesic to the all-zero corner in closed form, and
+pushing each step forward again. Whole tables (the classic play, the
+diplomats schedule, a solved play) are one tau-matrix LinearMap.image
+call on rows of S coordinates.
 
 A single move of disc d from peg i to peg j is legal when every smaller
 disc sits on peg (i+j)/2 mod m; for m = 3 that is the familiar physical
@@ -21,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .codes import eta_inverse
-from .graphs import Vertex, _check_params, check_vertex, digit_rows, row_tuples
-from .maps import _inverse_of_two, embedding_matrix, tau_inverse
+from .graphs import MAX_VERTICES, Vertex, _check_params, check_vertex, digit_rows, row_tuples
+from .maps import _inverse_of_two, embedding_matrix, phi_forward, tau_inverse
 
 HanoiPosition = Vertex
 
@@ -65,32 +66,36 @@ class MovePath:
 
 
 def path_length_to_zero(v: Sequence[int]) -> int:
-    """Distance from v to the all-zero corner: sum of 2^(n-i) over nonzero digits."""
-    n = len(v)
-    return sum(2 ** (n - 1 - i) for i, d in enumerate(v) if d != 0)
+    """Distance from v to the all-zero corner: sum of 2^(n-i) over nonzero digits.
+
+    Read as one binary numeral, so a start of 10^5 digits costs linear time.
+    """
+    return int("".join("0" if d == 0 else "1" for d in v) or "0", 2)
 
 
 def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
-    """The unique geodesic from v to 0^n in S(n,m), as explicit positions.
+    """The unique geodesic from v to 0^n in S(n,m), every step in closed form.
 
-    Each step either zeroes a nonzero last digit, or takes the deepest
-    nonzero digit c with an all-zero tail and replaces c, 0, ..., 0 by
-    0, c, ..., c. Both moves are S(n,m) edges and each lowers the distance
-    by exactly one.
+    Digit i carries bit 2^(n-1-i) of d = path_length_to_zero(v). Step k has
+    r = d - k moves left; h is the first digit whose bit is set in d and
+    clear in r. Step k keeps v before h, has 0 at h, and has v_h at each
+    later digit whose bit is set in r; step 0, with no such h, is v.
     """
     n = len(v)
+    _check_params(n, m)
     check_vertex(v, n, m)
-    cur = tuple(v)
-    positions = [cur]
-    while any(cur):
-        if cur[-1] != 0:
-            cur = cur[:-1] + (0,)
-        else:
-            h = max(i for i, d in enumerate(cur) if d != 0)
-            c = cur[h]
-            cur = cur[:h] + (0,) + (c,) * (n - 1 - h)
-        positions.append(cur)
-    return MovePath("S", m, positions)
+    d = path_length_to_zero(v)
+    if d >= MAX_VERTICES:  # d + 1 positions; 2^k <= d < 2^(k+1)
+        count = d + 1 if d < 2**60 else f"more than 2^{d.bit_length() - 1}"
+        raise ValueError(f"refusing to build a geodesic of {count} positions (limit {MAX_VERTICES})")
+    shift = np.minimum(np.arange(n - 1, -1, -1), 63)  # r < 2^63 reads 0 past bit 63
+    r_bits = ((np.arange(d, -1, -1)[:, None] >> shift) & 1).astype(bool)
+    lost = r_bits < np.array([x != 0 for x in v])  # set in d, clear in r
+    h = np.where(lost.any(axis=1), lost.argmax(axis=1), n)[:, None]
+    index = np.where(r_bits, h, n)  # into (*v, 0): v_h where r keeps the bit, else 0
+    np.copyto(index, np.arange(n), where=np.arange(n) < h)
+    digits = np.array((*v, 0), np.int64 if m <= 2**63 else object)  # exact past int64
+    return MovePath("S", m, digits[index])
 
 
 def solve_from_position(t: Sequence[int], m: int) -> MovePath:
@@ -125,17 +130,11 @@ def _check_step(ell: int, i: int, n: int) -> None:
 def position_coordinate(ell: int, i: int, n: int) -> int:
     """Digit i of classic-solution position ell for m = 3, by direct formula.
 
-    Evaluates 2^(i-1) times the additive-map coordinate of the binary
-    expansion of ell, everything mod 3.
+    Evaluates 2^(i-1) times digit i of phi applied to the binary expansion
+    of ell, everything mod 3.
     """
     _check_step(ell, i, n)
-    bits = eta_inverse(ell, n)
-    s = 0  # additive-map accumulator over the first i bits
-    w = 0
-    for d in bits[:i]:
-        w = (d + s) % 3
-        s = (2 * s + d) % 3
-    return pow(2, i - 1, 3) * w % 3
+    return pow(2, i - 1, 3) * phi_forward(eta_inverse(ell, n)[:i], 3)[-1] % 3
 
 
 def wolfe_coordinate(ell: int, i: int, n: int) -> int:
@@ -192,21 +191,22 @@ def is_legal_move_physical(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def diplomats_table(n: int) -> list[tuple[Vertex, Vertex]]:
-    """The five-peg transport schedule: row ell pairs binary ell with its
-    halved-map image over m = 5."""
+    """The five-peg transport schedule: row ell pairs binary ell with step
+    ell of the five-peg classic play, its halved-map image over m = 5."""
     bits = digit_rows(np.arange(2**n), n, 2)
-    t = embedding_matrix("tau", n, 5).image(bits)
-    return list(zip(row_tuples(bits), row_tuples(t)))
+    return list(zip(row_tuples(bits), row_tuples(classic_solution(n, 5).positions)))
 
 
 def constant_corner_search(m: int, n: int = 2) -> dict:
     """Can S(n,m) be relabeled inside K_m^n keeping every corner constant?
 
-    Odd m: yes, the halved map is a witness. Even m with n != 2 is refused:
-    the argument below is two-dimensional. Even m, n = 2: no. Block i of
-    S(2,m) is an m-clique through the corner (i, i), so it lands on the row
-    or the column through (i, i); each of the m(m-1)/2 block pairs {i, j}
-    then needs one exterior edge joining line i to line j off the corners.
+    Odd m: yes, the halved map is a witness. Even m, n = 1: yes, S(1,m) is
+    K_m = K_m^1 and the identity keeps every corner. Even m with n >= 3 is
+    refused: the argument below is two-dimensional. Even m, n = 2: no.
+    Block i of S(2,m) is an m-clique through the corner (i, i), so it lands
+    on the row or the column through (i, i); each of the m(m-1)/2 block
+    pairs {i, j} then needs one exterior edge joining line i to line j off
+    the corners.
 
     * Two decompositions. A row line and a column line always meet, so the
       lines partition the vertices only when all are rows or all columns.
@@ -221,13 +221,16 @@ def constant_corner_search(m: int, n: int = 2) -> dict:
       {inf, 2t-1} in its place.
     """
     _check_params(n, m)
-    if m % 2 == 1:
+    if m % 2 == 1 or n == 1:
+        odd = m % 2 == 1
         return {
             "m": m,
             "n": n,
             "exists": True,
-            "witness": "tau_forward",
-            "detail": "the halved map fixes every corner and embeds S(n,m)",
+            "witness": "tau_forward" if odd else "identity",
+            "detail": "the halved map fixes every corner and embeds S(n,m)"
+            if odd
+            else "S(1,m) is K_m = K_m^1, and the identity keeps every corner",
         }
     if n != 2:
         raise ValueError(

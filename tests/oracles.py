@@ -283,11 +283,35 @@ def gray_sequence_loop(n: int) -> list[Vertex]:
     return [phi_forward(binary_expansion(ell, n), 2) for ell in range(2**n)]
 
 
+def geodesic_walk(v, m: int):
+    """The unique geodesic from v to 0^n in S(n,m), walked one step at a time.
+
+    Each step either zeroes a nonzero last digit, or takes the deepest
+    nonzero digit c with an all-zero tail and replaces c, 0, ..., 0 by
+    0, c, ..., c. Both moves are S(n,m) edges and each lowers the distance
+    by exactly one.
+    """
+    from sierham.hanoi import MovePath
+
+    n = len(v)
+    check_vertex(v, n, m)
+    cur = tuple(v)
+    positions = [cur]
+    while any(cur):
+        if cur[-1] != 0:
+            cur = cur[:-1] + (0,)
+        else:
+            h = max(i for i, d in enumerate(cur) if d != 0)
+            c = cur[h]
+            cur = cur[:h] + (0,) + (c,) * (n - 1 - h)
+        positions.append(cur)
+    return MovePath("S", m, positions)
+
+
 def solve_positions_loop(t, m: int) -> list[Vertex]:
-    from sierham.hanoi import shortest_path_to_zero
     from sierham.maps import tau_forward, tau_inverse
 
-    path = shortest_path_to_zero(tau_inverse(t, m), m)
+    path = geodesic_walk(tau_inverse(t, m), m)
     return [tau_forward(p, m) for p in path.positions.tolist()]
 
 

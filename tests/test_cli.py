@@ -390,6 +390,22 @@ def test_corners_search_deep_even(capsys):
     assert "only implemented for n=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["2", "4"])
+def test_corners_search_even_m_single_disc(m, capsys):
+    assert main(["corners-search", "--m", m, "--n", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        f"constant-corner search n=1 m={m}\n"
+        "exists: true\n"
+        "witness: identity\n"
+        "S(1,m) is K_m = K_m^1, and the identity keeps every corner\n"
+    )
+    text, code = run(["corners-search", "--m", m, "--n", "1", "--format", "json"])
+    assert code == 0
+    assert json.loads(text)["exists"] is True
+
+
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_corners_search_rejects_bad_n(n, capsys):
     assert main(["corners-search", "--m", "3", "--n", n]) == 2

@@ -50,6 +50,12 @@ GOLDEN: dict[str, list[str]] = {
     "hanoi_solve_m13_T.txt": [
         "hanoi", "solve", "--from", "1,0,7,12", "--m", "13", "--coords", "T",
     ],
+    "hanoi_solve_m5_S.csv.txt": [
+        "hanoi", "solve", "--from", "21012", "--m", "5", "--coords", "S", "--format", "csv",
+    ],
+    "hanoi_solve_m7_T.json.txt": [
+        "hanoi", "solve", "--from", "2101", "--m", "7", "--format", "json",
+    ],
     "hanoi_classic_n3_m7.csv.txt": [
         "hanoi", "classic", "--n", "3", "--m", "7", "--format", "csv",
     ],

@@ -5,6 +5,7 @@ by algebra; everything here re-derives answers by search and comparison.
 """
 from __future__ import annotations
 
+import re
 from itertools import permutations
 
 import numpy as np
@@ -105,6 +106,53 @@ def test_shortest_path_from_the_far_corner():
         (0, 0, 0, 1),
         (0, 0, 0, 0),
     ]
+
+
+GEODESIC_SIZES = (
+    [(n, 2) for n in range(1, 9)]
+    + [(n, 3) for n in range(1, 7)]
+    + [(n, m) for m in (4, 5) for n in range(1, 5)]
+    + [(n, m) for m in (6, 7) for n in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("n,m", GEODESIC_SIZES)
+def test_geodesic_matches_the_walk(n, m):
+    for code in range(m**n):
+        v = code_to_vertex(code, n, m)
+        closed = shortest_path_to_zero(v, m).positions
+        walked = oracles.geodesic_walk(v, m).positions
+        assert closed.dtype == walked.dtype
+        assert oracles.as_tuples(closed) == oracles.as_tuples(walked)
+
+
+@pytest.mark.parametrize(
+    "v,m",
+    [
+        ((0,) * 97 + (1, 2, 1), 3),  # digit bits past 2^63
+        ((10**29, 0, 7, 10**29 - 1, 0), 10**29 + 1),  # digits past int64
+    ],
+)
+def test_geodesic_matches_the_walk_past_int64(v, m):
+    closed = shortest_path_to_zero(v, m).positions
+    walked = oracles.geodesic_walk(v, m).positions
+    assert closed.dtype == walked.dtype
+    assert oracles.as_tuples(closed) == oracles.as_tuples(walked)
+
+
+@pytest.mark.parametrize(
+    "v,message",
+    [
+        ((), "n must be >= 1, got 0"),
+        ((1,) * 24, f"refusing to build a geodesic of {2**24} positions"),
+        ((1,) * 5000, "refusing to build a geodesic of more than 2^4999 positions"),
+        ((1,) * 10**5, "refusing to build a geodesic of more than 2^99999 positions"),
+    ],
+)
+def test_geodesic_refuses_empty_and_oversize_starts(v, message):
+    # refused before any step is built: (1,) * 5000 has 2^5000 positions
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        shortest_path_to_zero(v, 3)
 
 
 # ---------------------------------------------------------------- solving
@@ -421,6 +469,25 @@ def test_corner_search_m2():
     assert report["exists"] is False
     assert report["max_exterior_edges"] == 0
     assert report["required_exterior_edges"] == 1
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 1000])
+def test_corner_search_even_m_single_disc_is_the_identity(m):
+    # S(1,m) is K_m = K_m^1, so the identity keeps every corner
+    assert constant_corner_search(m, n=1) == {
+        "m": m,
+        "n": 1,
+        "exists": True,
+        "witness": "identity",
+        "detail": "S(1,m) is K_m = K_m^1, and the identity keeps every corner",
+    }
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_corner_search_odd_m_single_disc_keeps_the_halved_map(m):
+    report = constant_corner_search(m, n=1)
+    assert report["witness"] == "tau_forward"
+    assert report.keys() == constant_corner_search(m).keys()
 
 
 def test_corner_search_refuses_deep_even():
