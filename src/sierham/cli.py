@@ -193,7 +193,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     moves = path_length_to_zero(v)
     if moves >= MAX_VERTICES:  # moves + 1 rows; 2^k <= moves < 2^(k+1)
         count = moves + 1 if moves < 2**60 else f"more than 2^{moves.bit_length() - 1}"
-        what = f"the play from {args.position}"
+        what = f"the play from a {n}-disc start"
         raise ValueError(f"refusing to print {count} rows of {what} (limit {MAX_VERTICES})")
     s = shortest_path_to_zero(v, m).positions
     t = embedding_matrix("tau", n, m).image(s)

@@ -147,9 +147,13 @@ def edge_keys(u: np.ndarray, v: np.ndarray, num_vertices: int) -> np.ndarray:
     """
     key = np.minimum(u, v) * num_vertices
     key += np.maximum(u, v)
-    # kernels emit ascending runs (one per level and digit pair), which the
-    # stable sort merges in about half the time of the default introsort
-    key.sort(kind="stable")
+    # the kernels' rows arrive sorted and never reach this sort; its callers
+    # are vertex-map images (maps.verify_embedding), certificate labels
+    # (maps.sierpinski_isomorphism) and outside input (from_edge_list,
+    # serialize.graph_from_json, Graph(...)), whose keys come in short runs
+    # at best: on the phi and tau images of S(9,3) and S(7,5) the default
+    # sort took under two fifths of the stable sort's time
+    key.sort()
     fresh = np.ones(key.shape[0], bool)
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
     return key if fresh.all() else key[fresh]
@@ -172,10 +176,16 @@ class Graph:
         # range first: a negative endpoint could alias the key of a real edge
         if e.size and not (0 <= e.min() and e.max() < size):
             raise ValueError("edge endpoint out of vertex range")
-        if (e[:, 0] == e[:, 1]).any():
-            raise ValueError("self-loop in edge list")
-        keys = edge_keys(e[:, 0], e[:, 1], size)
-        edges = np.stack(np.divmod(keys, size), axis=1)
+        u, v = e[:, 0], e[:, 1]
+        keys = u * size
+        keys += v
+        if (u < v).all() and (keys[1:] > keys[:-1]).all():
+            edges = e.copy()  # canonical already, as every kernel emits it
+        else:
+            if (u == v).any():
+                raise ValueError("self-loop in edge list")
+            keys = edge_keys(u, v, size)
+            edges = np.stack(np.divmod(keys, size), axis=1)
         keys.setflags(write=False)
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)

@@ -269,6 +269,16 @@ def test_row_guard_refuses_oversize_tables(argv, capsys):
     assert f"(limit {MAX_VERTICES})" in err
 
 
+def test_solve_refusal_names_the_start_by_its_length(capsys):
+    # the refusal names a 10**5-digit start by its length, not by its digits
+    assert main(["hanoi", "solve", "--coords", "S", "--from", "1" * 100000]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: refusing to print more than 2^99999 rows")
+    assert "100000-disc start" in err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize(
     "argv",
     [

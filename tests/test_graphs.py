@@ -306,6 +306,48 @@ def test_graph_canonical_rows_match_rowwise_unique(n, m):
     assert np.array_equal(g.edges, expected)
 
 
+@pytest.mark.parametrize("build", [build_sierpinski, build_single_twist, build_hamming])
+def test_graph_sorts_scrambled_kernel_rows_back(build):
+    # the canonical rows every kernel emits, shuffled, flipped and repeated,
+    # take the sorting path and come back to the same arrays
+    g = build(4, 3)
+    rng = np.random.default_rng(4)
+    rows = np.array(g.edges)
+    flip = rng.random(rows.shape[0]) < 0.5
+    rows[flip] = rows[flip, ::-1]
+    rows = np.concatenate((rows, rows[: rows.shape[0] // 3]))
+    rng.shuffle(rows)
+    for scrambled in (rows, g.edges[::-1], np.repeat(g.edges, 2, axis=0)):
+        h = Graph(4, 3, "x", scrambled)
+        assert np.array_equal(h.edges, g.edges)
+        assert np.array_equal(h._keys, g._keys)
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [0, 2], [1, 2]], [[2, 0], [0, 1], [1, 2]]])
+def test_graph_owns_its_edges(rows):
+    # canonical input is copied, not aliased; other input is rebuilt
+    given = np.array(rows, np.int64)
+    g = Graph(1, 3, "x", given)
+    given[:] = 0
+    assert np.array_equal(g.edges, [[0, 1], [0, 2], [1, 2]])
+    assert np.array_equal(g._keys, [1, 2, 5])
+    assert not g.edges.flags.writeable
+    assert not g._keys.flags.writeable
+
+
+def test_graph_checks_sorted_input_as_any_other():
+    # ascending keys do not excuse an endpoint out of range or a self-loop,
+    # and the range check still comes first
+    with pytest.raises(ValueError, match="^edge endpoint out of vertex range$"):
+        Graph(1, 3, "x", np.array([[0, 1], [1, 3]]))
+    with pytest.raises(ValueError, match="^edge endpoint out of vertex range$"):
+        Graph(1, 3, "x", np.array([[-1, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="^self-loop in edge list$"):
+        Graph(1, 3, "x", np.array([[0, 1], [1, 1], [1, 2]]))
+    with pytest.raises(ValueError, match="^edge endpoint out of vertex range$"):
+        Graph(1, 3, "x", np.array([[1, 1], [1, 3]]))  # both faults: range first
+
+
 def test_graph_empty_edge_list():
     for empty in (np.empty((0, 2), np.int64), []):
         g = Graph(2, 3, "x", empty)

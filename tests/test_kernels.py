@@ -1,4 +1,4 @@
-"""The numpy kernels must emit the rows of their loop forms in tests/oracles.py."""
+"""The numpy kernels emit the rows of their loop forms in tests/oracles.py, in canonical order."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,7 +9,10 @@ from sierham.graphs import code_to_vertex, hamming_edge_count, sierpinski_edge_c
 
 import oracles
 
-PAIRS = [(1, 2), (1, 5), (2, 3), (2, 10), (3, 3), (3, 7), (4, 5), (6, 3), (7, 2)]
+PAIRS = [
+    (1, 2), (1, 5), (2, 3), (2, 10), (2, 12), (3, 3), (3, 7),
+    (4, 5), (5, 4), (6, 3), (7, 2), (10, 2),
+]
 
 KERNEL_ORACLES = [
     (kernels.sierpinski_edges, oracles.sierpinski_edges_loop, sierpinski_edge_count),
@@ -29,6 +32,7 @@ def test_backends_agree(n, m):
         ca = oracles.canonical_rows(a)
         assert ca.shape[0] == count(n, m)  # no duplicate rows hidden by unique
         assert np.array_equal(ca, oracles.canonical_rows(b))
+        assert np.array_equal(a, oracles.canonical_rows(b))  # canonical order, row for row
 
 
 def diff_by_tuples(x: int, y: int, n: int, m: int) -> int:
