@@ -2,10 +2,10 @@
 density, corners-search, plus a --check-fixtures mode that diffs live
 output against the shipped golden files.
 
-Every subcommand parser names its handler with set_defaults(run=...); a
+_leaf adds each leaf subcommand with its handler, --format and --out; a
 handler takes the parsed arguments and returns (output text, exit code).
 Exit codes: 0 success or PASS, 1 verification failure or fixture mismatch,
-2 usage or parameter error.
+2 usage or parameter error, size refusals included (the library raises them).
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ import numpy as np
 
 from .codes import gray_sequence
 from .graphs import (
-    MAX_VERTICES,
+    _check_matrix,
     _check_scale,
-    _power_text,
     build_hamming,
     build_sierpinski,
     build_single_twist,
@@ -29,12 +28,7 @@ from .graphs import (
     edge_density,
     row_codes,
 )
-from .hanoi import (
-    classic_solution,
-    constant_corner_search,
-    path_length_to_zero,
-    shortest_path_to_zero,
-)
+from .hanoi import classic_solution, constant_corner_search, shortest_path_to_zero
 from .maps import (
     LinearMap,
     TwistFamily,
@@ -61,6 +55,7 @@ def _twist_from_args(args: argparse.Namespace) -> TwistFamily:
     if args.c is not None and args.c_list is not None:
         raise ValueError("--c and --c-list are mutually exclusive")
     if args.c is not None:
+        _check_matrix(args.n)  # (c,) * n is built before embedding_matrix sees n
         return TwistFamily(args.m, (args.c,) * args.n)
     if args.c_list is not None:
         cs = tuple(int(part) for part in args.c_list.split(","))
@@ -73,9 +68,8 @@ def _twist_from_args(args: argparse.Namespace) -> TwistFamily:
 
 
 def _matrix_for(args: argparse.Namespace) -> LinearMap:
-    if args.kind == "epsilon":
-        return embedding_matrix(_twist_from_args(args))
-    return embedding_matrix(args.kind, args.n, args.m)
+    kind = _twist_from_args(args) if args.kind == "epsilon" else args.kind
+    return embedding_matrix(kind, args.n, args.m)
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
@@ -90,11 +84,8 @@ def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
-    # both refusals come before the matrix, which checks its n^2 entries in Python
-    if args.matrix and n * n > MAX_VERTICES:
-        raise ValueError(f"refusing to print a {n}x{n} matrix (limit {MAX_VERTICES} entries)")
     if not args.matrix:
-        _check_scale(n, m)
+        _check_scale(n, m)  # names m^n before the matrix refuses its n^2 entries
     lm = _matrix_for(args)
     if args.invert:
         lm = invert_linear_map(lm)
@@ -169,17 +160,8 @@ def _render_rows(ell: np.ndarray, s: np.ndarray, t: np.ndarray, n: int, m: int, 
     return serialize.hanoi_table_to_text(ell, s, t, n, m)
 
 
-def _check_rows(n: int, what: str) -> None:
-    """Refuse a table of 2^n rows, more than MAX_VERTICES, before computing it."""
-    if n >= MAX_VERTICES.bit_length() or 2**n > MAX_VERTICES:
-        raise ValueError(
-            f"refusing to print {_power_text(2, n)} rows of {what} (limit {MAX_VERTICES})"
-        )
-
-
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
-    _check_rows(n, f"the classic solution for n={n}")
     mp = classic_solution(n, m)
     ell = np.arange(2**n)
     return _render_rows(ell, digit_rows(ell, n, 2), mp.positions, n, m, args.fmt), 0
@@ -190,19 +172,13 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     start = serialize.parse_vertex(args.position, m)
     n = len(start)
     v = tau_inverse(start, m) if args.coords == "T" else start
-    moves = path_length_to_zero(v)
-    if moves >= MAX_VERTICES:  # moves + 1 rows; 2^k <= moves < 2^(k+1)
-        count = moves + 1 if moves < 2**60 else f"more than 2^{moves.bit_length() - 1}"
-        what = f"the play from a {n}-disc start"
-        raise ValueError(f"refusing to print {count} rows of {what} (limit {MAX_VERTICES})")
     s = shortest_path_to_zero(v, m).positions
     t = embedding_matrix("tau", n, m).image(s)
     # each step of the geodesic is one closer to 0^n
-    return _render_rows(np.arange(moves, -1, -1), s, t, n, m, args.fmt), 0
+    return _render_rows(np.arange(len(s) - 1, -1, -1), s, t, n, m, args.fmt), 0
 
 
 def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
-    _check_rows(args.n, f"the Gray sequence for n={args.n}")
     seq = gray_sequence(args.n)
     if args.fmt == "bits":
         lines = serialize.vertex_labels(seq, 2)
@@ -235,6 +211,16 @@ def cmd_corners_search(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+def _leaf(sub, name: str, summary: str, run, formats=("text", "csv", "json"), **defaults):
+    """Add one leaf subcommand: its handler, --format (first choice is the default), --out."""
+    leaf = sub.add_parser(name, help=summary)
+    leaf.set_defaults(run=run, **defaults)
+    if formats:
+        leaf.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
+    leaf.add_argument("--out", help="write to this file instead of stdout")
+    return leaf
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sierham",
@@ -251,56 +237,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="subcommand")
 
-    gen = sub.add_parser("gen", help="construct a graph and print it")
+    gen = _leaf(
+        sub, "gen", "construct a graph and print it", cmd_gen,
+        ("text", "csv", "json", "dot", "edgelist"),
+    )
     gen.add_argument("kind", choices=["sierpinski", "hamming", "single-twist"])
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--m", type=int, required=True)
-    gen.add_argument(
-        "--format",
-        dest="fmt",
-        choices=["text", "csv", "json", "dot", "edgelist"],
-        default="text",
-    )
-    gen.add_argument("--out", help="write to this file instead of stdout")
-    gen.set_defaults(run=cmd_gen)
-
-    emb = sub.add_parser("embed", help="print a map as a table or matrix")
+    emb = _leaf(sub, "embed", "print a map as a table or matrix", cmd_embed)
     emb.add_argument("kind", choices=["phi", "tau", "epsilon"])
-    emb.add_argument("--n", type=int, required=True)
-    emb.add_argument("--m", type=int, required=True)
-    emb.add_argument("--c", type=int, help="one multiplier reused at every level")
-    emb.add_argument(
-        "--c-list", dest="c_list", help="comma-separated per-level multipliers"
-    )
     emb.add_argument("--matrix", action="store_true", help="print the coefficient matrix")
     emb.add_argument("--invert", action="store_true", help="print the inverse instead")
-    emb.add_argument(
-        "--format", dest="fmt", choices=["text", "csv", "json"], default="text"
+    ver = _leaf(
+        sub, "verify", "verify a map or the single-twist graph", cmd_verify, ("text", "json")
     )
-    emb.add_argument("--out")
-    emb.set_defaults(run=cmd_embed)
-
-    ver = sub.add_parser("verify", help="verify a map or the single-twist graph")
     ver.add_argument("kind", choices=["phi", "tau", "epsilon", "single-twist"])
-    ver.add_argument("--n", type=int, required=True)
-    ver.add_argument("--m", type=int, required=True)
-    ver.add_argument("--c", type=int)
-    ver.add_argument("--c-list", dest="c_list")
-    ver.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    ver.add_argument("--out")
-    ver.set_defaults(run=cmd_verify)
+    den = _leaf(sub, "density", "exact edge density of S(n,m) in K_m^n", cmd_density, ())
+    for leaf in (gen, emb, ver, den):
+        leaf.add_argument("--n", type=int, required=True)
+        leaf.add_argument("--m", type=int, required=True)
+    for leaf in (emb, ver):
+        leaf.add_argument("--c", type=int, help="one multiplier reused at every level")
+        leaf.add_argument("--c-list", dest="c_list", help="comma-separated per-level multipliers")
 
     han = sub.add_parser("hanoi", help="solution tables")
     hsub = han.add_subparsers(dest="mode", required=True)
-    hc = hsub.add_parser("classic", help="move n discs from peg 0 to peg 1")
+    hc = _leaf(hsub, "classic", "move n discs from peg 0 to peg 1", cmd_classic)
     hc.add_argument("--n", type=int, required=True)
     hc.add_argument("--m", type=int, default=3)
-    hc.add_argument(
-        "--format", dest="fmt", choices=["text", "csv", "json"], default="text"
-    )
-    hc.add_argument("--out")
-    hc.set_defaults(run=cmd_classic)
-    hs = hsub.add_parser("solve", help="optimal play from an arbitrary position")
+    hs = _leaf(hsub, "solve", "optimal play from an arbitrary position", cmd_solve)
     hs.add_argument(
         "--from",
         dest="position",
@@ -310,42 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hs.add_argument("--coords", choices=["S", "T"], default="T")
     hs.add_argument("--m", type=int, default=3)
-    hs.add_argument(
-        "--format", dest="fmt", choices=["text", "csv", "json"], default="text"
-    )
-    hs.add_argument("--out")
-    hs.set_defaults(run=cmd_solve)
 
-    dip = sub.add_parser("diplomats", help="five-peg transport table")
+    # diplomats is the five-peg classic play
+    dip = _leaf(sub, "diplomats", "five-peg transport table", cmd_classic, m=5)
     dip.add_argument("--n", type=int, default=4)
-    dip.add_argument(
-        "--format", dest="fmt", choices=["text", "csv", "json"], default="text"
-    )
-    dip.add_argument("--out")
-    dip.set_defaults(run=cmd_classic, m=5)  # the five-peg classic play
 
-    gr = sub.add_parser("gray", help="emit the Gray sequence")
+    gr = _leaf(sub, "gray", "emit the Gray sequence", cmd_gray, ("bits", "int", "both"))
     gr.add_argument("--n", type=int, required=True)
-    gr.add_argument(
-        "--format", dest="fmt", choices=["bits", "int", "both"], default="bits"
-    )
-    gr.add_argument("--out")
-    gr.set_defaults(run=cmd_gray)
 
-    den = sub.add_parser("density", help="exact edge density of S(n,m) in K_m^n")
-    den.add_argument("--n", type=int, required=True)
-    den.add_argument("--m", type=int, required=True)
-    den.add_argument("--out")
-    den.set_defaults(run=cmd_density)
-
-    cs = sub.add_parser(
-        "corners-search", help="decide whether constant-corner relabelings exist"
+    cs = _leaf(
+        sub, "corners-search", "decide whether constant-corner relabelings exist",
+        cmd_corners_search, ("text", "json"),
     )
     cs.add_argument("--m", type=int, required=True)
     cs.add_argument("--n", type=int, default=2)
-    cs.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    cs.add_argument("--out")
-    cs.set_defaults(run=cmd_corners_search)
 
     return p
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Vertex, digit_rows
+from .graphs import Vertex, _check_rows, digit_rows
 from .maps import embedding_matrix
 
 
@@ -59,7 +59,9 @@ def gray_sequence(n: int) -> np.ndarray:
     """All 2^n codewords in Gray order: row ell is phi applied to binary ell.
 
     Consecutive entries differ in exactly one bit, and the sequence equals
-    the classic reflect-and-prefix construction.
+    the classic reflect-and-prefix construction. Refuses more than
+    MAX_VERTICES rows before building any of them.
     """
+    _check_rows(n, f"the Gray sequence for n={n}")
     bits = digit_rows(np.arange(2**n), n, 2)
     return embedding_matrix("phi", n, 2).image(bits)

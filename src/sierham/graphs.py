@@ -9,8 +9,9 @@ graph replaces the crossed tails with a shared tail k = (i+j) mod m.
 Graphs store edges as an (E, 2) array of integer vertex codes,
 code(v) = sum(v_i * m**(n-i)), canonically sorted and frozen. Constructors
 refuse instances over 10**7 vertices or, by the closed-form counts, 3 * 10**7
-edges; the counting and density formulas below work at any size with exact
-integer arithmetic. In bulk, vertices are rows of a (k, n) digit array.
+edges, and _check_rows refuses the 2^n-row tables of hanoi and codes past
+10**7 rows; the counting and density formulas below work at any size with
+exact integer arithmetic. In bulk, vertices are rows of a (k, n) digit array.
 """
 from __future__ import annotations
 
@@ -102,6 +103,20 @@ def _check_scale(n: int, m: int) -> None:
             f"refusing to build a graph on {_power_text(m, n)} vertices "
             f"(limit {MAX_VERTICES}); the counting formulas remain available"
         )
+
+
+def _check_rows(n: int, what: str) -> None:
+    """Refuse a table of 2^n rows, more than MAX_VERTICES, before computing it."""
+    if n >= MAX_VERTICES.bit_length() or 2**n > MAX_VERTICES:
+        raise ValueError(
+            f"refusing to build {_power_text(2, n)} rows of {what} (limit {MAX_VERTICES})"
+        )
+
+
+def _check_matrix(n: int) -> None:
+    """Refuse an n x n matrix of more than MAX_VERTICES entries before building a row."""
+    if n * n > MAX_VERTICES:
+        raise ValueError(f"refusing to build a {n}x{n} matrix (limit {MAX_VERTICES} entries)")
 
 
 def _check_edges(n: int, m: int, count: int) -> None:

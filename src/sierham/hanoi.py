@@ -22,7 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .codes import eta_inverse
-from .graphs import MAX_VERTICES, Vertex, _check_params, check_vertex, digit_rows, row_tuples
+from .graphs import (
+    MAX_VERTICES, Vertex, _check_params, _check_rows, check_vertex, digit_rows, row_tuples,
+)
 from .maps import _inverse_of_two, embedding_matrix, phi_forward, tau_inverse
 
 HanoiPosition = Vertex
@@ -87,7 +89,8 @@ def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
     d = path_length_to_zero(v)
     if d >= MAX_VERTICES:  # d + 1 positions; 2^k <= d < 2^(k+1)
         count = d + 1 if d < 2**60 else f"more than 2^{d.bit_length() - 1}"
-        raise ValueError(f"refusing to build a geodesic of {count} positions (limit {MAX_VERTICES})")
+        what = f"a geodesic of {count} positions from a {n}-disc start"
+        raise ValueError(f"refusing to build {what} (limit {MAX_VERTICES})")
     shift = np.minimum(np.arange(n - 1, -1, -1), 63)  # r < 2^63 reads 0 past bit 63
     r_bits = ((np.arange(d, -1, -1)[:, None] >> shift) & 1).astype(bool)
     lost = r_bits < np.array([x != 0 for x in v])  # set in d, clear in r
@@ -101,9 +104,8 @@ def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
 def solve_from_position(t: Sequence[int], m: int) -> MovePath:
     """Optimal play from an arbitrary position to all-discs-on-peg-0 (odd m)."""
     check_vertex(t, len(t), m)
-    tau = embedding_matrix("tau", len(t), m)
     spath = shortest_path_to_zero(tau_inverse(t, m), m)
-    return MovePath("T", m, tau.image(spath.positions))
+    return MovePath("T", m, embedding_matrix("tau", len(t), m).image(spath.positions))
 
 
 def classic_solution(n: int, m: int = 3) -> MovePath:
@@ -111,8 +113,10 @@ def classic_solution(n: int, m: int = 3) -> MovePath:
 
     Position number ell is tau applied to the n-bit binary expansion of
     ell; the untransformed expansions walk the S(n,m) geodesic between the
-    two corners in increasing lexicographic order.
+    two corners in increasing lexicographic order. Refuses more than
+    MAX_VERTICES positions before building any of them.
     """
+    _check_rows(n, f"the classic solution for n={n}")
     tau = embedding_matrix("tau", n, m)
     bits = digit_rows(np.arange(2**n), n, 2)
     return MovePath("T", m, tau.image(bits))
@@ -193,8 +197,8 @@ def is_legal_move_physical(a: Sequence[int], b: Sequence[int]) -> bool:
 def diplomats_table(n: int) -> list[tuple[Vertex, Vertex]]:
     """The five-peg transport schedule: row ell pairs binary ell with step
     ell of the five-peg classic play, its halved-map image over m = 5."""
-    bits = digit_rows(np.arange(2**n), n, 2)
-    return list(zip(row_tuples(bits), row_tuples(classic_solution(n, 5).positions)))
+    play = classic_solution(n, 5).positions  # refuses an oversize n first
+    return list(zip(row_tuples(digit_rows(np.arange(2**n), n, 2)), row_tuples(play)))
 
 
 def constant_corner_search(m: int, n: int = 2) -> dict:

@@ -30,9 +30,11 @@ import numpy as np
 
 from . import kernels
 from .graphs import (
+    MAX_VERTICES,
     ROW_BLOCK,
     Graph,
     Vertex,
+    _check_matrix,
     _check_params,
     _check_scale,
     build_sierpinski,
@@ -216,26 +218,27 @@ class LinearMap:
 
 
 def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | None = None) -> LinearMap:
-    """Coefficient matrix of phi, tau, or a twist family, as a LinearMap."""
+    """Coefficient matrix of phi, tau, or a twist family, as a LinearMap.
+
+    phi is the all-ones twist family and tau the all-2^(-1) one. Refuses
+    more than MAX_VERTICES entries before building a row.
+    """
     if isinstance(kind, TwistFamily):
         if n is not None and n != len(kind.multipliers):
             raise ValueError(
                 f"twist family has {len(kind.multipliers)} levels, asked for n={n}"
             )
-        n = len(kind.multipliers)
-        m = kind.m
-        scales = kind.scales()
+        _check_matrix(len(kind.multipliers))
     else:
         if n is None or m is None:
             raise ValueError("n and m are required for named map kinds")
         _check_params(n, m)  # the rows below are reduced mod m
-        if kind == "phi":
-            scales = (1,) * n
-        elif kind == "tau":
-            inv2 = _inverse_of_two(m)
-            scales = tuple(pow(inv2, i, m) for i in range(n))
-        else:
+        if kind not in ("phi", "tau"):
             raise ValueError(f"unknown map kind {kind!r}")
+        c = 1 if kind == "phi" else _inverse_of_two(m)
+        _check_matrix(n)
+        kind = TwistFamily(m, (c,) * n)
+    n, m, scales = len(kind.multipliers), kind.m, kind.scales()
     rows = []
     for i in range(n):
         row = [scales[i] * pow(2, i - 1 - j, m) % m for j in range(i)]
@@ -249,9 +252,14 @@ def invert_linear_map(lm: LinearMap) -> LinearMap:
     """Inverse of a unit-diagonal lower-triangular matrix mod m.
 
     Column-by-column forward substitution; the product with the input is
-    the identity mod m in either order.
+    the identity mod m in either order. Its n(n^2-1)/6 multiply-adds run in
+    Python, so more than MAX_VERTICES of them (n >= 392) are refused.
     """
     n, m = lm.n, lm.m
+    adds = n * (n * n - 1) // 6
+    if adds > MAX_VERTICES:
+        what = f"the inverse of a {n}x{n} matrix, n(n^2-1)/6 = {adds} multiply-adds"
+        raise ValueError(f"refusing to build {what} (limit {MAX_VERTICES})")
     a = lm.rows
     inv_diag = [pow(a[i][i], -1, m) for i in range(n)]
     x = [[0] * n for _ in range(n)]

@@ -1,6 +1,7 @@
 """End-to-end command checks: exact output, exit codes, fixture parity."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sierham import cli, kernels
+from sierham import cli, kernels, maps
 from sierham.cli import FIXTURES, main, run_command
 from sierham.graphs import MAX_VERTICES, build_sierpinski, sierpinski_edge_count
 from sierham.serialize import graph_from_json
@@ -265,7 +266,7 @@ def test_row_guard_refuses_oversize_tables(argv, capsys):
     assert MAX_VERTICES == 10**7 < 2**24
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: refusing to print")
+    assert err.startswith("error: refusing to build")
     assert f"(limit {MAX_VERTICES})" in err
 
 
@@ -274,7 +275,7 @@ def test_solve_refusal_names_the_start_by_its_length(capsys):
     assert main(["hanoi", "solve", "--coords", "S", "--from", "1" * 100000]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: refusing to print more than 2^99999 rows")
+    assert err.startswith("error: refusing to build a geodesic of more than 2^99999 positions")
     assert "100000-disc start" in err
     assert len(err) < 200
 
@@ -302,14 +303,26 @@ def test_matrix_guard_refuses_before_building_the_matrix(invert, monkeypatch, ca
     def refuse(*args):
         raise AssertionError("the matrix was built past the size guard")
 
-    monkeypatch.setattr(cli, "embedding_matrix", refuse)
+    monkeypatch.setattr(maps, "LinearMap", refuse)
     # 3163^2 = 10,004,569 entries is the first square above MAX_VERTICES
     assert 3162**2 <= MAX_VERTICES < 3163**2
     argv = ["embed", "phi", "--n", "3163", "--m", "3", "--matrix"]
     assert main(argv + (["--invert"] if invert else [])) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: refusing to print a 3163x3163 matrix")
+    assert err.startswith("error: refusing to build a 3163x3163 matrix")
+
+
+def test_matrix_guard_refuses_before_building_a_twist_family(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("n multipliers were built past the size guard")
+
+    # --c 2 stands for n multipliers; the refusal comes before they exist
+    monkeypatch.setattr(cli, "TwistFamily", refuse)
+    assert main(["embed", "epsilon", "--n", "3163", "--m", "3", "--c", "2", "--matrix"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: refusing to build a 3163x3163 matrix")
 
 
 @pytest.mark.parametrize(
@@ -464,3 +477,104 @@ def test_unknown_arguments_exit_2(capsys):
     assert main(["gen", "moebius", "--n", "2", "--m", "3"]) == 2
     assert main(["gen", "sierpinski", "--n", "2"]) == 2  # --m missing
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- the parser
+
+FORMATS = ("text", "csv", "json")
+OUT = {"out": (("--out",), None, None, False)}
+# leaf subcommand -> (handler, extra defaults, {dest: (option strings,
+# default, choices, required)}), recorded from the parser as first shipped
+SURFACE = {
+    ("gen",): ("cmd_gen", {}, {
+        "kind": ((), None, ("sierpinski", "hamming", "single-twist"), True),
+        "n": (("--n",), None, None, True),
+        "m": (("--m",), None, None, True),
+        "fmt": (("--format",), "text", (*FORMATS, "dot", "edgelist"), False),
+        **OUT,
+    }),
+    ("embed",): ("cmd_embed", {}, {
+        "kind": ((), None, ("phi", "tau", "epsilon"), True),
+        "n": (("--n",), None, None, True),
+        "m": (("--m",), None, None, True),
+        "c": (("--c",), None, None, False),
+        "c_list": (("--c-list",), None, None, False),
+        "matrix": (("--matrix",), False, None, False),
+        "invert": (("--invert",), False, None, False),
+        "fmt": (("--format",), "text", FORMATS, False),
+        **OUT,
+    }),
+    ("verify",): ("cmd_verify", {}, {
+        "kind": ((), None, ("phi", "tau", "epsilon", "single-twist"), True),
+        "n": (("--n",), None, None, True),
+        "m": (("--m",), None, None, True),
+        "c": (("--c",), None, None, False),
+        "c_list": (("--c-list",), None, None, False),
+        "fmt": (("--format",), "text", ("text", "json"), False),
+        **OUT,
+    }),
+    ("hanoi", "classic"): ("cmd_classic", {}, {
+        "n": (("--n",), None, None, True),
+        "m": (("--m",), 3, None, False),
+        "fmt": (("--format",), "text", FORMATS, False),
+        **OUT,
+    }),
+    ("hanoi", "solve"): ("cmd_solve", {}, {
+        "position": (("--from",), None, None, True),
+        "coords": (("--coords",), "T", ("S", "T"), False),
+        "m": (("--m",), 3, None, False),
+        "fmt": (("--format",), "text", FORMATS, False),
+        **OUT,
+    }),
+    ("diplomats",): ("cmd_classic", {"m": 5}, {
+        "n": (("--n",), 4, None, False),
+        "fmt": (("--format",), "text", FORMATS, False),
+        **OUT,
+    }),
+    ("gray",): ("cmd_gray", {}, {
+        "n": (("--n",), None, None, True),
+        "fmt": (("--format",), "bits", ("bits", "int", "both"), False),
+        **OUT,
+    }),
+    ("density",): ("cmd_density", {}, {
+        "n": (("--n",), None, None, True),
+        "m": (("--m",), None, None, True),
+        **OUT,
+    }),
+    ("corners-search",): ("cmd_corners_search", {}, {
+        "m": (("--m",), None, None, True),
+        "n": (("--n",), 2, None, False),
+        "fmt": (("--format",), "text", ("text", "json"), False),
+        **OUT,
+    }),
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_every_leaf_subcommand_keeps_its_options():
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert sorted(leaves) == sorted(SURFACE)
+    for path, (handler, extra, options) in SURFACE.items():
+        parser = leaves[path]
+        found = {
+            a.dest: (
+                tuple(a.option_strings),
+                a.default,
+                None if a.choices is None else tuple(a.choices),
+                a.required,
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert found == options, path
+        defaults = dict(parser._defaults)
+        assert defaults.pop("run").__name__ == handler, path
+        assert defaults == extra, path

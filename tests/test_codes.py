@@ -1,10 +1,13 @@
 """Binary codings: eta, gamma, and the Gray sequence."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from sierham import codes
 from sierham.codes import eta, eta_inverse, gamma, gray_sequence
-from sierham.graphs import build_sierpinski, code_to_vertex
+from sierham.graphs import MAX_VERTICES, build_sierpinski, code_to_vertex
 from sierham.maps import phi_forward, phi_inverse
 
 import oracles
@@ -63,6 +66,16 @@ def test_gray_sequence_matches_reflected_construction(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_gray_sequence_matches_the_scalar_loop(n):
     assert oracles.as_tuples(gray_sequence(n)) == oracles.gray_sequence_loop(n)
+
+
+def test_gray_sequence_refuses_more_than_max_vertices_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Gray sequence was built past the row guard")
+
+    monkeypatch.setattr(codes, "digit_rows", refuse)
+    message = f"2^24 = {2**24} rows of the Gray sequence for n=24 (limit {MAX_VERTICES})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gray_sequence(24)
 
 
 def test_gray_sequence_small_values():

@@ -11,7 +11,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from sierham import hanoi
 from sierham.graphs import (
+    MAX_VERTICES,
     PermutationSymmetry,
     apply_symmetry,
     build_sierpinski,
@@ -446,6 +448,19 @@ def test_diplomats_table_matches_the_scalar_loop(n):
 def test_diplomats_rejects_bad_n():
     with pytest.raises(ValueError):
         diplomats_table(0)
+
+
+@pytest.mark.parametrize("build", [lambda: classic_solution(24), lambda: diplomats_table(24)])
+def test_tables_refuse_more_than_max_vertices_rows_before_building_one(build, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table was built past the row guard")
+
+    monkeypatch.setattr(hanoi, "digit_rows", refuse)
+    monkeypatch.setattr(hanoi, "embedding_matrix", refuse)
+    # 2^24 rows is the first power of two above MAX_VERTICES
+    message = f"rows of the classic solution for n=24 (limit {MAX_VERTICES})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])

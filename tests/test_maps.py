@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
+from sierham import maps
 from sierham.graphs import (
+    MAX_VERTICES,
     Graph,
     build_hamming,
     build_sierpinski,
@@ -241,6 +244,29 @@ def test_linear_map_rejects_small_parameters():
         embedding_matrix("tau", 3, 1)
     with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         embedding_matrix("phi", 0, 3)
+
+
+@pytest.mark.parametrize("kind", ["phi", "tau", TwistFamily(3, (2,) * 3163)])
+def test_matrix_refuses_more_than_max_vertices_entries_before_building_a_row(
+    kind, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("the matrix was built past the size guard")
+
+    monkeypatch.setattr(maps, "LinearMap", refuse)
+    # 3163^2 = 10,004,569 entries is the first square above MAX_VERTICES
+    assert 3162**2 <= MAX_VERTICES < 3163**2
+    message = f"3163x3163 matrix (limit {MAX_VERTICES} entries)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        embedding_matrix(kind, 3163, 3)
+
+
+def test_inverse_refuses_more_than_max_vertices_multiply_adds():
+    # forward substitution makes n(n^2-1)/6 multiply-adds; n = 392 is the first above the limit
+    assert 391 * (391**2 - 1) // 6 <= MAX_VERTICES < 392 * (392**2 - 1) // 6
+    message = f"392x392 matrix, n(n^2-1)/6 = 10039316 multiply-adds (limit {MAX_VERTICES})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        invert_linear_map(embedding_matrix("phi", 392, 3))
 
 
 def test_embedding_matrix_argument_checks():
