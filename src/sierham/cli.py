@@ -10,6 +10,7 @@ Exit codes: 0 success or PASS, 1 verification failure or fixture mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -51,25 +52,23 @@ FIXTURES: dict[str, list[str]] = {
 }
 
 
-def _twist_from_args(args: argparse.Namespace) -> TwistFamily:
+def _matrix_for(args: argparse.Namespace) -> LinearMap:
+    if args.kind != "epsilon":
+        return embedding_matrix(args.kind, args.n, args.m)
     if args.c is not None and args.c_list is not None:
         raise ValueError("--c and --c-list are mutually exclusive")
     if args.c is not None:
-        _check_matrix(args.n)  # (c,) * n is built before embedding_matrix sees n
-        return TwistFamily(args.m, (args.c,) * args.n)
-    if args.c_list is not None:
+        _check_matrix(args.n)  # (c,) * n is built before embedding_matrix can refuse it
+        cs = (args.c,) * args.n
+    elif args.c_list is not None:
         cs = tuple(int(part) for part in args.c_list.split(","))
         if len(cs) != args.n:
             raise ValueError(
                 f"--c-list has {len(cs)} entries, expected n={args.n}"
             )
-        return TwistFamily(args.m, cs)
-    raise ValueError("the epsilon map needs --c or --c-list")
-
-
-def _matrix_for(args: argparse.Namespace) -> LinearMap:
-    kind = _twist_from_args(args) if args.kind == "epsilon" else args.kind
-    return embedding_matrix(kind, args.n, args.m)
+    else:
+        raise ValueError("the epsilon map needs --c or --c-list")
+    return embedding_matrix(TwistFamily(args.m, cs))
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
@@ -99,7 +98,7 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
     v = digit_rows(np.arange(m**n), n, m)
     w = lm.image(v)
     if args.fmt == "json":
-        return serialize.map_table_to_json(v, w, n, m), 0
+        return serialize.map_table_to_json(v, w, m), 0
     if args.fmt == "csv":
         return serialize.map_table_to_csv(v, w, m), 0
     return serialize.map_table_to_text(v, w, m), 0
@@ -152,30 +151,29 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
-def _render_rows(ell: np.ndarray, s: np.ndarray, t: np.ndarray, n: int, m: int, fmt: str) -> str:
+def _render_rows(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int, fmt: str) -> str:
     if fmt == "csv":
         return serialize.hanoi_table_to_csv(ell, s, t, m)
     if fmt == "json":
-        return serialize.hanoi_table_to_json(ell, s, t, n, m)
-    return serialize.hanoi_table_to_text(ell, s, t, n, m)
+        return serialize.hanoi_table_to_json(ell, s, t, m)
+    return serialize.hanoi_table_to_text(ell, s, t, m)
 
 
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
     mp = classic_solution(n, m)
     ell = np.arange(2**n)
-    return _render_rows(ell, digit_rows(ell, n, 2), mp.positions, n, m, args.fmt), 0
+    return _render_rows(ell, digit_rows(ell, n, 2), mp.positions, m, args.fmt), 0
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     m = args.m
     start = serialize.parse_vertex(args.position, m)
-    n = len(start)
     v = tau_inverse(start, m) if args.coords == "T" else start
     s = shortest_path_to_zero(v, m).positions
-    t = embedding_matrix("tau", n, m).image(s)
+    t = embedding_matrix("tau", len(start), m).image(s)
     # each step of the geodesic is one closer to 0^n
-    return _render_rows(np.arange(len(s) - 1, -1, -1), s, t, n, m, args.fmt), 0
+    return _render_rows(np.arange(len(s) - 1, -1, -1), s, t, m, args.fmt), 0
 
 
 def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
@@ -221,7 +219,9 @@ def _leaf(sub, name: str, summary: str, run, formats=("text", "csv", "json"), **
     return leaf
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared by every parse."""
     p = argparse.ArgumentParser(
         prog="sierham",
         description=(

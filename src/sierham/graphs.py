@@ -148,8 +148,7 @@ def edge_density(n: int, m: int) -> Fraction:
     edges. Exact at any size.
     """
     _check_params(n, m)
-    interior = m ** (n - 1) * (m * (m - 1) // 2)
-    return Fraction(interior, hamming_edge_count(n, m))
+    return Fraction(1, n)
 
 
 def edge_keys(u: np.ndarray, v: np.ndarray, num_vertices: int) -> np.ndarray:

@@ -154,6 +154,16 @@ def wolfe_coordinate(ell: int, i: int, n: int) -> int:
     return 2 * doubled % 3
 
 
+def _moved_disc(a: Sequence[int], b: Sequence[int], m: int) -> int | None:
+    """The one digit where positions a and b differ, or None if not exactly one."""
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    check_vertex(a, len(a), m)
+    check_vertex(b, len(b), m)
+    diffs = [idx for idx in range(len(a)) if a[idx] != b[idx]]
+    return diffs[0] if len(diffs) == 1 else None
+
+
 def is_legal_move(a: Sequence[int], b: Sequence[int], m: int) -> bool:
     """True when a -> b moves one disc legally (odd m, algebraic rule).
 
@@ -161,17 +171,11 @@ def is_legal_move(a: Sequence[int], b: Sequence[int], m: int) -> bool:
     every smaller disc (index > d) must sit on peg (i + j) / 2 mod m.
     """
     inv2 = _inverse_of_two(m)
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    check_vertex(a, n, m)
-    check_vertex(b, n, m)
-    diffs = [idx for idx in range(n) if a[idx] != b[idx]]
-    if len(diffs) != 1:
+    d = _moved_disc(a, b, m)
+    if d is None:
         return False
-    d = diffs[0]
     k = inv2 * (a[d] + b[d]) % m
-    return all(a[t] == k for t in range(d + 1, n))
+    return all(x == k for x in a[d + 1 :])
 
 
 def is_legal_move_physical(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -181,17 +185,10 @@ def is_legal_move_physical(a: Sequence[int], b: Sequence[int]) -> bool:
     (it would be on top of d) or on j (d would land on it). m = 3 only;
     must agree with is_legal_move there.
     """
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    check_vertex(a, n, 3)
-    check_vertex(b, n, 3)
-    diffs = [idx for idx in range(n) if a[idx] != b[idx]]
-    if len(diffs) != 1:
+    d = _moved_disc(a, b, 3)
+    if d is None:
         return False
-    d = diffs[0]
-    i, j = a[d], b[d]
-    return all(a[t] != i and a[t] != j for t in range(d + 1, n))
+    return all(x != a[d] and x != b[d] for x in a[d + 1 :])
 
 
 def diplomats_table(n: int) -> list[tuple[Vertex, Vertex]]:

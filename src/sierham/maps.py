@@ -8,9 +8,11 @@ Three families, all lower-triangular linear maps mod m:
 - the twist family epsilon: phi followed by an arbitrary unit scale per
   coordinate, parameterized by one multiplier per recursion level.
 
-The *_forward and *_inverse functions are the paper's formulas for one
-vertex; embedding_matrix gives each map as a LinearMap, whose image method
-maps a whole (k, n) digit array at once, and every table goes through it.
+phi and tau are the twist families with every multiplier 1 and 2^(-1).
+embedding_matrix reads column j of any family's LinearMap off
+epsilon_forward of the j-th unit vector; LinearMap.image maps a whole
+(k, n) digit array, and every table goes through it. phi_forward and
+tau_forward keep the paper's per-vertex formulas as independent forms.
 phi_recursive rebuilds phi by the level-by-level recursion instead of the
 closed form; the two must agree pointwise. verify_embedding checks that a
 vertex map (a LinearMap, a callable or a mapping) is a bijection sending
@@ -65,18 +67,23 @@ def phi_forward(v: Sequence[int], m: int) -> Vertex:
     return tuple(out)
 
 
-def phi_inverse(w: Sequence[int], m: int) -> Vertex:
-    """Inverse of phi_forward: v_i = (w_i - sum_{j<i} w_j) mod m.
-
-    The formula holds even over the plain integers, without reducing the
-    intermediate sums.
-    """
+def _unscale_and_subtract(w: Sequence[int], m: int, ratio: int) -> Vertex:
+    """Shared inverse of phi (ratio 1) and tau (ratio 2), p_i = ratio^(i-1):
+    v_i = (p_i w_i - sum_{j<i} p_j w_j) mod m."""
     out = []
-    s = 0
+    s = 0  # sum_{j<i} p_j w_j mod m
+    p = 1  # p_i mod m
     for d in w:
-        out.append((d - s) % m)
-        s += d
+        x = p * d
+        out.append((x - s) % m)
+        s = (s + x) % m
+        p = p * ratio % m
     return tuple(out)
+
+
+def phi_inverse(w: Sequence[int], m: int) -> Vertex:
+    """Inverse of phi_forward: v_i = (w_i - sum_{j<i} w_j) mod m."""
+    return _unscale_and_subtract(w, m, 1)
 
 
 def phi_recursive(n: int, m: int) -> dict[Vertex, Vertex]:
@@ -116,14 +123,7 @@ def tau_forward(v: Sequence[int], m: int) -> Vertex:
 def tau_inverse(t: Sequence[int], m: int) -> Vertex:
     """Inverse of tau_forward: v_i = (2^(i-1) t_i - sum_{j<i} 2^(j-1) t_j) mod m."""
     _inverse_of_two(m)  # reject even m up front
-    out = []
-    s = 0  # sum_{j<i} 2^(j-1) t_j mod m
-    p = 1  # 2^(i-1) mod m
-    for d in t:
-        out.append((p * d - s) % m)
-        s = (s + p * d) % m
-        p = p * 2 % m
-    return tuple(out)
+    return _unscale_and_subtract(t, m, 2)
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,18 @@ class TwistFamily:
 
 
 def epsilon_forward(v: Sequence[int], tw: TwistFamily) -> Vertex:
-    """Twist-family recoordinatization: phi followed by per-coordinate scaling."""
+    """Twist-family recoordinatization: e_i = scale_i * phi(v)_i mod m, in one pass."""
     if len(v) != len(tw.multipliers):
         raise ValueError(
             f"vertex has {len(v)} digits, twist family has {len(tw.multipliers)} levels"
         )
-    w = phi_forward(v, tw.m)
-    return tuple(s * d % tw.m for s, d in zip(tw.scales(), w))
+    m = tw.m
+    out = []
+    s = 0  # running sum_{j<i} 2^(i-1-j) v_j mod m
+    for c, d in zip(tw.scales(), v):
+        out.append(c * (d + s) % m)
+        s = (2 * s + d) % m
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,7 @@ class LinearMap:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             row = tuple(x % self.m for x in row)
-            if any(row[j] for j in range(i + 1, n)):
+            if any(row[i + 1 :]):
                 raise ValueError(f"row {i + 1} has a nonzero entry above the diagonal")
             if math.gcd(row[i], self.m) != 1:
                 raise ValueError(
@@ -220,15 +225,14 @@ class LinearMap:
 def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | None = None) -> LinearMap:
     """Coefficient matrix of phi, tau, or a twist family, as a LinearMap.
 
-    phi is the all-ones twist family and tau the all-2^(-1) one. Refuses
-    more than MAX_VERTICES entries before building a row.
+    phi is the all-ones twist family and tau the all-2^(-1) one; column j
+    is epsilon_forward of the j-th unit vector. A family is passed alone.
+    Refuses more than MAX_VERTICES entries before building a row.
     """
     if isinstance(kind, TwistFamily):
-        if n is not None and n != len(kind.multipliers):
-            raise ValueError(
-                f"twist family has {len(kind.multipliers)} levels, asked for n={n}"
-            )
         _check_matrix(len(kind.multipliers))
+        if n is not None or m is not None:
+            raise ValueError("a twist family carries its own n and m; pass it alone")
     else:
         if n is None or m is None:
             raise ValueError("n and m are required for named map kinds")
@@ -238,14 +242,9 @@ def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | Non
         c = 1 if kind == "phi" else _inverse_of_two(m)
         _check_matrix(n)
         kind = TwistFamily(m, (c,) * n)
-    n, m, scales = len(kind.multipliers), kind.m, kind.scales()
-    rows = []
-    for i in range(n):
-        row = [scales[i] * pow(2, i - 1 - j, m) % m for j in range(i)]
-        row.append(scales[i] % m)
-        row.extend([0] * (n - 1 - i))
-        rows.append(tuple(row))
-    return LinearMap(m, tuple(rows))
+    n = len(kind.multipliers)
+    columns = [epsilon_forward((0,) * j + (1,) + (0,) * (n - 1 - j), kind) for j in range(n)]
+    return LinearMap(kind.m, tuple(zip(*columns)))
 
 
 def invert_linear_map(lm: LinearMap) -> LinearMap:
@@ -447,7 +446,7 @@ def sierpinski_isomorphism(g: Graph) -> np.ndarray | None:
     return _corner_certificate(g)[0]
 
 
-def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | None = None) -> dict:
+def verify_coordinatization(candidate: Graph) -> dict:
     """Check whether a graph on {0..m-1}^n is a relabeled S(n,m) inside K_m^n.
 
     Four gates: every edge joins vertices at Hamming distance 1, the edge
@@ -461,11 +460,7 @@ def verify_coordinatization(candidate: Graph, n: int | None = None, m: int | Non
     violations lists at most 10 items per kind; violations_total counts
     them all.
     """
-    n = candidate.n if n is None else n
-    m = candidate.m if m is None else m
-    if (candidate.n, candidate.m) != (n, m):
-        raise ValueError("candidate graph has different (n, m)")
-
+    n, m = candidate.n, candidate.m
     diffs = kernels.digit_diff_counts(
         candidate.edges[:, 0], candidate.edges[:, 1], n, m
     )

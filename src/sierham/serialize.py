@@ -148,15 +148,15 @@ def map_table_to_csv(v: np.ndarray, w: np.ndarray, m: int) -> str:
     return "\n".join(["v,image", *rows]) + "\n"
 
 
-def map_table_to_json(v: np.ndarray, w: np.ndarray, n: int, m: int) -> str:
+def map_table_to_json(v: np.ndarray, w: np.ndarray, m: int) -> str:
     pairs = map(list, zip(vertex_labels(v, m), vertex_labels(w, m)))
-    return json.dumps({"n": n, "m": m, "map": list(pairs)}, indent=2) + "\n"
+    return json.dumps({"n": v.shape[1], "m": m, "map": list(pairs)}, indent=2) + "\n"
 
 
-def hanoi_table_to_text(ell: np.ndarray, s: np.ndarray, t: np.ndarray, n: int, m: int) -> str:
+def hanoi_table_to_text(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
     """Three-column solution table: step index, S position, T position."""
-    s_head = f"S({n},{m})"
-    t_head = f"T({n},{m})"
+    s_head = f"S({s.shape[1]},{m})"
+    t_head = f"T({s.shape[1]},{m})"
     steps = [str(e) for e in np.asarray(ell).tolist()]
     s_labels = vertex_labels(s, m)
     wl = max(3, max(map(len, steps), default=3))
@@ -171,7 +171,7 @@ def hanoi_table_to_csv(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) ->
     return "\n".join(["ell,s,t", *rows]) + "\n"
 
 
-def hanoi_table_to_json(ell: np.ndarray, s: np.ndarray, t: np.ndarray, n: int, m: int) -> str:
+def hanoi_table_to_json(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
     rows = zip(np.asarray(ell).tolist(), vertex_labels(s, m), vertex_labels(t, m))
-    payload = {"n": n, "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]}
+    payload = {"n": s.shape[1], "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]}
     return json.dumps(payload, indent=2) + "\n"

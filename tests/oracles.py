@@ -8,13 +8,17 @@ evidence rather than tautology.
 from __future__ import annotations
 
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
 import numpy as np
 
-from sierham.graphs import Vertex, check_vertex, code_to_vertex, is_sierpinski_edge, vertex_to_code
-from sierham.maps import LinearMap
+from sierham.graphs import (
+    Vertex, build_hamming, build_sierpinski, check_vertex, code_to_vertex, is_sierpinski_edge,
+    vertex_to_code,
+)
+from sierham.maps import LinearMap, TwistFamily, phi_forward
 
 
 def as_tuples(rows: np.ndarray) -> list[Vertex]:
@@ -25,6 +29,34 @@ def as_tuples(rows: np.ndarray) -> list[Vertex]:
 
 def all_vertices(n: int, m: int) -> list[Vertex]:
     return [code_to_vertex(code, n, m) for code in range(m**n)]
+
+
+def twist_matrix_closed_form(tw: TwistFamily) -> tuple[tuple[int, ...], ...]:
+    """Rows of a twist family's matrix, entry by entry: s_i * 2^(i-1-j) mod m
+    below the diagonal, s_i on it, 0 above (0-based i, j; s = tw.scales())."""
+    n, m, scales = len(tw.multipliers), tw.m, tw.scales()
+    rows = []
+    for i in range(n):
+        row = [scales[i] * pow(2, i - 1 - j, m) % m for j in range(i)]
+        rows.append(tuple(row + [scales[i] % m] + [0] * (n - 1 - i)))
+    return tuple(rows)
+
+
+def epsilon_two_pass(v, tw: TwistFamily) -> Vertex:
+    """A twist family applied as phi followed by a second pass of per-coordinate scales."""
+    return tuple(s * d % tw.m for s, d in zip(tw.scales(), phi_forward(v, tw.m)))
+
+
+def block_edge_density(n: int, m: int):
+    """Share of K_m^n's edges that join two vertices of one clique block of S(n,m).
+
+    Counted on the built graphs: a block is the m vertices that share their
+    first n - 1 digits, so an edge lies in one when its codes agree after
+    integer division by m.
+    """
+    edges = build_sierpinski(n, m).edges
+    inside = int(np.count_nonzero(edges[:, 0] // m == edges[:, 1] // m))
+    return Fraction(inside, build_hamming(n, m).num_edges)
 
 
 def adjacency(g) -> list[list[int]]:

@@ -109,6 +109,11 @@ def test_edge_density_value(n, m):
     assert edge_density(n, m) == Fraction(1, n)
 
 
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in range(2, 6)])
+def test_edge_density_equals_the_block_share_of_the_built_graphs(n, m):
+    assert edge_density(n, m) == oracles.block_edge_density(n, m)
+
+
 def test_edge_density_is_fraction():
     d = edge_density(4, 3)
     assert isinstance(d, Fraction)

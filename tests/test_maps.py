@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 import re
 from itertools import product
 
@@ -278,6 +280,43 @@ def test_embedding_matrix_argument_checks():
         embedding_matrix(TwistFamily(5, (1, 2)), n=3)  # level mismatch
 
 
+@pytest.mark.parametrize("sizes", [(2, 7), (2, None), (None, 5), (None, 7)])
+def test_embedding_matrix_takes_a_family_alone(sizes):
+    # a family carries its own n and m, so any size passed beside it is refused
+    n, m = sizes
+    with pytest.raises(ValueError, match="pass it alone"):
+        embedding_matrix(TwistFamily(5, (1, 1)), n, m)
+
+
+CLOSED_FORM_MODULI = [2, 3, 4, 5, 7, 9, 11, 2**61 - 1, 10**29 + 1]
+
+
+@pytest.mark.parametrize("m", CLOSED_FORM_MODULI)
+def test_phi_and_tau_matrices_equal_the_closed_form(m):
+    for n in range(1, 13):
+        assert embedding_matrix("phi", n, m).rows == oracles.twist_matrix_closed_form(
+            TwistFamily(m, (1,) * n)
+        )
+        if m % 2:
+            assert embedding_matrix("tau", n, m).rows == oracles.twist_matrix_closed_form(
+                TwistFamily(m, ((m + 1) // 2,) * n)
+            )
+
+
+@pytest.mark.parametrize("m", CLOSED_FORM_MODULI)
+def test_seeded_family_matrices_equal_the_closed_form(m):
+    rng = random.Random(m)
+    for n in range(1, 13):
+        for _ in range(3):
+            cs = []
+            while len(cs) < n:  # seeded units mod m, exact at any size
+                c = rng.randrange(1, m)
+                if math.gcd(c, m) == 1:
+                    cs.append(c)
+            tw = TwistFamily(m, tuple(cs))
+            assert embedding_matrix(tw).rows == oracles.twist_matrix_closed_form(tw)
+
+
 # ---------------------------------------------------------------- LinearMap.image
 
 ENGINE_SIZES = [(1, 3), (3, 3), (4, 5), (3, 7), (2, 12), (2, 257)]
@@ -473,6 +512,14 @@ def test_epsilon_single_level_is_identity():
             assert epsilon_forward((d,), tw) == (d,)
 
 
+@pytest.mark.parametrize("n,m", SMALL)
+def test_epsilon_equals_phi_then_a_second_scaling_pass(n, m):
+    for cs in product(units(m), repeat=n):
+        tw = TwistFamily(m, cs)
+        for v in oracles.all_vertices(n, m):
+            assert epsilon_forward(v, tw) == oracles.epsilon_two_pass(v, tw)
+
+
 def test_epsilon_length_mismatch():
     with pytest.raises(ValueError):
         epsilon_forward((0, 1, 2), TwistFamily(5, (1, 1)))
@@ -622,11 +669,6 @@ def test_coordinatization_distance_gate():
     report = verify_coordinatization(candidate)
     assert not report["all_edges_distance_one"]
     assert any(item["kind"] == "distance" for item in report["violations"])
-
-
-def test_coordinatization_nm_mismatch():
-    with pytest.raises(ValueError):
-        verify_coordinatization(build_sierpinski(2, 3), 3, 3)
 
 
 def test_coordinatization_rejects_disconnected_candidate():

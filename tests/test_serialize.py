@@ -133,7 +133,7 @@ def test_map_tables():
     w = np.array([(0, 1), (1, 1)])
     assert map_table_to_text(v, w, 3) == "01  01\n10  11\n"
     assert map_table_to_csv(v, w, 3) == "v,image\n01,01\n10,11\n"
-    payload = json.loads(map_table_to_json(v, w, 2, 3))
+    payload = json.loads(map_table_to_json(v, w, 3))
     assert payload == {"n": 2, "m": 3, "map": [["01", "01"], ["10", "11"]]}
 
 
@@ -141,7 +141,7 @@ def test_hanoi_table_text_frozen():
     ell = np.array([14, 13])
     s = np.array([(1, 2, 1, 0), (1, 2, 0, 1)])
     t = np.array([(1, 0, 2, 0), (1, 0, 1, 0)])
-    text = hanoi_table_to_text(ell, s, t, 4, 3)
+    text = hanoi_table_to_text(ell, s, t, 3)
     assert text == (
         "ell  S(4,3)  T(4,3)\n"
         " 14  1210    1020\n"
@@ -151,17 +151,25 @@ def test_hanoi_table_text_frozen():
 
 def test_hanoi_table_wide_alphabet():
     s = t = np.array([(10, 0)])
-    text = hanoi_table_to_text(np.array([0]), s, t, 2, 11)
+    text = hanoi_table_to_text(np.array([0]), s, t, 11)
     lines = text.splitlines()
     # the S column pads to the wider of the header and the digit strings
     assert lines[0].startswith("ell  S(2,11)")
     assert lines[1] == "  0  10 0     10 0"
 
 
+def test_hanoi_tables_read_n_from_the_s_column():
+    # five discs, three pegs: the header and the json "n" come from s.shape[1]
+    ell, s, t = np.array([0]), np.zeros((1, 5), np.int64), np.zeros((1, 5), np.int64)
+    assert hanoi_table_to_text(ell, s, t, 3).splitlines()[0] == "ell  S(5,3)  T(5,3)"
+    assert json.loads(hanoi_table_to_json(ell, s, t, 3))["n"] == 5
+    assert json.loads(map_table_to_json(s, t, 3))["n"] == 5
+
+
 def test_hanoi_table_csv_and_json():
     ell, s, t = np.array([1]), np.array([(0, 1)]), np.array([(0, 2)])
     assert hanoi_table_to_csv(ell, s, t, 3) == "ell,s,t\n1,01,02\n"
-    payload = json.loads(hanoi_table_to_json(ell, s, t, 2, 3))
+    payload = json.loads(hanoi_table_to_json(ell, s, t, 3))
     assert payload == {"n": 2, "m": 3, "rows": [{"ell": 1, "s": "01", "t": "02"}]}
 
 
