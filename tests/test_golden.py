@@ -44,6 +44,18 @@ GOLDEN: dict[str, list[str]] = {
     "gen_sierpinski_n2_m12.edgelist.txt": [
         "gen", "sierpinski", "--n", "2", "--m", "12", "--format", "edgelist",
     ],
+    **{
+        f"gen_sierpinski_n2_m3.{fmt}.txt": [
+            "gen", "sierpinski", "--n", "2", "--m", "3", "--format", fmt,
+        ]
+        for fmt in ("text", "csv", "json", "edgelist")
+    },
+    "gen_hamming_n2_m3.dot.txt": [
+        "gen", "hamming", "--n", "2", "--m", "3", "--format", "dot",
+    ],
+    "embed_phi_matrix.csv.txt": [
+        "embed", "phi", "--n", "3", "--m", "4", "--matrix", "--format", "csv",
+    ],
     "hanoi_solve_m13_S.txt": [
         "hanoi", "solve", "--from", "1,0,7,12", "--m", "13", "--coords", "S",
     ],
@@ -62,6 +74,7 @@ GOLDEN: dict[str, list[str]] = {
     "diplomats_n4.txt": ["diplomats"],
     "diplomats_n3.json.txt": ["diplomats", "--n", "3", "--format", "json"],
     "gray_n4_both.txt": ["gray", "--n", "4", "--format", "both"],
+    **{f"gray_n3_{fmt}.txt": ["gray", "--n", "3", "--format", fmt] for fmt in ("bits", "int")},
     "verify_tau_n3_m5.txt": ["verify", "tau", "--n", "3", "--m", "5"],
     **{
         f"corners_search_m{m}.txt": ["corners-search", "--m", str(m)]
