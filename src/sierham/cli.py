@@ -4,8 +4,10 @@ output against the shipped golden files.
 
 _leaf adds each leaf subcommand with its handler, --format and --out; a
 handler takes the parsed arguments and returns (output text, exit code).
+A table handler prints its digit arrays with one serialize.write call.
 Exit codes: 0 success or PASS, 1 verification failure or fixture mismatch,
-2 usage or parameter error, size refusals included (the library raises them).
+2 usage or parameter error, size refusals included (the library raises them),
+or an --out file that cannot be written.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .graphs import (
     build_single_twist,
     digit_rows,
     edge_density,
-    row_codes,
 )
 from .hanoi import classic_solution, constant_corner_search, shortest_path_to_zero
 from .maps import (
@@ -89,19 +90,9 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
     if args.invert:
         lm = invert_linear_map(lm)
     if args.matrix:
-        if args.fmt == "json":
-            return serialize.matrix_to_json(lm), 0
-        if args.fmt == "csv":
-            return "\n".join(",".join(str(x) for x in row) for row in lm.rows) + "\n", 0
-        return serialize.matrix_to_text(lm), 0
-
+        return serialize.write("matrix", args.fmt, lm), 0
     v = digit_rows(np.arange(m**n), n, m)
-    w = lm.image(v)
-    if args.fmt == "json":
-        return serialize.map_table_to_json(v, w, m), 0
-    if args.fmt == "csv":
-        return serialize.map_table_to_csv(v, w, m), 0
-    return serialize.map_table_to_text(v, w, m), 0
+    return serialize.write("map_table", args.fmt, v, lm.image(v), m), 0
 
 
 def _violation_line(item: dict, m: int) -> str:
@@ -151,19 +142,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
-def _render_rows(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int, fmt: str) -> str:
-    if fmt == "csv":
-        return serialize.hanoi_table_to_csv(ell, s, t, m)
-    if fmt == "json":
-        return serialize.hanoi_table_to_json(ell, s, t, m)
-    return serialize.hanoi_table_to_text(ell, s, t, m)
-
-
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
-    mp = classic_solution(n, m)
+    play = classic_solution(n, m).positions  # refuses an oversize n before 2^n steps exist
     ell = np.arange(2**n)
-    return _render_rows(ell, digit_rows(ell, n, 2), mp.positions, m, args.fmt), 0
+    return serialize.write("hanoi_table", args.fmt, ell, digit_rows(ell, n, 2), play, m), 0
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
@@ -173,18 +156,11 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     s = shortest_path_to_zero(v, m).positions
     t = embedding_matrix("tau", len(start), m).image(s)
     # each step of the geodesic is one closer to 0^n
-    return _render_rows(np.arange(len(s) - 1, -1, -1), s, t, m, args.fmt), 0
+    return serialize.write("hanoi_table", args.fmt, np.arange(len(s) - 1, -1, -1), s, t, m), 0
 
 
 def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
-    seq = gray_sequence(args.n)
-    if args.fmt == "bits":
-        lines = serialize.vertex_labels(seq, 2)
-    elif args.fmt == "int":
-        lines = map(str, row_codes(seq, 2).tolist())
-    else:
-        lines = map("{} {}".format, serialize.vertex_labels(seq, 2), row_codes(seq, 2).tolist())
-    return "\n".join(lines) + "\n", 0
+    return serialize.write("gray", args.fmt, gray_sequence(args.n)), 0
 
 
 def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
@@ -329,12 +305,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         text, code = args.run(args)
-    except ValueError as exc:
+        if args.out:
+            Path(args.out).write_text(text)
+    except (ValueError, OSError) as exc:  # a refusal, or an --out file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

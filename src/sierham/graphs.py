@@ -83,6 +83,13 @@ def check_vertex(v: Sequence[int], n: int, m: int) -> None:
             raise ValueError(f"digit {d} out of range for alphabet {{0..{m - 1}}}")
 
 
+def check_pair(u: Sequence[int], v: Sequence[int], m: int) -> None:
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    check_vertex(u, len(u), m)
+    check_vertex(v, len(v), m)
+
+
 def _check_params(n: int, m: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -271,19 +278,13 @@ def is_sierpinski_edge(u: Sequence[int], v: Sequence[int], m: int) -> bool:
     True iff some position h has u_i = v_i for i < h, u_h != v_h, and
     u_j = v_h, v_j = u_h for every j > h.
     """
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    n = len(u)
-    check_vertex(u, n, m)
-    check_vertex(v, n, m)
+    check_pair(u, v, m)
     if tuple(u) == tuple(v):
         raise ValueError("u and v must be distinct")
     h = 0  # first differing position, 0-based
     while u[h] == v[h]:
         h += 1
-    if all(u[j] == v[h] and v[j] == u[h] for j in range(h + 1, n)):
-        return True
-    return False
+    return all(u[j] == v[h] and v[j] == u[h] for j in range(h + 1, len(u)))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ graph geodesics: solve by pulling a position back through tau, reading
 off the unique geodesic to the all-zero corner in closed form, and
 pushing each step forward again. Whole tables (the classic play, the
 diplomats schedule, a solved play) are one tau-matrix LinearMap.image
-call on rows of S coordinates.
+call on rows of S coordinates, and stay digit arrays up to serialize's
+writers (diplomats_table is one (2^n, 2, n) array).
 
 A single move of disc d from peg i to peg j is legal when every smaller
 disc sits on peg (i+j)/2 mod m; for m = 3 that is the familiar physical
@@ -23,7 +24,7 @@ import numpy as np
 
 from .codes import eta_inverse
 from .graphs import (
-    MAX_VERTICES, Vertex, _check_params, _check_rows, check_vertex, digit_rows, row_tuples,
+    MAX_VERTICES, Vertex, _check_params, _check_rows, check_pair, check_vertex, digit_rows,
 )
 from .maps import _inverse_of_two, embedding_matrix, phi_forward, tau_inverse
 
@@ -156,10 +157,7 @@ def wolfe_coordinate(ell: int, i: int, n: int) -> int:
 
 def _moved_disc(a: Sequence[int], b: Sequence[int], m: int) -> int | None:
     """The one digit where positions a and b differ, or None if not exactly one."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    check_vertex(a, len(a), m)
-    check_vertex(b, len(b), m)
+    check_pair(a, b, m)
     diffs = [idx for idx in range(len(a)) if a[idx] != b[idx]]
     return diffs[0] if len(diffs) == 1 else None
 
@@ -191,11 +189,12 @@ def is_legal_move_physical(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x != a[d] and x != b[d] for x in a[d + 1 :])
 
 
-def diplomats_table(n: int) -> list[tuple[Vertex, Vertex]]:
-    """The five-peg transport schedule: row ell pairs binary ell with step
-    ell of the five-peg classic play, its halved-map image over m = 5."""
+def diplomats_table(n: int) -> np.ndarray:
+    """The five-peg transport schedule, an int64 (2^n, 2, n) digit array:
+    [ell, 0] is binary ell and [ell, 1] is step ell of the five-peg classic
+    play, its halved-map image over m = 5."""
     play = classic_solution(n, 5).positions  # refuses an oversize n first
-    return list(zip(row_tuples(digit_rows(np.arange(2**n), n, 2)), row_tuples(play)))
+    return np.stack([digit_rows(np.arange(2**n), n, 2), play], axis=1)
 
 
 def constant_corner_search(m: int, n: int = 2) -> dict:

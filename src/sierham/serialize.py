@@ -4,16 +4,18 @@ Digit strings: for m <= 10 a vertex prints as concatenated digits ("1020");
 for larger alphabets digits are space-separated and fields tab-separated.
 All writers are deterministic: same input, same bytes. Graph writers
 format each vertex once, into a list of labels indexed by vertex code;
-table writers take (k, n) digit-array columns and label each once.
+table writers take (k, n) digit-array columns and label each once. Every
+writer but the DOT and aligned Hanoi text layouts is one _lines or _json
+call, and write(table, fmt, ...) finds <table>_to_<fmt> by name.
 """
 from __future__ import annotations
 
 import json
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import ROW_BLOCK, Graph, Vertex, from_edge_list
+from .graphs import ROW_BLOCK, Graph, Vertex, check_vertex, from_edge_list, row_codes
 from .maps import LinearMap
 
 
@@ -51,9 +53,7 @@ def parse_vertex(s: str, m: int, n: int | None = None) -> Vertex:
         raise ValueError(f"expected {n} digits, got {len(digits)} in {s!r}")
     if not digits:
         raise ValueError("empty vertex string")
-    for d in digits:
-        if not 0 <= d < m:
-            raise ValueError(f"digit {d} out of range for alphabet {{0..{m - 1}}}")
+    check_vertex(digits, len(digits), m)
     return digits
 
 
@@ -72,31 +72,39 @@ def _edge_strings(g: Graph) -> Iterator[tuple[str, str]]:
     return ((labels[u], labels[v]) for u, v in zip(*g.edges.T.tolist()))
 
 
+def _lines(rows: Iterable[Iterable[str]], head: Sequence[str] = (), sep: str = " ") -> str:
+    """The head lines, then each row's string cells joined by sep, one row per line."""
+    return "\n".join([*head, *map(sep.join, rows)]) + "\n"
+
+
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def write(table: str, fmt: str, *args) -> str:
+    """Print with <table>_to_<fmt>, looked up on each call, so a wrapper put on
+    that module attribute (as a tracer does) is called; an import-time dict would bypass it."""
+    writer = globals().get(f"{table}_to_{fmt}")
+    if writer is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    return writer(*args)
+
+
 def graph_to_edgelist(g: Graph) -> str:
-    sep = " " if g.m <= 10 else "\t"
-    return "\n".join(f"{a}{sep}{b}" for a, b in _edge_strings(g)) + "\n"
+    return _lines(_edge_strings(g), sep=" " if g.m <= 10 else "\t")
 
 
 def graph_to_text(g: Graph) -> str:
-    head = f"{g.kind} graph n={g.n} m={g.m} vertices={g.num_vertices} edges={g.num_edges}\n"
-    return head + graph_to_edgelist(g)
+    head = f"{g.kind} graph n={g.n} m={g.m} vertices={g.num_vertices} edges={g.num_edges}"
+    return _lines(_edge_strings(g), [head], " " if g.m <= 10 else "\t")
 
 
 def graph_to_csv(g: Graph) -> str:
-    lines = ["u,v"]
-    for a, b in _edge_strings(g):
-        lines.append(f"{a},{b}")
-    return "\n".join(lines) + "\n"
+    return _lines(_edge_strings(g), ["u,v"], ",")
 
 
 def graph_to_json(g: Graph) -> str:
-    payload = {
-        "n": g.n,
-        "m": g.m,
-        "kind": g.kind,
-        "edges": [[a, b] for a, b in _edge_strings(g)],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json({"n": g.n, "m": g.m, "kind": g.kind, "edges": list(map(list, _edge_strings(g)))})
 
 
 def graph_from_json(text: str) -> Graph:
@@ -119,38 +127,32 @@ def graph_to_dot(g: Graph) -> str:
 
 
 def render_graph(g: Graph, fmt: str) -> str:
-    renderers = {
-        "text": graph_to_text,
-        "csv": graph_to_csv,
-        "json": graph_to_json,
-        "dot": graph_to_dot,
-        "edgelist": graph_to_edgelist,
-    }
-    if fmt not in renderers:
-        raise ValueError(f"unknown format {fmt!r}")
-    return renderers[fmt](g)
+    return write("graph", fmt, g)
 
 
 def matrix_to_text(lm: LinearMap) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in lm.rows) + "\n"
+    return _lines(map(str, row) for row in lm.rows)
+
+
+def matrix_to_csv(lm: LinearMap) -> str:
+    return _lines((map(str, row) for row in lm.rows), sep=",")
 
 
 def matrix_to_json(lm: LinearMap) -> str:
-    return json.dumps({"m": lm.m, "rows": [list(row) for row in lm.rows]}, indent=2) + "\n"
+    return _json({"m": lm.m, "rows": list(map(list, lm.rows))})
 
 
 def map_table_to_text(v: np.ndarray, w: np.ndarray, m: int) -> str:
-    return "\n".join(map("{}  {}".format, vertex_labels(v, m), vertex_labels(w, m))) + "\n"
+    return _lines(zip(vertex_labels(v, m), vertex_labels(w, m)), sep="  ")
 
 
 def map_table_to_csv(v: np.ndarray, w: np.ndarray, m: int) -> str:
-    rows = map("{},{}".format, vertex_labels(v, m), vertex_labels(w, m))
-    return "\n".join(["v,image", *rows]) + "\n"
+    return _lines(zip(vertex_labels(v, m), vertex_labels(w, m)), ["v,image"], ",")
 
 
 def map_table_to_json(v: np.ndarray, w: np.ndarray, m: int) -> str:
     pairs = map(list, zip(vertex_labels(v, m), vertex_labels(w, m)))
-    return json.dumps({"n": v.shape[1], "m": m, "map": list(pairs)}, indent=2) + "\n"
+    return _json({"n": v.shape[1], "m": m, "map": list(pairs)})
 
 
 def hanoi_table_to_text(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
@@ -167,11 +169,22 @@ def hanoi_table_to_text(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -
 
 
 def hanoi_table_to_csv(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
-    rows = map("{},{},{}".format, np.asarray(ell).tolist(), vertex_labels(s, m), vertex_labels(t, m))
-    return "\n".join(["ell,s,t", *rows]) + "\n"
+    steps = map(str, np.asarray(ell).tolist())
+    return _lines(zip(steps, vertex_labels(s, m), vertex_labels(t, m)), ["ell,s,t"], ",")
 
 
 def hanoi_table_to_json(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
     rows = zip(np.asarray(ell).tolist(), vertex_labels(s, m), vertex_labels(t, m))
-    payload = {"n": s.shape[1], "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]}
-    return json.dumps(payload, indent=2) + "\n"
+    return _json({"n": s.shape[1], "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]})
+
+
+def gray_to_bits(seq: np.ndarray) -> str:
+    return _lines(zip(vertex_labels(seq, 2)))
+
+
+def gray_to_int(seq: np.ndarray) -> str:
+    return _lines(zip(map(str, row_codes(seq, 2).tolist())))
+
+
+def gray_to_both(seq: np.ndarray) -> str:
+    return _lines(zip(vertex_labels(seq, 2), map(str, row_codes(seq, 2).tolist())))

@@ -68,6 +68,16 @@ def test_gen_wide_alphabet():
     assert lines[0] == "0 0\t0 1"
 
 
+def test_out_writes_the_file_or_reports_why_not(tmp_path, capsys):
+    argv = ["gen", "sierpinski", "--n", "2", "--m", "3"]
+    assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
+    assert (tmp_path / "out.txt").read_text() == run(argv)[0]
+    assert main([*argv, "--out", str(tmp_path / "missing" / "out.txt")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_gen_scale_guard(capsys):
     assert main(["gen", "sierpinski", "--n", "8", "--m", "10"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -428,21 +428,23 @@ def test_affine_peg_relabelings_preserve_five_peg_legality():
 
 def test_diplomats_table_rows():
     rows = diplomats_table(4)
-    assert len(rows) == 16
-    assert rows[0] == ((0, 0, 0, 0), (0, 0, 0, 0))
-    assert rows[5] == ((0, 1, 0, 1), (0, 3, 4, 1))
-    assert rows[15] == ((1, 1, 1, 1), (1, 1, 1, 1))
+    assert rows.shape == (16, 2, 4) and rows.dtype == np.int64
+    assert rows[0].tolist() == [[0, 0, 0, 0], [0, 0, 0, 0]]
+    assert rows[5].tolist() == [[0, 1, 0, 1], [0, 3, 4, 1]]
+    assert rows[15].tolist() == [[1, 1, 1, 1], [1, 1, 1, 1]]
 
 
 def test_diplomats_table_is_the_five_peg_classic():
     rows = diplomats_table(4)
-    assert [s for s, _ in rows] == [eta_inverse(ell, 4) for ell in range(16)]
-    assert [t for _, t in rows] == oracles.as_tuples(classic_solution(4, 5).positions)
+    assert oracles.as_tuples(rows[:, 0]) == [eta_inverse(ell, 4) for ell in range(16)]
+    assert oracles.as_tuples(rows[:, 1]) == oracles.as_tuples(classic_solution(4, 5).positions)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_diplomats_table_matches_the_scalar_loop(n):
-    assert diplomats_table(n) == oracles.diplomats_rows_loop(n)
+    rows = diplomats_table(n)
+    assert rows.dtype == np.int64
+    assert list(zip(oracles.as_tuples(rows[:, 0]), oracles.as_tuples(rows[:, 1]))) == oracles.diplomats_rows_loop(n)
 
 
 def test_diplomats_rejects_bad_n():

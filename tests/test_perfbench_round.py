@@ -31,3 +31,23 @@ def test_one_round_is_judged_correct(module, phase, monkeypatch):
         if o.status in ("wrong", "error")
     ]
     assert failed == []
+
+
+def test_every_table_request_reaches_a_traced_writer(monkeypatch):
+    """The spans wrap serialize's writers as module attributes, so a writer
+    reached through a reference taken at import time escapes the trace."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    common = importlib.import_module("common")
+    spans = importlib.import_module("spans")
+    workload = importlib.import_module("cli_export").Workload()
+    requests = workload.dispatch(random.Random(3))
+    with spans.installed(spans.Recorder()) as rec:
+        outcomes = [common.judge(req, rec, req.cls) for req in requests]
+    assert [o.status for o in outcomes] == ["ok"] * len(requests)
+    written = {request for name, *_, request in rec.spans if name == "serialize.write"}
+    tables = [
+        req.cls for req in requests
+        if req.cls.startswith(("gen-", "embed-", "hanoi-")) or req.cls in ("diplomats", "check-fixtures")
+    ]
+    assert len(tables) == 13
+    assert [cls for cls in tables if cls not in written] == []
