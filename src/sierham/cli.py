@@ -27,7 +27,7 @@ from .graphs import (
     build_hamming,
     build_sierpinski,
     build_single_twist,
-    digit_rows,
+    digit_cube,
     edge_density,
 )
 from .hanoi import classic_solution, constant_corner_search, shortest_path_to_zero
@@ -91,8 +91,7 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
         lm = invert_linear_map(lm)
     if args.matrix:
         return serialize.write("matrix", args.fmt, lm), 0
-    v = digit_rows(np.arange(m**n), n, m)
-    return serialize.write("map_table", args.fmt, v, lm.image(v), m), 0
+    return serialize.write("map_table", args.fmt, digit_cube(n, m), lm.cube_image(m), m), 0
 
 
 def _violation_line(item: dict, m: int) -> str:
@@ -145,8 +144,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
     play = classic_solution(n, m).positions  # refuses an oversize n before 2^n steps exist
-    ell = np.arange(2**n)
-    return serialize.write("hanoi_table", args.fmt, ell, digit_rows(ell, n, 2), play, m), 0
+    return serialize.write("hanoi_table", args.fmt, np.arange(2**n), digit_cube(n, 2), play, m), 0
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:

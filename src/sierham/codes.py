@@ -4,7 +4,8 @@ S(n,2) is a path, and the additive recoordinatization carries it onto the
 reflected binary Gray code; eta is the natural base-2 value of a bit tuple
 and gamma the position of a codeword in the Gray order. eta, eta_inverse
 and gamma are plain integer arithmetic, so n can exceed the machine word
-size; gray_sequence is phi of all 2^n binary rows, as one (2^n, n) array.
+size; gray_sequence is phi of all 2^n binary rows, as one (2^n, n) array
+from LinearMap.cube_image.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Vertex, _check_rows, digit_rows
+from .graphs import Vertex, _check_rows
 from .maps import embedding_matrix
 
 
@@ -63,5 +64,4 @@ def gray_sequence(n: int) -> np.ndarray:
     MAX_VERTICES rows before building any of them.
     """
     _check_rows(n, f"the Gray sequence for n={n}")
-    bits = digit_rows(np.arange(2**n), n, 2)
-    return embedding_matrix("phi", n, 2).image(bits)
+    return embedding_matrix("phi", n, 2).cube_image(2)

@@ -11,12 +11,15 @@ code(v) = sum(v_i * m**(n-i)), canonically sorted and frozen. Constructors
 refuse instances over 10**7 vertices or, by the closed-form counts, 3 * 10**7
 edges, and _check_rows refuses the 2^n-row tables of hanoi and codes past
 10**7 rows; the counting and density formulas below work at any size with
-exact integer arithmetic. In bulk, vertices are rows of a (k, n) digit array.
+exact integer arithmetic. In bulk, vertices are rows of a (k, n) digit array:
+digit_rows decodes any codes, and digit_cube builds the whole cube
+{0..b-1}^n in code order by the doubling that also maps it (_cube).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,6 +58,45 @@ def digit_rows(codes: np.ndarray, n: int, m: int) -> np.ndarray:
     rows = np.asarray(codes, np.int64)[:, None] // weights
     rows %= m
     return rows
+
+
+def _cube(columns: Sequence[Sequence[int]], base: int, m: int, out: np.ndarray | None) -> np.ndarray:
+    """x @ A.T mod m for every x in {0..base-1}^n, in code order, by doubling.
+
+    columns[k] is column k of the lower-triangular n x n matrix A, entries
+    in [0, m). The block of rows whose digit k is d equals the block whose
+    digit k is 0 plus d * A[:, k] mod m, and the digits before k are 0 in
+    both, so only columns k on are written; one numpy call writes the
+    base - 1 blocks of a level. Entries stay below m and sums below 2m:
+    int64 while 2m < 2^63, exact Python integers (an object array) beyond
+    it. out, if given, is a zeroed (base^n, n) array.
+    """
+    n = len(columns)
+    _check_rows(n, f"the digit cube {{0..{base - 1}}}^{n}", base)
+    if out is None:
+        out = np.zeros((base**n, n), np.int64 if 2 * m < 2**63 else object)
+    exact = np.int64 if (base - 1) * (m - 1) < 2**63 else object  # for d * A[i, k]
+    steps = np.arange(1, base, dtype=exact)[:, None, None] * np.array(columns, exact) % m
+    steps = steps.astype(out.dtype)  # steps[d - 1, k] = d * A[:, k] mod m
+    size = 1  # out[:size] holds the rows whose digits 0..k are 0
+    for k in range(n - 1, -1, -1):
+        blocks = out[size : base * size].reshape(base - 1, size, n)[:, :, k:]
+        np.add(out[:size, k:], steps[:, None, k, k:], out=blocks)
+        if steps[:, k, k + 1 :].any():  # column k of out[:size] is 0: only later sums pass m
+            blocks[:, :, 1:] %= m
+        size *= base
+    return out
+
+
+def digit_cube(n: int, base: int, out: np.ndarray | None = None) -> np.ndarray:
+    """All base^n digit rows in code order, as digit_rows(np.arange(base**n), n, base).
+
+    The doubling of _cube with the identity matrix; refuses more than
+    MAX_VERTICES rows. out, if given, is a zeroed (base^n, n) int64 array.
+    """
+    _check_params(n, base)
+    unit = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
+    return _cube(unit, base, base, out)
 
 
 def row_codes(rows: np.ndarray, m: int) -> np.ndarray:
@@ -112,11 +154,11 @@ def _check_scale(n: int, m: int) -> None:
         )
 
 
-def _check_rows(n: int, what: str) -> None:
-    """Refuse a table of 2^n rows, more than MAX_VERTICES, before computing it."""
-    if n >= MAX_VERTICES.bit_length() or 2**n > MAX_VERTICES:
+def _check_rows(n: int, what: str, base: int = 2) -> None:
+    """Refuse a table of base^n rows, more than MAX_VERTICES, before computing it."""
+    if n >= MAX_VERTICES.bit_length() or base**n > MAX_VERTICES:
         raise ValueError(
-            f"refusing to build {_power_text(2, n)} rows of {what} (limit {MAX_VERTICES})"
+            f"refusing to build {_power_text(base, n)} rows of {what} (limit {MAX_VERTICES})"
         )
 
 
@@ -318,5 +360,5 @@ def km_decomposition(n: int, m: int) -> list[list[Vertex]]:
     restricted to a block is complete, and every other edge crosses blocks.
     """
     _check_scale(n, m)
-    vs = row_tuples(digit_rows(np.arange(m**n), n, m))  # a prefix owns m consecutive codes
+    vs = list(product(range(m), repeat=n))  # in code order: a prefix owns m consecutive codes
     return [vs[p : p + m] for p in range(0, m**n, m)]

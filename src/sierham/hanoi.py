@@ -6,10 +6,11 @@ numbers discs the other way around). For odd m, the halved map tau turns
 puzzle positions into S(n,m) coordinates where shortest plays become
 graph geodesics: solve by pulling a position back through tau, reading
 off the unique geodesic to the all-zero corner in closed form, and
-pushing each step forward again. Whole tables (the classic play, the
-diplomats schedule, a solved play) are one tau-matrix LinearMap.image
-call on rows of S coordinates, and stay digit arrays up to serialize's
-writers (diplomats_table is one (2^n, 2, n) array).
+pushing each step forward again. The classic play and the diplomats
+schedule are one LinearMap.cube_image call of the tau matrix on the whole
+binary cube, a solved play one LinearMap.image call on its geodesic, and
+every table stays a digit array up to serialize's writers
+(diplomats_table is one (2^n, 2, n) array).
 
 A single move of disc d from peg i to peg j is legal when every smaller
 disc sits on peg (i+j)/2 mod m; for m = 3 that is the familiar physical
@@ -24,7 +25,7 @@ import numpy as np
 
 from .codes import eta_inverse
 from .graphs import (
-    MAX_VERTICES, Vertex, _check_params, _check_rows, check_pair, check_vertex, digit_rows,
+    MAX_VERTICES, Vertex, _check_params, _check_rows, check_pair, check_vertex, digit_cube,
 )
 from .maps import _inverse_of_two, embedding_matrix, phi_forward, tau_inverse
 
@@ -118,9 +119,7 @@ def classic_solution(n: int, m: int = 3) -> MovePath:
     MAX_VERTICES positions before building any of them.
     """
     _check_rows(n, f"the classic solution for n={n}")
-    tau = embedding_matrix("tau", n, m)
-    bits = digit_rows(np.arange(2**n), n, 2)
-    return MovePath("T", m, tau.image(bits))
+    return MovePath("T", m, embedding_matrix("tau", n, m).cube_image(2))
 
 
 def _check_step(ell: int, i: int, n: int) -> None:
@@ -192,9 +191,13 @@ def is_legal_move_physical(a: Sequence[int], b: Sequence[int]) -> bool:
 def diplomats_table(n: int) -> np.ndarray:
     """The five-peg transport schedule, an int64 (2^n, 2, n) digit array:
     [ell, 0] is binary ell and [ell, 1] is step ell of the five-peg classic
-    play, its halved-map image over m = 5."""
-    play = classic_solution(n, 5).positions  # refuses an oversize n first
-    return np.stack([digit_rows(np.arange(2**n), n, 2), play], axis=1)
+    play, its halved-map image over m = 5. Both columns are filled in place."""
+    _check_rows(n, f"the classic solution for n={n}")
+    tau = embedding_matrix("tau", n, 5)
+    table = np.zeros((2**n, 2, n), np.int64)
+    digit_cube(n, 2, out=table[:, 0])
+    tau.cube_image(2, out=table[:, 1])
+    return table
 
 
 def constant_corner_search(m: int, n: int = 2) -> dict:

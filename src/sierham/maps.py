@@ -10,23 +10,28 @@ Three families, all lower-triangular linear maps mod m:
 
 phi and tau are the twist families with every multiplier 1 and 2^(-1).
 embedding_matrix reads column j of any family's LinearMap off
-epsilon_forward of the j-th unit vector; LinearMap.image maps a whole
-(k, n) digit array, and every table goes through it. phi_forward and
-tau_forward keep the paper's per-vertex formulas as independent forms.
-phi_recursive rebuilds phi by the level-by-level recursion instead of the
-closed form; the two must agree pointwise. verify_embedding checks that a
-vertex map (a LinearMap, a callable or a mapping) is a bijection sending
-every S(n,m) edge to a Hamming-distance-1 pair. sierpinski_isomorphism
-decides whether a graph is a relabeled S(n,m) by reading every vertex's
-digits off its distances to the m corners, and returns the isomorphism as
-its witness; verify_coordinatization adds the gates that place the graph
-inside K_m^n.
+epsilon_forward of the j-th unit vector. LinearMap.cube_image maps the
+whole cube {0..b-1}^n by the paper's level-by-level doubling, and every
+full table (embed, the classic and diplomats plays, the Gray sequence)
+comes from it; LinearMap.image maps any other (k, n) digit array.
+phi_forward and tau_forward keep the paper's per-vertex formulas as
+independent forms. phi_recursive rebuilds phi by the level-by-level
+recursion instead of the closed form; the two must agree pointwise.
+verify_embedding checks that a vertex map (a LinearMap, a callable or a
+mapping) is a bijection sending every S(n,m) edge to a Hamming-distance-1
+pair; a callable or a mapping is called once per vertex, and its outputs
+are checked a block at a time. sierpinski_isomorphism decides whether a
+graph is a relabeled S(n,m) by reading every vertex's digits off its
+distances to the m corners, and returns the isomorphism as its witness;
+verify_coordinatization adds the gates that place the graph inside K_m^n.
 """
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from itertools import chain, islice, product
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from .graphs import (
     _check_matrix,
     _check_params,
     _check_scale,
+    _cube,
     build_sierpinski,
     check_vertex,
     digit_rows,
@@ -217,6 +223,21 @@ class LinearMap:
         out %= self.m
         return out
 
+    def cube_image(self, base: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The images of all base^n digit rows in code order, 2 <= base <= m.
+
+        Equals image(digit_rows(np.arange(base**n), n, base)), built by the
+        paper's recursion on the leading digit: the rows whose digit k is d
+        are those whose digit k is 0, plus d * A[:, k] mod m. That costs
+        O(base^n n), against O(base^n n^2) for image, and allocates no
+        input rows. int64 while 2m < 2^63, exact Python integers beyond it;
+        refuses more than MAX_VERTICES rows. out, if given, is a zeroed
+        (base^n, n) array to fill.
+        """
+        if not 2 <= base <= self.m:
+            raise ValueError(f"base {base} is outside 2..{self.m}")
+        return _cube(tuple(zip(*self.rows)), base, self.m, out)
+
     def apply(self, v: Sequence[int]) -> Vertex:
         check_vertex(v, self.n, self.m)
         return tuple(self.image([v])[0].tolist())
@@ -281,43 +302,73 @@ def _labels(codes: np.ndarray, n: int, m: int) -> list[Vertex]:
     return row_tuples(digit_rows(codes, n, m))
 
 
+def _checked_rows(out: list, n: int, m: int) -> np.ndarray:
+    """Vertex-map outputs as a (k, n) int64 array, each checked as check_vertex checks it.
+
+    When every output holds n integers in [0, m), one pass converts them
+    all. struct.pack takes integers only (a float or a str raises, and so
+    does a digit past int64), and such a block goes the other way:
+    check_vertex runs on each output in vertex order and raises on the
+    first bad one, as it would have when that output arrived.
+    """
+    try:
+        if set(map(len, out)) == {n}:
+            packed = struct.pack(f"{len(out) * n}q", *chain.from_iterable(out))
+            rows = np.frombuffer(packed, np.int64).reshape(len(out), n)
+            if rows.min() >= 0 and rows.max() < m:
+                return rows
+    except (TypeError, struct.error):
+        pass
+    for v in out:
+        check_vertex(v, n, m)
+    return np.asarray(out, np.int64)
+
+
+def _mapped_blocks(f: VertexMap, n: int, m: int) -> Iterator[np.ndarray]:
+    """f of every vertex in code order, ROW_BLOCK outputs per checked (k, n) block."""
+    vertices = product(range(m), repeat=n)  # tuples of Python ints, in code order
+    for _ in range(0, m**n, ROW_BLOCK):
+        out: list = []
+        try:
+            out.extend(map(f, islice(vertices, ROW_BLOCK)))
+        finally:  # when f raises, a bad output before that call is named instead
+            rows = _checked_rows(out, n, m)
+        yield rows
+
+
 def _edge_images(
     vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """S(n,m)'s edges, the image code of every vertex, and the images of both edge ends.
 
-    Vertices are mapped as digit rows, ROW_BLOCK at a time: a LinearMap by
-    image, a callable or a mapping once per row tuple, each output checked
-    by check_vertex before the block is encoded.
+    A LinearMap maps digit_rows blocks by image. A callable or a mapping is
+    called once per vertex tuple, ROW_BLOCK vertices at a time, and each
+    block of outputs is checked at once (_checked_rows): check_vertex runs
+    per output only when the block holds a bad one, so the first bad
+    vertex and its message are those a check on arrival would give.
     """
-    if isinstance(vmap, LinearMap):
-        if (vmap.n, vmap.m) != (n, m):
-            raise ValueError(f"a {vmap.n}x{vmap.n} matrix mod {vmap.m} does not map S({n},{m})")
-        step = vmap.image
-    else:
-        f = vmap.__getitem__ if isinstance(vmap, Mapping) else vmap
-
-        def step(rows: np.ndarray) -> list:
-            out = []
-            for v in row_tuples(rows):  # checked in vertex order, as each output arrives
-                out.append(f(v))
-                check_vertex(out[-1], n, m)
-            return out
-
+    if isinstance(vmap, LinearMap) and (vmap.n, vmap.m) != (n, m):
+        raise ValueError(f"a {vmap.n}x{vmap.n} matrix mod {vmap.m} does not map S({n},{m})")
     edges = build_sierpinski(n, m).edges
-    codes = np.arange(m**n)
-    img = np.concatenate([
-        row_codes(step(digit_rows(codes[s : s + ROW_BLOCK], n, m)), m)
-        for s in range(0, m**n, ROW_BLOCK)
-    ])
+    if isinstance(vmap, LinearMap):
+        codes = np.arange(m**n)
+        blocks = (
+            vmap.image(digit_rows(codes[s : s + ROW_BLOCK], n, m))
+            for s in range(0, m**n, ROW_BLOCK)
+        )
+    else:
+        blocks = _mapped_blocks(vmap.__getitem__ if isinstance(vmap, Mapping) else vmap, n, m)
+    img = np.concatenate([row_codes(rows, m) for rows in blocks])
     return edges, img, img[edges[:, 0]], img[edges[:, 1]]
 
 
 def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
     """Check that vmap relabels S(n,m) onto a subgraph of K_m^n.
 
-    Every form of vmap is mapped as digit rows, ROW_BLOCK at a time: a
-    LinearMap by LinearMap.image, a callable or a mapping once per vertex.
+    Every form of vmap is mapped ROW_BLOCK vertices at a time: a LinearMap
+    by LinearMap.image on digit rows, a callable or a mapping once per
+    vertex tuple, with each block of outputs checked at once and
+    check_vertex's error for the first bad one.
 
     Report: is_bijection, all_edges_distance_one, edge_count_preserved,
     verdict, violations (at most 10 collisions, every distance violation).

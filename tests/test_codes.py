@@ -72,7 +72,7 @@ def test_gray_sequence_refuses_more_than_max_vertices_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Gray sequence was built past the row guard")
 
-    monkeypatch.setattr(codes, "digit_rows", refuse)
+    monkeypatch.setattr(codes, "embedding_matrix", refuse)
     message = f"2^24 = {2**24} rows of the Gray sequence for n=24 (limit {MAX_VERTICES})"
     with pytest.raises(ValueError, match=re.escape(message)):
         gray_sequence(24)

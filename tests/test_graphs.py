@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -21,6 +22,7 @@ from sierham.graphs import (
     check_vertex,
     code_to_vertex,
     corners,
+    digit_cube,
     digit_rows,
     edge_density,
     from_edge_list,
@@ -178,6 +180,28 @@ def test_digit_rows_round_trip(n, m):
     assert np.array_equal(row_codes(rows, m), codes)
     assert row_tuples(rows[:0]) == []
     assert row_tuples(np.zeros((2, 0), np.int64)) == [(), ()]
+
+
+@pytest.mark.parametrize("n,base", [(1, 2), (3, 4), (4, 5), (2, 12), (5, 2), (6, 3), (1, 257)])
+def test_digit_cube_equals_the_digit_rows_of_every_code(n, base):
+    cube = digit_cube(n, base)
+    assert cube.dtype == np.int64 and cube.flags.c_contiguous
+    assert np.array_equal(cube, digit_rows(np.arange(base**n), n, base))
+
+
+def test_digit_cube_fills_a_zeroed_view_in_place():
+    table = np.zeros((2**4, 2, 4), np.int64)
+    assert digit_cube(4, 2, out=table[:, 1]).base is table
+    assert not table[:, 0].any()
+    assert np.array_equal(table[:, 1], digit_rows(np.arange(16), 4, 2))
+
+
+def test_digit_cube_refuses_more_than_max_vertices_rows():
+    message = f"3^15 = {3**15} rows of the digit cube {{0..2}}^15 (limit {MAX_VERTICES})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        digit_cube(15, 3)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        digit_cube(0, 2)
 
 
 # ---------------------------------------------------------------- edge rule
@@ -489,6 +513,14 @@ def test_km_decomposition_blocks():
     for block in blocks:
         for u, v in combinations(block, 2):
             assert g.has_edge(u, v)
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 4), (4, 3), (2, 7)])
+def test_km_decomposition_blocks_are_the_prefix_runs_of_the_codes(n, m):
+    vs = row_tuples(digit_rows(np.arange(m**n), n, m))
+    blocks = km_decomposition(n, m)
+    assert blocks == [vs[p : p + m] for p in range(0, m**n, m)]
+    assert all(type(d) is int for block in blocks for v in block for d in v)
 
 
 def test_km_decomposition_covers_vertices():

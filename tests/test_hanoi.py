@@ -458,7 +458,7 @@ def test_tables_refuse_more_than_max_vertices_rows_before_building_one(build, mo
     def refuse(*args):
         raise AssertionError("a table was built past the row guard")
 
-    monkeypatch.setattr(hanoi, "digit_rows", refuse)
+    monkeypatch.setattr(hanoi, "digit_cube", refuse)
     monkeypatch.setattr(hanoi, "embedding_matrix", refuse)
     # 2^24 rows is the first power of two above MAX_VERTICES
     message = f"rows of the classic solution for n=24 (limit {MAX_VERTICES})"

@@ -19,6 +19,7 @@ from sierham.graphs import (
     build_single_twist,
     code_to_vertex,
     corners,
+    digit_rows,
     from_edge_list,
     is_sierpinski_edge,
     sierpinski_edge_count,
@@ -365,6 +366,51 @@ def all_ones_below(n, m):
     return LinearMap(m, tuple(tuple(1 if j <= i else 0 for j in range(n)) for i in range(n)))
 
 
+def cube_maps(n, m):
+    """phi, tau (odd m), a seeded family, the all-ones matrix, and the inverse of each."""
+    # units of an odd m past a few thousand, instead of listing them all
+    tw = some_twist(n, m) if m < 10**4 else TwistFamily(m, tuple((m - 2, 2, m - 1)[i % 3] for i in range(n)))
+    lms = [embedding_matrix("phi", n, m), embedding_matrix(tw), all_ones_below(n, m)]
+    if m % 2:
+        lms.append(embedding_matrix("tau", n, m))
+    return lms + [invert_linear_map(lm) for lm in lms]
+
+
+CUBE_SIZES = [(1, 2), (1, 3), (5, 2), (3, 3), (4, 3), (6, 3), (3, 4), (2, 5), (3, 7), (2, 12), (2, 257)]
+
+
+@pytest.mark.parametrize("n,m", CUBE_SIZES)
+def test_cube_image_equals_the_image_of_every_digit_row(n, m):
+    for lm in cube_maps(n, m):
+        for base in sorted({2, m}):
+            cube = lm.cube_image(base)
+            assert cube.dtype == np.int64 and cube.flags.c_contiguous
+            assert np.array_equal(cube, lm.image(digit_rows(np.arange(base**n), n, base)))
+
+
+# int64 holds the cube while 2m < 2^63; 2^62 - 1 is the largest odd such m
+@pytest.mark.parametrize("n,m", [(4, 10**10 + 19), (3, 2**62 - 1), (4, 2**62 + 1), (3, 10**29 + 1)])
+def test_cube_image_is_exact_past_int64(n, m):
+    for lm in cube_maps(n, m):
+        for base in (2, 3):
+            cube = lm.cube_image(base)
+            assert cube.dtype == (np.int64 if 2 * m < 2**63 else object)
+            assert cube.tolist() == lm.image(digit_rows(np.arange(base**n), n, base)).tolist()
+
+
+def test_cube_image_checks_its_base_and_size():
+    lm = embedding_matrix("tau", 3, 5)
+    for base in (1, 6):
+        with pytest.raises(ValueError, match=f"base {base} is outside 2..5"):
+            lm.cube_image(base)
+    message = f"3^15 = {3**15} rows of the digit cube {{0..2}}^15 (limit {MAX_VERTICES})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        embedding_matrix("phi", 15, 3).cube_image(3)
+    table = np.zeros((8, 2, 3), np.int64)
+    assert lm.cube_image(2, out=table[:, 1]).base is table
+    assert np.array_equal(table[:, 1], lm.cube_image(2)) and not table[:, 0].any()
+
+
 VERIFY_SIZES = [(3, 3), (4, 5), (3, 7), (3, 12)]
 
 
@@ -442,6 +488,12 @@ def test_coordinatization_gates_equal_the_per_vertex_reference(n, m, build):
         ((2, 2), "expected 3 digits, got 2"),
         ((2, 2, 3), "digit 3 out of range"),
         ((-1, 2, 2), "digit -1 out of range"),
+        ((2, 2, 2**70), f"digit {2**70} out of range"),
+        ((2, 2, 2**64 - 1), f"digit {2**64 - 1} out of range"),
+        ((2, -0.5, 2), "digit -0.5 out of range"),
+        ((2, 2, 3.5), "digit 3.5 out of range"),
+        ((2, 2, float("nan")), "digit nan out of range"),
+        ((2, 2, 2, 2), "expected 3 digits, got 4"),
     ],
 )
 def test_verifiers_reject_malformed_callable_outputs(w, message):
@@ -452,6 +504,71 @@ def test_verifiers_reject_malformed_callable_outputs(w, message):
             verifier(f, 3, 3)
         with pytest.raises(ValueError, match=message):
             verifier({v: f(v) for v in oracles.all_vertices(3, 3)}, 3, 3)
+
+
+def test_a_bad_output_is_named_before_a_later_call_fails(monkeypatch):
+    def f(v):
+        if v == (0, 1, 1):
+            raise RuntimeError("no image for 011")
+        return {(0, 0, 1): (0, 0, 5), (0, 0, 2): (0, 0, 4)}.get(v, v)
+
+    def g(v):  # f without the bad outputs
+        return f(v) if v[2] == 0 or v[1] else v
+
+    for block in (65536, 3, 1):  # the bad outputs in the failing block, or in earlier ones
+        monkeypatch.setattr(maps, "ROW_BLOCK", block)
+        for verifier in (verify_embedding, layout_metrics):
+            with pytest.raises(ValueError, match="digit 5 out of range"):  # the first bad one
+                verifier(f, 3, 3)
+            with pytest.raises(RuntimeError, match="no image for 011"):
+                verifier(g, 3, 3)
+
+
+def test_a_mapping_missing_a_vertex_raises_key_error():
+    table = {v: v for v in oracles.all_vertices(3, 3)}
+    del table[(1, 2, 0)]
+    with pytest.raises(KeyError):
+        verify_embedding(table, 3, 3)
+    table[(0, 2, 2)] = (3, 0, 0)  # before the missing key, so named first
+    with pytest.raises(ValueError, match="digit 3 out of range"):
+        verify_embedding(table, 3, 3)
+
+
+def test_float_and_numpy_outputs_read_as_their_int64_values():
+    ints = verify_embedding(lambda v: phi_forward(v, 3), 3, 3)
+    layout = layout_metrics(lambda v: phi_forward(v, 3), 3, 3)
+    outputs = {
+        "float": lambda v: tuple(float(d) for d in phi_forward(v, 3)),
+        "array": lambda v: np.array(phi_forward(v, 3)),
+        "uint8": lambda v: tuple(np.uint8(d) for d in phi_forward(v, 3)),
+        "list": lambda v: list(phi_forward(v, 3)),
+        "-0.0": lambda v: tuple(-0.0 if d == 0 else d for d in phi_forward(v, 3)),
+        "2.9": lambda v: tuple(d + 0.9 for d in phi_forward(v, 3)),  # truncated, as np.asarray does
+    }
+    for name, f in outputs.items():
+        assert typed(verify_embedding(f, 3, 3)) == typed(ints), name
+        assert typed(layout_metrics(f, 3, 3)) == typed(layout), name
+    with pytest.raises(TypeError):  # a digit string is compared with 0, as check_vertex does
+        verify_embedding(lambda v: tuple(map(str, v)), 3, 3)
+
+
+def test_callables_see_python_int_tuples_in_code_order(monkeypatch):
+    for block in (65536, 5):
+        monkeypatch.setattr(maps, "ROW_BLOCK", block)
+        seen = []
+        verify_embedding(lambda v: seen.append(v) or v, 3, 3)
+        assert seen == [code_to_vertex(c, 3, 3) for c in range(27)]
+        assert {type(v) for v in seen} == {tuple}
+        assert {type(d) for v in seen for d in v} == {int}
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (2, 7)])
+def test_blocked_callables_equal_the_per_vertex_reference(n, m, monkeypatch):
+    monkeypatch.setattr(maps, "ROW_BLOCK", 7)  # blocks that split the cube unevenly
+    for form, vmap in vertex_maps(n, m).items():
+        report = verify_embedding(vmap, n, m)
+        assert typed(report) == typed(oracles.reference_verify_embedding(vmap, n, m)), form
+        assert typed(layout_metrics(vmap, n, m)) == typed(oracles.reference_layout_metrics(vmap, n, m))
 
 
 def test_verifiers_reject_a_matrix_of_the_wrong_shape():
