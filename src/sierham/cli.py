@@ -4,7 +4,8 @@ output against the shipped golden files.
 
 _leaf adds each leaf subcommand with its handler, --format and --out; a
 handler takes the parsed arguments and returns (output text, exit code).
-A table handler prints its digit arrays with one serialize.write call.
+A table handler prints its digit arrays with one serialize.write call, a
+report (verify, corners-search) with one serialize._lines or _json call.
 Exit codes: 0 success or PASS, 1 verification failure or fixture mismatch,
 2 usage or parameter error, size refusals included (the library raises them),
 or an --out file that cannot be written.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -128,17 +128,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     checks = [k for k, v in report.items() if isinstance(v, bool) and k != "verdict"]
     code = 0 if report["verdict"] else 1
     if args.fmt == "json":
-        return json.dumps(report, indent=2) + "\n", code
-    lines = [f"verify {args.kind} n={n} m={m}"]
-    for key in checks:
-        lines.append(f"{key}: {'true' if report[key] else 'false'}")
-    for item in report["violations"][:5]:
-        lines.append(_violation_line(item, m))
+        return serialize._json(report), code
+    rows = [(key, "true" if report[key] else "false") for key in checks]
+    rows += [(_violation_line(item, m),) for item in report["violations"][:5]]
     extra = report.get("violations_total", len(report["violations"])) - 5
     if extra > 0:
-        lines.append(f"... and {extra} more violations")
-    lines.append("PASS" if report["verdict"] else "FAIL")
-    return "\n".join(lines) + "\n", code
+        rows.append((f"... and {extra} more violations",))
+    rows.append(("PASS" if report["verdict"] else "FAIL",))
+    return serialize._lines(rows, [f"verify {args.kind} n={n} m={m}"], ": "), code
 
 
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
@@ -168,19 +165,15 @@ def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_corners_search(args: argparse.Namespace) -> tuple[str, int]:
     report = constant_corner_search(args.m, args.n)
     if args.fmt == "json":
-        return json.dumps(report, indent=2) + "\n", 0
-    lines = [f"constant-corner search n={report['n']} m={report['m']}"]
-    lines.append(f"exists: {'true' if report['exists'] else 'false'}")
+        return serialize._json(report), 0
+    rows = [("exists", "true" if report["exists"] else "false")]
     if report.get("witness"):
-        lines.append(f"witness: {report['witness']}")
-    if "max_exterior_edges" in report:
-        lines.append(f"max_exterior_edges: {report['max_exterior_edges']}")
-        lines.append(
-            f"required_exterior_edges: {report['required_exterior_edges']}"
-        )
+        rows.append(("witness", str(report["witness"])))
+    counts = ("max_exterior_edges", "required_exterior_edges")
+    rows += [(key, str(report[key])) for key in counts if key in report]
     if report.get("detail"):
-        lines.append(report["detail"])
-    return "\n".join(lines) + "\n", 0
+        rows.append((report["detail"],))
+    return serialize._lines(rows, [f"constant-corner search n={report['n']} m={report['m']}"], ": "), 0
 
 
 def _leaf(sub, name: str, summary: str, run, formats=("text", "csv", "json"), **defaults):

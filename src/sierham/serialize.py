@@ -5,12 +5,14 @@ for larger alphabets digits are space-separated and fields tab-separated.
 All writers are deterministic: same input, same bytes. Graph writers
 format each vertex once, into a list of labels indexed by vertex code;
 table writers take (k, n) digit-array columns and label each once. Every
-writer but the DOT and aligned Hanoi text layouts is one _lines or _json
-call, and write(table, fmt, ...) finds <table>_to_<fmt> by name.
+writer, and the cli's verify and corners-search reports, is one _lines or
+_json call: no other module joins output lines or encodes JSON.
+write(table, fmt, ...) finds <table>_to_<fmt> by name.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -72,7 +74,7 @@ def _edge_strings(g: Graph) -> Iterator[tuple[str, str]]:
     return ((labels[u], labels[v]) for u, v in zip(*g.edges.T.tolist()))
 
 
-def _lines(rows: Iterable[Iterable[str]], head: Sequence[str] = (), sep: str = " ") -> str:
+def _lines(rows: Iterable[Iterable[str]], head: Iterable[str] = (), sep: str = " ") -> str:
     """The head lines, then each row's string cells joined by sep, one row per line."""
     return "\n".join([*head, *map(sep.join, rows)]) + "\n"
 
@@ -117,13 +119,12 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_to_dot(g: Graph) -> str:
-    lines = [f'graph "{g.kind}_{g.n}_{g.m}" {{']
-    for code, label in enumerate(_vertex_labels(g.n, g.m)):
-        lines.append(f'  v{code} [label="{label}"];')
-    for u, v in zip(*g.edges.T.tolist()):
-        lines.append(f"  v{u} -- v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # whole lines, no cells, so all are head lines; edge codes become ints a block at a time
+    e = g.edges
+    vertices = (f'  v{code} [label="{label}"];' for code, label in enumerate(_vertex_labels(g.n, g.m)))
+    blocks = (e[lo : lo + ROW_BLOCK].T.tolist() for lo in range(0, len(e), ROW_BLOCK))
+    edges = (f"  v{u} -- v{v};" for us, vs in blocks for u, v in zip(us, vs))
+    return _lines((), chain([f'graph "{g.kind}_{g.n}_{g.m}" {{'], vertices, edges, ["}"]))
 
 
 def render_graph(g: Graph, fmt: str) -> str:
@@ -156,16 +157,15 @@ def map_table_to_json(v: np.ndarray, w: np.ndarray, m: int) -> str:
 
 
 def hanoi_table_to_text(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
-    """Three-column solution table: step index, S position, T position."""
-    s_head = f"S({s.shape[1]},{m})"
-    t_head = f"T({s.shape[1]},{m})"
-    steps = [str(e) for e in np.asarray(ell).tolist()]
+    """Step index, S and T positions, in columns sized first and padded row by row."""
+    s_head, t_head = (f"{c}({s.shape[1]},{m})" for c in "ST")
     s_labels = vertex_labels(s, m)
-    wl = max(3, max(map(len, steps), default=3))
-    ws = max(len(s_head), max(map(len, s_labels), default=0))
-    lines = [f"{'ell':>{wl}}  {s_head:<{ws}}  {t_head}"]
-    lines.extend(f"{e:>{wl}}  {a:<{ws}}  {b}" for e, a, b in zip(steps, s_labels, vertex_labels(t, m)))
-    return "\n".join(lines) + "\n"
+    wl = f">{max(3, len(str(np.max(ell, initial=0))))}"
+    ws = f"<{max(len(s_head), max(map(len, s_labels), default=0))}"
+    steps = map(format, np.asarray(ell).tolist(), repeat(wl))
+    rows = zip(steps, map(format, s_labels, repeat(ws)), vertex_labels(t, m), strict=True)
+    del s_labels  # strict runs each column to its end, so no label list outlives the rows
+    return _lines(rows, [f"{'ell':{wl}}  {s_head:{ws}}  {t_head}"], "  ")
 
 
 def hanoi_table_to_csv(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:

@@ -545,3 +545,35 @@ def constant_corner_search_loop(m: int) -> dict:
             else f"found a decomposition carrying {best} exterior edges"
         ),
     }
+
+
+def _label(v, m: int) -> str:
+    """A vertex as the writers print it: digits run together for m <= 10, else spaced."""
+    return ("" if m <= 10 else " ").join(str(d) for d in v)
+
+
+def hanoi_table_text(ell, s, t, m: int) -> str:
+    """The aligned Hanoi text table, line by line: every step and label made
+    a string first, then each row formatted in one f-string."""
+    s_head = f"S({s.shape[1]},{m})"
+    t_head = f"T({s.shape[1]},{m})"
+    steps = [str(e) for e in np.asarray(ell).tolist()]
+    s_labels = [_label(v, m) for v in s.tolist()]
+    t_labels = [_label(v, m) for v in t.tolist()]
+    wl = max(3, max(map(len, steps), default=3))
+    ws = max(len(s_head), max(map(len, s_labels), default=0))
+    lines = [f"{'ell':>{wl}}  {s_head:<{ws}}  {t_head}"]
+    lines.extend(f"{e:>{wl}}  {a:<{ws}}  {b}" for e, a, b in zip(steps, s_labels, t_labels))
+    return "\n".join(lines) + "\n"
+
+
+def graph_dot(g) -> str:
+    """A Graph in DOT, line by line: one node per vertex code, labelled by its
+    digits, then one line per edge."""
+    lines = [f'graph "{g.kind}_{g.n}_{g.m}" {{']
+    for code in range(g.num_vertices):
+        lines.append(f'  v{code} [label="{_label(code_to_vertex(code, g.n, g.m), g.m)}"];')
+    for u, v in g.edges.tolist():
+        lines.append(f"  v{u} -- v{v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

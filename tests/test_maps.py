@@ -5,7 +5,7 @@ import json
 import math
 import random
 import re
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -48,9 +48,8 @@ SMALL = [(n, m) for n in range(1, 5) for m in range(2, 6)]
 
 
 def units(m):
-    import math
-
-    return [c for c in range(1, m) if math.gcd(c, m) == 1]
+    """The units mod m in increasing order, lazily: a caller takes what it needs."""
+    return (c for c in range(1, m) if math.gcd(c, m) == 1)
 
 
 # ---------------------------------------------------------------- phi
@@ -324,7 +323,12 @@ ENGINE_SIZES = [(1, 3), (3, 3), (4, 5), (3, 7), (2, 12), (2, 257)]
 
 
 def some_twist(n, m):
-    us = units(m)
+    """Multipliers: the units numbered 3i + 1 (i < n), counted cyclically.
+
+    Only the first 3n - 1 units are listed. When m has fewer, that is all of
+    them; when it has more, every index 3i + 1 < 3n - 1 is already in range.
+    """
+    us = list(islice(units(m), 3 * n - 1))
     return TwistFamily(m, tuple(us[(3 * i + 1) % len(us)] for i in range(n)))
 
 
@@ -368,9 +372,7 @@ def all_ones_below(n, m):
 
 def cube_maps(n, m):
     """phi, tau (odd m), a seeded family, the all-ones matrix, and the inverse of each."""
-    # units of an odd m past a few thousand, instead of listing them all
-    tw = some_twist(n, m) if m < 10**4 else TwistFamily(m, tuple((m - 2, 2, m - 1)[i % 3] for i in range(n)))
-    lms = [embedding_matrix("phi", n, m), embedding_matrix(tw), all_ones_below(n, m)]
+    lms = [embedding_matrix("phi", n, m), embedding_matrix(some_twist(n, m)), all_ones_below(n, m)]
     if m % 2:
         lms.append(embedding_matrix("tau", n, m))
     return lms + [invert_linear_map(lm) for lm in lms]

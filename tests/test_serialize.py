@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex, digit_rows
+import oracles
+from sierham import cli, serialize
+from sierham.codes import gray_sequence
+from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex, digit_cube, digit_rows
+from sierham.hanoi import classic_solution, shortest_path_to_zero
 from sierham.maps import embedding_matrix
 from sierham.serialize import (
     format_vertex,
@@ -194,3 +199,102 @@ def test_vertex_labels_of_exact_and_wide_images():
 def test_vertex_labels_of_no_rows():
     assert vertex_labels(np.zeros((0, 3), np.int64), 3) == []
     assert vertex_labels(np.zeros((0, 3), np.int64), 12) == []
+
+
+# ---------------------------------------------------------------- references
+
+
+def classic_table(n, m):
+    """The columns hanoi classic prints: step, binary count, classic play."""
+    return np.arange(2**n), digit_cube(n, 2), classic_solution(n, m).positions, m
+
+
+def solve_table(v, m):
+    """The columns hanoi solve --coords S prints: steps left, geodesic, its tau image."""
+    s = shortest_path_to_zero(v, m).positions
+    return np.arange(len(s) - 1, -1, -1), s, embedding_matrix("tau", len(v), m).image(s), m
+
+
+HANOI_TABLES = {
+    "classic-n10-m3": classic_table(10, 3),  # 1024 rows: ell is wider than its header
+    "classic-n4-m3": classic_table(4, 3),  # S(4,3) is wider than the labels
+    **{f"classic-n{n}-m{m}": classic_table(n, m) for n in (7, 8, 9) for m in (3, 5, 9)},
+    # digits of one and two characters: S labels of several widths
+    **{
+        f"solve-m13-{i}": solve_table(v, 13)
+        for i, v in enumerate([(1, 0, 7, 12), (12, 12, 12), (10, 3, 11, 0, 5)])
+    },
+    "solve-m2^64+13": solve_table((2**64 + 12, 5, 2**63, 0), 2**64 + 13),
+}
+
+
+@pytest.mark.parametrize("name", HANOI_TABLES)
+def test_hanoi_table_text_equals_the_reference(name):
+    ell, s, t, m = HANOI_TABLES[name]
+    # line lists, which pytest compares quickly when they differ
+    text, reference = hanoi_table_to_text(ell, s, t, m), oracles.hanoi_table_text(ell, s, t, m)
+    assert text.splitlines(keepends=True) == reference.splitlines(keepends=True)
+
+
+def test_hanoi_reference_tables_cover_wide_ell_and_object_digits():
+    ell, s, *_ = HANOI_TABLES["classic-n10-m3"]
+    assert len(ell) >= 1000 and len(str(ell.max())) > len("ell")
+    assert HANOI_TABLES["solve-m2^64+13"][1].dtype == object
+    widths = {len(format_vertex(v, 13)) for v in HANOI_TABLES["solve-m13-2"][1].tolist()}
+    assert len(widths) > 1
+
+
+@pytest.mark.parametrize("block", [7, serialize.ROW_BLOCK])
+@pytest.mark.parametrize(
+    "g",
+    [build_sierpinski(1, 2), build_sierpinski(3, 3), build_hamming(2, 3), build_sierpinski(2, 12)],
+    ids=["S(1,2)", "S(3,3)", "K_3^2", "S(2,12)"],
+)
+def test_graph_to_dot_equals_the_reference(g, block, monkeypatch):
+    monkeypatch.setattr(serialize, "ROW_BLOCK", block)  # edge codes become ints a block at a time
+    assert graph_to_dot(g).splitlines(keepends=True) == oracles.graph_dot(g).splitlines(keepends=True)
+
+
+# ---------------------------------------------------------------- one output seam
+
+WRITER_INPUTS = {
+    "graph": (build_sierpinski(2, 3),),
+    "matrix": (embedding_matrix("tau", 3, 5),),
+    "map_table": (digit_cube(2, 3), embedding_matrix("phi", 2, 3).cube_image(3), 3),
+    "hanoi_table": classic_table(3, 3),
+    "gray": (gray_sequence(3),),
+}
+
+REPORTS = [
+    ["verify", "tau", "--n", "3", "--m", "5"],
+    ["verify", "single-twist", "--n", "4", "--m", "3"],
+    ["corners-search", "--m", "4"],
+    ["corners-search", "--m", "5"],
+]
+
+
+def test_every_writer_and_report_is_one_lines_or_json_call(monkeypatch):
+    calls = []
+
+    def counted(primitive):
+        def wrapper(*args, **kwargs):
+            calls.append(primitive(*args, **kwargs))
+            return calls[-1]
+
+        return wrapper
+
+    for name in ("_lines", "_json"):
+        monkeypatch.setattr(serialize, name, counted(getattr(serialize, name)))
+    writers = [re.fullmatch(r"(\w+)_to_(\w+)", name) for name in vars(serialize)]
+    writers = [w.groups() for w in writers if w]
+    assert {table for table, _ in writers} == set(WRITER_INPUTS)
+    for table, fmt in writers:
+        calls.clear()
+        out = serialize.write(table, fmt, *WRITER_INPUTS[table])
+        assert len(calls) == 1 and calls[0] is out, (table, fmt)
+    for argv in REPORTS:
+        for fmt in ("text", "json"):
+            calls.clear()
+            out, _ = cli.run_command([*argv, "--format", fmt])
+            assert len(calls) == 1 and calls[0] is out, (argv, fmt)
+    assert "json" not in vars(cli)
