@@ -14,13 +14,14 @@ edges, and _check_rows refuses the 2^n-row tables of hanoi and codes past
 exact integer arithmetic. In bulk, vertices are rows of a (k, n) digit array:
 digit_rows decodes any codes, and digit_cube builds the whole cube
 {0..b-1}^n in code order by the doubling that also maps it (_cube).
+Passes that turn whole tables into Python objects slice them by row_blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Sequence
+from itertools import chain, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ Vertex = tuple[int, ...]
 
 MAX_VERTICES = 10**7
 MAX_EDGES = 3 * 10**7
-ROW_BLOCK = 1 << 16  # rows per step where a whole-table pass would hold copies
+ROW_BLOCK = 1 << 16  # rows per row_blocks slice, where a whole-table pass would hold copies
 
 
 def vertex_to_code(v: Sequence[int], m: int) -> int:
@@ -105,16 +106,19 @@ def row_codes(rows: np.ndarray, m: int) -> np.ndarray:
     return rows @ (m ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
+def row_blocks(a: np.ndarray | range) -> Iterator:
+    """The consecutive ROW_BLOCK-row slices of an array or a range, the last one short."""
+    for start in range(0, len(a), ROW_BLOCK):
+        yield a[start : start + ROW_BLOCK]
+
+
 def row_tuples(rows: np.ndarray) -> list[Vertex]:
     """The rows of a (k, n) array as Vertex tuples of Python ints."""
     rows = np.asarray(rows)
     if rows.shape[1] == 0:
         return [()] * rows.shape[0]
-    out: list[Vertex] = []
-    for start in range(0, rows.shape[0], ROW_BLOCK):
-        # one list per column, zipped, holds less at once than one per row
-        out.extend(zip(*rows[start : start + ROW_BLOCK].T.tolist()))
-    return out
+    # one list per column, zipped, holds less at once than one per row
+    return list(chain.from_iterable(zip(*block.T.tolist()) for block in row_blocks(rows)))
 
 
 def check_vertex(v: Sequence[int], n: int, m: int) -> None:

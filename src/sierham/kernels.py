@@ -10,31 +10,17 @@ most significant, so integer order equals lexicographic order on tuples.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-# (i, j, m) -> (tail digit after i, tail digit after j) for level-h edges
-# between the digits i < j at position h, elementwise over arrays i and j.
-TailRule = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 _CANDIDATE_BLOCK = 1 << 16  # candidate partners per step of hamming_edges
 
 
-def _crossed_tails(i: np.ndarray, j: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    return j, i
-
-
-def _shared_tail(i: np.ndarray, j: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    k = (i + j) % m
-    return k, k
-
-
-def _level_edges(n: int, m: int, tails: TailRule) -> np.ndarray:
+def _level_edges(n: int, m: int, shared: bool) -> np.ndarray:
     """Edges joining i and j at position h after a shared prefix, in canonical order.
 
-    The tail rule fixes the constant run of digits after position h on
-    each side; (m^(n+1) - m) / 2 rows. The k+1 digit graph is m copies of
+    After position h the side of digit i carries a constant run of j and
+    the side of j one of i (crossed tails), or both carry (i + j) mod m
+    when shared; (m^(n+1) - m) / 2 rows. The k+1 digit graph is m copies of
     the k digit one, one per leading digit, plus one bridge per digit pair
     i < j. Each copy is in canonical order, and a bridge leaves block i
     from a corner of it for a later block, so it sorts right after the
@@ -46,7 +32,7 @@ def _level_edges(n: int, m: int, tails: TailRule) -> np.ndarray:
     out = np.empty((total, 2), np.int64)
     size = 0  # rows of the k digit graph, held in prev[:size]
     i, j = np.triu_indices(m, 1)  # one bridge per digit pair, from block i to block j
-    ti, tj = tails(i, j, m)
+    ti, tj = ((i + j) % m,) * 2 if shared else (j, i)  # tail digits after i and after j
     for k in range(n):
         span = m**k  # weight of the new leading digit
         rep = (span - 1) // (m - 1)  # code of a length-k run of 1s
@@ -76,7 +62,7 @@ def _level_edges(n: int, m: int, tails: TailRule) -> np.ndarray:
 
 def sierpinski_edges(n: int, m: int) -> np.ndarray:
     """Edge codes of S(n,m) in canonical order, one row per edge."""
-    return _level_edges(n, m, _crossed_tails)
+    return _level_edges(n, m, shared=False)
 
 
 def single_twist_edges(n: int, m: int) -> np.ndarray:
@@ -84,7 +70,7 @@ def single_twist_edges(n: int, m: int) -> np.ndarray:
 
     Canonical order, one row per edge.
     """
-    return _level_edges(n, m, _shared_tail)
+    return _level_edges(n, m, shared=True)
 
 
 def hamming_edges(n: int, m: int) -> np.ndarray:

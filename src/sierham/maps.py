@@ -38,7 +38,6 @@ import numpy as np
 from . import kernels
 from .graphs import (
     MAX_VERTICES,
-    ROW_BLOCK,
     Graph,
     Vertex,
     _check_matrix,
@@ -49,6 +48,7 @@ from .graphs import (
     check_vertex,
     digit_rows,
     edge_keys,
+    row_blocks,
     row_codes,
     row_tuples,
     sierpinski_edge_count,
@@ -325,12 +325,12 @@ def _checked_rows(out: list, n: int, m: int) -> np.ndarray:
 
 
 def _mapped_blocks(f: VertexMap, n: int, m: int) -> Iterator[np.ndarray]:
-    """f of every vertex in code order, ROW_BLOCK outputs per checked (k, n) block."""
+    """f of every vertex in code order, one checked (k, n) block per row_blocks block."""
     vertices = product(range(m), repeat=n)  # tuples of Python ints, in code order
-    for _ in range(0, m**n, ROW_BLOCK):
+    for block in row_blocks(range(m**n)):
         out: list = []
         try:
-            out.extend(map(f, islice(vertices, ROW_BLOCK)))
+            out.extend(map(f, islice(vertices, len(block))))
         finally:  # when f raises, a bad output before that call is named instead
             rows = _checked_rows(out, n, m)
         yield rows
@@ -342,7 +342,7 @@ def _edge_images(
     """S(n,m)'s edges, the image code of every vertex, and the images of both edge ends.
 
     A LinearMap maps digit_rows blocks by image. A callable or a mapping is
-    called once per vertex tuple, ROW_BLOCK vertices at a time, and each
+    called once per vertex tuple, a row_blocks block at a time, and each
     block of outputs is checked at once (_checked_rows): check_vertex runs
     per output only when the block holds a bad one, so the first bad
     vertex and its message are those a check on arrival would give.
@@ -351,11 +351,7 @@ def _edge_images(
         raise ValueError(f"a {vmap.n}x{vmap.n} matrix mod {vmap.m} does not map S({n},{m})")
     edges = build_sierpinski(n, m).edges
     if isinstance(vmap, LinearMap):
-        codes = np.arange(m**n)
-        blocks = (
-            vmap.image(digit_rows(codes[s : s + ROW_BLOCK], n, m))
-            for s in range(0, m**n, ROW_BLOCK)
-        )
+        blocks = (vmap.image(digit_rows(codes, n, m)) for codes in row_blocks(np.arange(m**n)))
     else:
         blocks = _mapped_blocks(vmap.__getitem__ if isinstance(vmap, Mapping) else vmap, n, m)
     img = np.concatenate([row_codes(rows, m) for rows in blocks])
@@ -365,7 +361,7 @@ def _edge_images(
 def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
     """Check that vmap relabels S(n,m) onto a subgraph of K_m^n.
 
-    Every form of vmap is mapped ROW_BLOCK vertices at a time: a LinearMap
+    Every form of vmap is mapped a row_blocks block at a time: a LinearMap
     by LinearMap.image on digit rows, a callable or a mapping once per
     vertex tuple, with each block of outputs checked at once and
     check_vertex's error for the first bad one.

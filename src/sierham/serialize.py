@@ -4,9 +4,12 @@ Digit strings: for m <= 10 a vertex prints as concatenated digits ("1020");
 for larger alphabets digits are space-separated and fields tab-separated.
 All writers are deterministic: same input, same bytes. Graph writers
 format each vertex once, into a list of labels indexed by vertex code;
-table writers take (k, n) digit-array columns and label each once. Every
-writer, and the cli's verify and corners-search reports, is one _lines or
-_json call: no other module joins output lines or encodes JSON.
+table writers label (k, n) digit-array columns. Edge codes, labels, steps
+and Gray codes become Python objects a graphs.row_blocks block at a time,
+so no writer holds a whole column of them (the text play table keeps its
+S labels, which size their column). Every writer, and the cli's verify
+and corners-search reports, is one _lines or _json call: no other module
+joins output lines or encodes JSON.
 write(table, fmt, ...) finds <table>_to_<fmt> by name.
 """
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import ROW_BLOCK, Graph, Vertex, check_vertex, from_edge_list, row_codes
+from .graphs import Graph, Vertex, check_vertex, from_edge_list, row_blocks, row_codes
 from .maps import LinearMap
 
 
@@ -27,21 +30,24 @@ def format_vertex(v: Sequence[int], m: int) -> str:
     return " ".join(str(d) for d in v)
 
 
-def vertex_labels(rows: np.ndarray, m: int) -> list[str]:
-    """format_vertex of every row of a (k, n) digit array.
+def vertex_labels(rows: np.ndarray, m: int) -> Iterator[str]:
+    """Yield format_vertex of every row of a (k, n) digit array, a block of rows at a time.
 
-    For m <= 10 the rows become one byte matrix (digit + ord("0"), a newline
-    per row), decoded in one call; multi-digit cells go row by row.
+    For m <= 10 each block becomes one byte matrix (digit + ord("0"), a
+    newline per row), decoded in one call; multi-digit cells go row by row.
     """
-    rows = np.asarray(rows)
-    if m > 10 or rows.dtype == object:
-        blocks = (rows[i : i + ROW_BLOCK].tolist() for i in range(0, len(rows), ROW_BLOCK))
-        return [format_vertex(v, m) for block in blocks for v in block]
-    k, n = rows.shape
-    text = np.empty((k, n + 1), np.uint8)
-    np.add(rows, ord("0"), out=text[:, :n], casting="unsafe")
-    text[:, n] = ord("\n")
-    return text.tobytes().decode("ascii").split("\n")[:-1]
+    for block in row_blocks(np.asarray(rows)):
+        if m > 10 or block.dtype == object:
+            yield from map(format_vertex, block.tolist(), repeat(m))
+            continue
+        text = np.full((len(block), block.shape[1] + 1), ord("\n"), np.uint8)
+        np.add(block, ord("0"), out=text[:, :-1], casting="unsafe")
+        yield from text.tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _ints(column: np.ndarray) -> Iterator[int]:
+    """The entries of a 1-D array as Python ints, converted a block at a time."""
+    return chain.from_iterable(block.tolist() for block in row_blocks(np.asarray(column)))
 
 
 def parse_vertex(s: str, m: int, n: int | None = None) -> Vertex:
@@ -69,9 +75,15 @@ def _vertex_labels(n: int, m: int) -> list[str]:
     return labels
 
 
+def _edge_codes(g: Graph) -> Iterator[tuple[int, int]]:
+    # one list per column, zipped: a list per row made the cyclic garbage collector
+    # run every few hundred edges, and the graph writers several times slower
+    return chain.from_iterable(zip(*b.T.tolist()) for b in row_blocks(g.edges))
+
+
 def _edge_strings(g: Graph) -> Iterator[tuple[str, str]]:
     labels = _vertex_labels(g.n, g.m)
-    return ((labels[u], labels[v]) for u, v in zip(*g.edges.T.tolist()))
+    return ((labels[u], labels[v]) for u, v in _edge_codes(g))
 
 
 def _lines(rows: Iterable[Iterable[str]], head: Iterable[str] = (), sep: str = " ") -> str:
@@ -119,11 +131,9 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_to_dot(g: Graph) -> str:
-    # whole lines, no cells, so all are head lines; edge codes become ints a block at a time
-    e = g.edges
+    # whole lines, no cells, so all are head lines
     vertices = (f'  v{code} [label="{label}"];' for code, label in enumerate(_vertex_labels(g.n, g.m)))
-    blocks = (e[lo : lo + ROW_BLOCK].T.tolist() for lo in range(0, len(e), ROW_BLOCK))
-    edges = (f"  v{u} -- v{v};" for us, vs in blocks for u, v in zip(us, vs))
+    edges = (f"  v{u} -- v{v};" for u, v in _edge_codes(g))
     return _lines((), chain([f'graph "{g.kind}_{g.n}_{g.m}" {{'], vertices, edges, ["}"]))
 
 
@@ -159,22 +169,22 @@ def map_table_to_json(v: np.ndarray, w: np.ndarray, m: int) -> str:
 def hanoi_table_to_text(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
     """Step index, S and T positions, in columns sized first and padded row by row."""
     s_head, t_head = (f"{c}({s.shape[1]},{m})" for c in "ST")
-    s_labels = vertex_labels(s, m)
+    s_labels = list(vertex_labels(s, m))
     wl = f">{max(3, len(str(np.max(ell, initial=0))))}"
     ws = f"<{max(len(s_head), max(map(len, s_labels), default=0))}"
-    steps = map(format, np.asarray(ell).tolist(), repeat(wl))
+    steps = map(format, _ints(ell), repeat(wl))
     rows = zip(steps, map(format, s_labels, repeat(ws)), vertex_labels(t, m), strict=True)
     del s_labels  # strict runs each column to its end, so no label list outlives the rows
     return _lines(rows, [f"{'ell':{wl}}  {s_head:{ws}}  {t_head}"], "  ")
 
 
 def hanoi_table_to_csv(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
-    steps = map(str, np.asarray(ell).tolist())
+    steps = map(str, _ints(ell))
     return _lines(zip(steps, vertex_labels(s, m), vertex_labels(t, m)), ["ell,s,t"], ",")
 
 
 def hanoi_table_to_json(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
-    rows = zip(np.asarray(ell).tolist(), vertex_labels(s, m), vertex_labels(t, m))
+    rows = zip(_ints(ell), vertex_labels(s, m), vertex_labels(t, m))
     return _json({"n": s.shape[1], "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]})
 
 
@@ -183,8 +193,8 @@ def gray_to_bits(seq: np.ndarray) -> str:
 
 
 def gray_to_int(seq: np.ndarray) -> str:
-    return _lines(zip(map(str, row_codes(seq, 2).tolist())))
+    return _lines(zip(map(str, _ints(row_codes(seq, 2)))))
 
 
 def gray_to_both(seq: np.ndarray) -> str:
-    return _lines(zip(vertex_labels(seq, 2), map(str, row_codes(seq, 2).tolist())))
+    return _lines(zip(vertex_labels(seq, 2), map(str, _ints(row_codes(seq, 2)))))

@@ -95,6 +95,14 @@ GOLDEN: dict[str, list[str]] = {
     },
     # the S column (seven digits) is wider than its S(7,3) header
     "hanoi_classic_n7.txt": ["hanoi", "classic", "--n", "7"],
+    # map and play tables on the m > 10 label path
+    **{
+        f"embed_phi_n2_m12.{fmt}.txt": ["embed", "phi", "--n", "2", "--m", "12", "--format", fmt]
+        for fmt in ("text", "csv")
+    },
+    "hanoi_solve_m13.csv.txt": [
+        "hanoi", "solve", "--from", "1,0,7,12", "--m", "13", "--format", "csv",
+    ],
 }
 
 EXIT_CODE = {"verify_single_twist_n4_m3.txt": 1, "verify_single_twist_n4_m3.json.txt": 1}

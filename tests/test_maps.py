@@ -10,7 +10,7 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
-from sierham import maps
+from sierham import graphs, maps
 from sierham.graphs import (
     MAX_VERTICES,
     Graph,
@@ -508,7 +508,7 @@ def test_verifiers_reject_malformed_callable_outputs(w, message):
             verifier({v: f(v) for v in oracles.all_vertices(3, 3)}, 3, 3)
 
 
-def test_a_bad_output_is_named_before_a_later_call_fails(monkeypatch):
+def test_a_bad_output_is_named_before_a_later_call_fails(monkeypatch, block_passes):
     def f(v):
         if v == (0, 1, 1):
             raise RuntimeError("no image for 011")
@@ -517,13 +517,21 @@ def test_a_bad_output_is_named_before_a_later_call_fails(monkeypatch):
     def g(v):  # f without the bad outputs
         return f(v) if v[2] == 0 or v[1] else v
 
+    def blocks_to(code):  # the one pass over the cube, up to the block holding code
+        return [[min(block, 27)] * (code // block + 1)]
+
     for block in (65536, 3, 1):  # the bad outputs in the failing block, or in earlier ones
-        monkeypatch.setattr(maps, "ROW_BLOCK", block)
+        monkeypatch.setattr(graphs, "ROW_BLOCK", block)
         for verifier in (verify_embedding, layout_metrics):
+            block_passes.clear()
             with pytest.raises(ValueError, match="digit 5 out of range"):  # the first bad one
                 verifier(f, 3, 3)
+            assert block_passes == blocks_to(1)
+            block_passes.clear()
             with pytest.raises(RuntimeError, match="no image for 011"):
                 verifier(g, 3, 3)
+            assert block_passes == blocks_to(4)
+            assert len(block_passes[0]) > 1 or block == 65536  # the split runs took several blocks
 
 
 def test_a_mapping_missing_a_vertex_raises_key_error():
@@ -554,21 +562,25 @@ def test_float_and_numpy_outputs_read_as_their_int64_values():
         verify_embedding(lambda v: tuple(map(str, v)), 3, 3)
 
 
-def test_callables_see_python_int_tuples_in_code_order(monkeypatch):
+def test_callables_see_python_int_tuples_in_code_order(monkeypatch, block_passes):
     for block in (65536, 5):
-        monkeypatch.setattr(maps, "ROW_BLOCK", block)
+        monkeypatch.setattr(graphs, "ROW_BLOCK", block)
         seen = []
+        block_passes.clear()
         verify_embedding(lambda v: seen.append(v) or v, 3, 3)
+        assert block_passes[0] == ([27] if block > 27 else [5] * 5 + [2])  # the pass over the cube
         assert seen == [code_to_vertex(c, 3, 3) for c in range(27)]
         assert {type(v) for v in seen} == {tuple}
         assert {type(d) for v in seen for d in v} == {int}
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (2, 7)])
-def test_blocked_callables_equal_the_per_vertex_reference(n, m, monkeypatch):
-    monkeypatch.setattr(maps, "ROW_BLOCK", 7)  # blocks that split the cube unevenly
+def test_blocked_callables_equal_the_per_vertex_reference(n, m, monkeypatch, block_passes):
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 7)  # blocks that split the cube unevenly
     for form, vmap in vertex_maps(n, m).items():
+        block_passes.clear()
         report = verify_embedding(vmap, n, m)
+        assert block_passes[0] == [min(7, m**n - s) for s in range(0, m**n, 7)], form  # the cube
         assert typed(report) == typed(oracles.reference_verify_embedding(vmap, n, m)), form
         assert typed(layout_metrics(vmap, n, m)) == typed(oracles.reference_layout_metrics(vmap, n, m))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sierham import cli, serialize
+from sierham import cli, graphs, serialize
 from sierham.codes import gray_sequence
 from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex, digit_cube, digit_rows
 from sierham.hanoi import classic_solution, shortest_path_to_zero
@@ -181,7 +181,7 @@ def test_hanoi_table_csv_and_json():
 @pytest.mark.parametrize("n,m", [(5, 2), (4, 3), (3, 10), (3, 11), (2, 13)])
 def test_vertex_labels_match_format_vertex(n, m):
     rows = digit_rows(np.arange(m**n), n, m)
-    assert vertex_labels(rows, m) == [format_vertex(v, m) for v in rows.tolist()]
+    assert list(vertex_labels(rows, m)) == [format_vertex(v, m) for v in rows.tolist()]
 
 
 def test_vertex_labels_of_exact_and_wide_images():
@@ -189,16 +189,16 @@ def test_vertex_labels_of_exact_and_wide_images():
     # digits have ten characters each
     big = 10**29 + 1
     rows = np.array([(big - 1, 0, 12345), (0, 0, 0), (7, big - 2, 1)], dtype=object)
-    assert vertex_labels(rows, big) == [format_vertex(v, big) for v in rows.tolist()]
+    assert list(vertex_labels(rows, big)) == [format_vertex(v, big) for v in rows.tolist()]
     m = 10**9 + 7
     tau = embedding_matrix("tau", 3, m).image(digit_rows(np.arange(27), 3, 3))
     assert tau.dtype == np.int64
-    assert vertex_labels(tau, m) == [format_vertex(v, m) for v in tau.tolist()]
+    assert list(vertex_labels(tau, m)) == [format_vertex(v, m) for v in tau.tolist()]
 
 
 def test_vertex_labels_of_no_rows():
-    assert vertex_labels(np.zeros((0, 3), np.int64), 3) == []
-    assert vertex_labels(np.zeros((0, 3), np.int64), 12) == []
+    assert list(vertex_labels(np.zeros((0, 3), np.int64), 3)) == []
+    assert list(vertex_labels(np.zeros((0, 3), np.int64), 12)) == []
 
 
 # ---------------------------------------------------------------- references
@@ -244,15 +244,47 @@ def test_hanoi_reference_tables_cover_wide_ell_and_object_digits():
     assert len(widths) > 1
 
 
-@pytest.mark.parametrize("block", [7, serialize.ROW_BLOCK])
+@pytest.mark.parametrize("block", [7, graphs.ROW_BLOCK])
 @pytest.mark.parametrize(
     "g",
     [build_sierpinski(1, 2), build_sierpinski(3, 3), build_hamming(2, 3), build_sierpinski(2, 12)],
     ids=["S(1,2)", "S(3,3)", "K_3^2", "S(2,12)"],
 )
-def test_graph_to_dot_equals_the_reference(g, block, monkeypatch):
-    monkeypatch.setattr(serialize, "ROW_BLOCK", block)  # edge codes become ints a block at a time
+def test_graph_to_dot_equals_the_reference(g, block, monkeypatch, block_passes):
+    monkeypatch.setattr(graphs, "ROW_BLOCK", block)  # edge codes become ints a block at a time
     assert graph_to_dot(g).splitlines(keepends=True) == oracles.graph_dot(g).splitlines(keepends=True)
+    assert block_passes == [[min(block, g.num_edges - s) for s in range(0, g.num_edges, block)]]
+
+
+# every <table>_to_<fmt> writer, by name
+WRITERS = [w.groups() for w in map(re.compile(r"(\w+)_to_(\w+)").fullmatch, vars(serialize)) if w]
+
+BLOCKED_INPUTS = {
+    "graph": [(g,) for g in (build_sierpinski(3, 3), build_hamming(2, 3), build_sierpinski(2, 12))],
+    "matrix": [(embedding_matrix("tau", 3, 5),), (embedding_matrix("phi", 2, 12),)],
+    "map_table": [
+        (digit_cube(n, m), embedding_matrix(kind, n, m).cube_image(m), m)
+        for kind, n, m in [("phi", 3, 3), ("phi", 2, 12), ("tau", 2, 13)]
+    ],
+    "hanoi_table": [
+        classic_table(5, 13),
+        *(HANOI_TABLES[k] for k in ("classic-n7-m3", "solve-m13-2", "solve-m2^64+13")),
+    ],
+    "gray": [(gray_sequence(5),)],
+}
+
+
+def test_writers_print_the_same_bytes_in_blocks_of_seven_rows(monkeypatch, block_passes):
+    assert {table for table, _ in WRITERS} == set(BLOCKED_INPUTS)
+    calls = [(table, fmt, args) for table, fmt in WRITERS for args in BLOCKED_INPUTS[table]]
+    whole = [serialize.write(table, fmt, *args) for table, fmt, args in calls]
+    assert max(map(len, block_passes)) == 1  # every input fits one default block
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 7)
+    for (table, fmt, args), text in zip(calls, whole):
+        block_passes.clear()
+        assert serialize.write(table, fmt, *args) == text, (table, fmt)
+        # a table of rows spans several blocks; a matrix prints no table of rows
+        assert table == "matrix" or max(map(len, block_passes)) > 1, (table, fmt)
 
 
 # ---------------------------------------------------------------- one output seam
@@ -285,10 +317,8 @@ def test_every_writer_and_report_is_one_lines_or_json_call(monkeypatch):
 
     for name in ("_lines", "_json"):
         monkeypatch.setattr(serialize, name, counted(getattr(serialize, name)))
-    writers = [re.fullmatch(r"(\w+)_to_(\w+)", name) for name in vars(serialize)]
-    writers = [w.groups() for w in writers if w]
-    assert {table for table, _ in writers} == set(WRITER_INPUTS)
-    for table, fmt in writers:
+    assert {table for table, _ in WRITERS} == set(WRITER_INPUTS)
+    for table, fmt in WRITERS:
         calls.clear()
         out = serialize.write(table, fmt, *WRITER_INPUTS[table])
         assert len(calls) == 1 and calls[0] is out, (table, fmt)
