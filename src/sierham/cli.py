@@ -55,9 +55,9 @@ FIXTURES: dict[str, list[str]] = {
 
 def _matrix_for(args: argparse.Namespace) -> LinearMap:
     if args.kind != "epsilon":
+        if args.c is not None or args.c_list is not None:
+            raise ValueError(f"--c and --c-list apply to epsilon, not {args.kind}")
         return embedding_matrix(args.kind, args.n, args.m)
-    if args.c is not None and args.c_list is not None:
-        raise ValueError("--c and --c-list are mutually exclusive")
     if args.c is not None:
         _check_matrix(args.n)  # (c,) * n is built before embedding_matrix can refuse it
         cs = (args.c,) * args.n
@@ -120,9 +120,9 @@ def _violation_line(item: dict, m: int) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
-    if args.kind == "single-twist":
+    if args.kind == "single-twist" and args.c is None and args.c_list is None:
         report = verify_coordinatization(build_single_twist(n, m))
-    else:
+    else:  # _matrix_for refuses --c and --c-list for every kind but epsilon
         _check_scale(n, m)  # before the matrix, which has n^2 entries
         report = verify_embedding(_matrix_for(args), n, m)
     checks = [k for k, v in report.items() if isinstance(v, bool) and k != "verdict"]
@@ -222,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
         leaf.add_argument("--n", type=int, required=True)
         leaf.add_argument("--m", type=int, required=True)
     for leaf in (emb, ver):
-        leaf.add_argument("--c", type=int, help="one multiplier reused at every level")
-        leaf.add_argument("--c-list", dest="c_list", help="comma-separated per-level multipliers")
+        cs = leaf.add_mutually_exclusive_group()
+        cs.add_argument("--c", type=int, help="one multiplier reused at every level")
+        cs.add_argument("--c-list", dest="c_list", help="comma-separated per-level multipliers")
 
     han = sub.add_parser("hanoi", help="solution tables")
     hsub = han.add_subparsers(dest="mode", required=True)

@@ -2,18 +2,20 @@
 
 S(n,2) is a path, and the additive recoordinatization carries it onto the
 reflected binary Gray code; eta is the natural base-2 value of a bit tuple
-and gamma the position of a codeword in the Gray order. eta, eta_inverse
-and gamma are plain integer arithmetic, so n can exceed the machine word
-size; gray_sequence is phi of all 2^n binary rows, as one (2^n, n) array
-from LinearMap.cube_image.
+and gamma the position of a codeword in the Gray order. eta and eta_inverse
+are the graphs codec at m = 2, gamma is eta of the prefix parities: exact
+integers, so n can exceed the machine word size. gray_sequence is phi of
+all 2^n binary rows, as one (2^n, n) array from LinearMap.cube_image.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import xor
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Vertex, _check_rows
+from .graphs import Vertex, _check_params, _check_rows, code_to_vertex, vertex_to_code
 from .maps import embedding_matrix
 
 
@@ -26,19 +28,15 @@ def _check_bits(v: Sequence[int]) -> None:
 def eta(v: Sequence[int]) -> int:
     """Base-2 value of a bit tuple, most significant bit first."""
     _check_bits(v)
-    value = 0
-    for d in v:
-        value = value * 2 + d
-    return value
+    return vertex_to_code(v, 2)
 
 
 def eta_inverse(ell: int, n: int) -> Vertex:
     """The n-bit binary expansion of ell, most significant bit first."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_params(n, 2)
     if not 0 <= ell < 2**n:
         raise ValueError(f"{ell} is out of range for {n} bits")
-    return tuple((ell >> (n - 1 - i)) & 1 for i in range(n))
+    return code_to_vertex(ell, n, 2)
 
 
 def gamma(w: Sequence[int]) -> int:
@@ -48,12 +46,7 @@ def gamma(w: Sequence[int]) -> int:
     eta(phi_inverse(w)) with m = 2, which the tests check rather than assume.
     """
     _check_bits(w)
-    value = 0
-    parity = 0
-    for d in w:
-        parity ^= d
-        value = value * 2 + parity
-    return value
+    return vertex_to_code(accumulate(w, xor), 2)
 
 
 def gray_sequence(n: int) -> np.ndarray:

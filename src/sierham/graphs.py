@@ -13,8 +13,10 @@ edges, and _check_rows refuses the 2^n-row tables of hanoi and codes past
 10**7 rows; the counting and density formulas below work at any size with
 exact integer arithmetic. In bulk, vertices are rows of a (k, n) digit array:
 digit_rows decodes any codes, and digit_cube builds the whole cube
-{0..b-1}^n in code order by the doubling that also maps it (_cube).
-Passes that turn whole tables into Python objects slice them by row_blocks.
+{0..b-1}^n in code order by the doubling that also maps it (_cube, which
+refuses an oversize cube before it builds even the identity). Passes that
+turn whole tables into Python objects slice them by row_blocks, as
+iter_rows does to yield a table's rows as tuples.
 """
 from __future__ import annotations
 
@@ -51,33 +53,33 @@ def code_to_vertex(code: int, n: int, m: int) -> Vertex:
 def digit_rows(codes: np.ndarray, n: int, m: int) -> np.ndarray:
     """The (k, n) base-m digits of k codes, most significant digit first.
 
-    Row t equals code_to_vertex(codes[t], n, m); needs n >= 1, and m**n in int64.
+    Row t equals code_to_vertex(codes[t], n, m); needs n >= 1, m >= 2 and m**n in int64.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_params(n, m)
     weights = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = np.asarray(codes, np.int64)[:, None] // weights
     rows %= m
     return rows
 
 
-def _cube(columns: Sequence[Sequence[int]], base: int, m: int, out: np.ndarray | None) -> np.ndarray:
+def _cube(n: int, base: int, m: int, matrix: Sequence | None, out: np.ndarray | None) -> np.ndarray:
     """x @ A.T mod m for every x in {0..base-1}^n, in code order, by doubling.
 
-    columns[k] is column k of the lower-triangular n x n matrix A, entries
-    in [0, m). The block of rows whose digit k is d equals the block whose
+    matrix holds the rows of the lower-triangular n x n matrix A, entries
+    in [0, m), or is None for the identity; either is read after the row
+    check. The block of rows whose digit k is d equals the block whose
     digit k is 0 plus d * A[:, k] mod m, and the digits before k are 0 in
     both, so only columns k on are written; one numpy call writes the
     base - 1 blocks of a level. Entries stay below m and sums below 2m:
     int64 while 2m < 2^63, exact Python integers (an object array) beyond
     it. out, if given, is a zeroed (base^n, n) array.
     """
-    n = len(columns)
     _check_rows(n, f"the digit cube {{0..{base - 1}}}^{n}", base)
     if out is None:
         out = np.zeros((base**n, n), np.int64 if 2 * m < 2**63 else object)
     exact = np.int64 if (base - 1) * (m - 1) < 2**63 else object  # for d * A[i, k]
-    steps = np.arange(1, base, dtype=exact)[:, None, None] * np.array(columns, exact) % m
+    columns = np.eye(n, dtype=exact) if matrix is None else np.array(matrix, exact).T
+    steps = np.arange(1, base, dtype=exact)[:, None, None] * columns % m
     steps = steps.astype(out.dtype)  # steps[d - 1, k] = d * A[:, k] mod m
     size = 1  # out[:size] holds the rows whose digits 0..k are 0
     for k in range(n - 1, -1, -1):
@@ -96,8 +98,7 @@ def digit_cube(n: int, base: int, out: np.ndarray | None = None) -> np.ndarray:
     MAX_VERTICES rows. out, if given, is a zeroed (base^n, n) int64 array.
     """
     _check_params(n, base)
-    unit = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
-    return _cube(unit, base, base, out)
+    return _cube(n, base, base, None, out)
 
 
 def row_codes(rows: np.ndarray, m: int) -> np.ndarray:
@@ -112,13 +113,19 @@ def row_blocks(a: np.ndarray | range) -> Iterator:
         yield a[start : start + ROW_BLOCK]
 
 
+def iter_rows(rows: np.ndarray) -> Iterator[tuple]:
+    """The rows of a (k, n) array as tuples of Python ints, made a row_blocks block at a time.
+
+    One list per column per block, zipped (so no rows if no columns): a list
+    per row made the cyclic garbage collector run every few hundred rows.
+    """
+    return chain.from_iterable(zip(*block.T.tolist()) for block in row_blocks(np.asarray(rows)))
+
+
 def row_tuples(rows: np.ndarray) -> list[Vertex]:
     """The rows of a (k, n) array as Vertex tuples of Python ints."""
     rows = np.asarray(rows)
-    if rows.shape[1] == 0:
-        return [()] * rows.shape[0]
-    # one list per column, zipped, holds less at once than one per row
-    return list(chain.from_iterable(zip(*block.T.tolist()) for block in row_blocks(rows)))
+    return list(iter_rows(rows)) if rows.shape[1] else [()] * rows.shape[0]
 
 
 def check_vertex(v: Sequence[int], n: int, m: int) -> None:

@@ -123,8 +123,7 @@ def classic_solution(n: int, m: int = 3) -> MovePath:
 
 
 def _check_step(ell: int, i: int, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_params(n, 3)  # m = 3, the modulus of both formulas
     if not 0 <= ell < 2**n:
         raise ValueError(f"step index {ell} out of range for n={n}")
     if not 1 <= i <= n:

@@ -236,7 +236,7 @@ class LinearMap:
         """
         if not 2 <= base <= self.m:
             raise ValueError(f"base {base} is outside 2..{self.m}")
-        return _cube(tuple(zip(*self.rows)), base, self.m, out)
+        return _cube(self.n, base, self.m, self.rows, out)
 
     def apply(self, v: Sequence[int]) -> Vertex:
         check_vertex(v, self.n, self.m)

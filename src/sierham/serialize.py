@@ -3,13 +3,14 @@
 Digit strings: for m <= 10 a vertex prints as concatenated digits ("1020");
 for larger alphabets digits are space-separated and fields tab-separated.
 All writers are deterministic: same input, same bytes. Graph writers
-format each vertex once, into a list of labels indexed by vertex code;
-table writers label (k, n) digit-array columns. Edge codes, labels, steps
-and Gray codes become Python objects a graphs.row_blocks block at a time,
-so no writer holds a whole column of them (the text play table keeps its
-S labels, which size their column). Every writer, and the cli's verify
-and corners-search reports, is one _lines or _json call: no other module
-joins output lines or encodes JSON.
+format each vertex once, into a list of labels indexed by vertex code,
+and read edge codes through graphs.iter_rows; table writers label (k, n)
+digit-array columns. Edge codes, labels, steps and Gray codes become
+Python objects a graphs.row_blocks block at a time, so no writer holds a
+whole column of them (the text play table keeps its S labels, which size
+their column). Every writer, and the cli's verify and corners-search
+reports, is one _lines or _json call: no other module joins output lines
+or encodes JSON.
 write(table, fmt, ...) finds <table>_to_<fmt> by name.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, Vertex, check_vertex, from_edge_list, row_blocks, row_codes
+from .graphs import Graph, Vertex, check_vertex, from_edge_list, iter_rows, row_blocks, row_codes
 from .maps import LinearMap
 
 
@@ -75,15 +76,9 @@ def _vertex_labels(n: int, m: int) -> list[str]:
     return labels
 
 
-def _edge_codes(g: Graph) -> Iterator[tuple[int, int]]:
-    # one list per column, zipped: a list per row made the cyclic garbage collector
-    # run every few hundred edges, and the graph writers several times slower
-    return chain.from_iterable(zip(*b.T.tolist()) for b in row_blocks(g.edges))
-
-
 def _edge_strings(g: Graph) -> Iterator[tuple[str, str]]:
     labels = _vertex_labels(g.n, g.m)
-    return ((labels[u], labels[v]) for u, v in _edge_codes(g))
+    return ((labels[u], labels[v]) for u, v in iter_rows(g.edges))
 
 
 def _lines(rows: Iterable[Iterable[str]], head: Iterable[str] = (), sep: str = " ") -> str:
@@ -133,7 +128,7 @@ def graph_from_json(text: str) -> Graph:
 def graph_to_dot(g: Graph) -> str:
     # whole lines, no cells, so all are head lines
     vertices = (f'  v{code} [label="{label}"];' for code, label in enumerate(_vertex_labels(g.n, g.m)))
-    edges = (f"  v{u} -- v{v};" for u, v in _edge_codes(g))
+    edges = (f"  v{u} -- v{v};" for u, v in iter_rows(g.edges))
     return _lines((), chain([f'graph "{g.kind}_{g.n}_{g.m}" {{'], vertices, edges, ["}"]))
 
 

@@ -129,6 +129,24 @@ def test_embed_epsilon_usage_errors(capsys):
     assert main(["embed", "epsilon", "--n", "3", "--m", "5", "--c-list", "2,3"]) == 2
     assert main(["embed", "epsilon", "--n", "2", "--m", "4", "--c", "2"]) == 2
     assert main(["embed", "epsilon", "--n", "2", "--m", "5", "--c", "2", "--c-list", "2,3"]) == 2
+    assert "not allowed with argument --c" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "tau", "--n", "2", "--m", "3", "--c", "2"],
+        ["embed", "phi", "--n", "2", "--m", "3", "--c-list", "1,1", "--matrix"],
+        ["verify", "phi", "--n", "2", "--m", "3", "--c-list", "1,1"],
+        ["verify", "tau", "--n", "2", "--m", "3", "--c", "2"],
+        ["verify", "single-twist", "--n", "2", "--m", "3", "--c", "2"],
+    ],
+)
+def test_multipliers_apply_to_epsilon_only(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --c and --c-list apply to epsilon, not {argv[1]}\n"
 
 
 def test_embed_tau_even_m(capsys):

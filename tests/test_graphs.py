@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from sierham import kernels
+from sierham import graphs, kernels
+from sierham.codes import gray_sequence
 from sierham.graphs import (
     Graph,
     MAX_EDGES,
@@ -28,12 +30,20 @@ from sierham.graphs import (
     from_edge_list,
     hamming_edge_count,
     is_sierpinski_edge,
+    iter_rows,
     km_decomposition,
     row_codes,
     row_tuples,
     sierpinski_edge_count,
     vertex_to_code,
 )
+from sierham.hanoi import (
+    classic_solution,
+    diplomats_table,
+    shortest_path_to_zero,
+    solve_from_position,
+)
+from sierham.maps import LinearMap, embedding_matrix, invert_linear_map, phi_recursive
 
 import oracles
 
@@ -182,6 +192,15 @@ def test_digit_rows_round_trip(n, m):
     assert row_tuples(np.zeros((2, 0), np.int64)) == [(), ()]
 
 
+def test_iter_rows_zips_python_ints_across_uneven_blocks(monkeypatch):
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 7)
+    rows = digit_rows(np.arange(3**3), 3, 3)
+    out = list(iter_rows(rows))
+    assert out == [code_to_vertex(c, 3, 3) for c in range(3**3)]
+    assert all(type(d) is int for row in out for d in row)
+    assert list(iter_rows(np.zeros((2, 0), np.int64))) == []
+
+
 @pytest.mark.parametrize("n,base", [(1, 2), (3, 4), (4, 5), (2, 12), (5, 2), (6, 3), (1, 257)])
 def test_digit_cube_equals_the_digit_rows_of_every_code(n, base):
     cube = digit_cube(n, base)
@@ -202,6 +221,42 @@ def test_digit_cube_refuses_more_than_max_vertices_rows():
         digit_cube(15, 3)
     with pytest.raises(ValueError, match="n must be >= 1"):
         digit_cube(0, 2)
+
+
+# Each builder, handed an input past its guard, and a factory for its arguments,
+# which are the caller's objects and are made before tracing starts. n = 3000
+# keeps even a build quadratic in n to tens of megabytes, should a guard run late.
+OVERSIZE_CALLS = {
+    "digit_cube": (digit_cube, lambda: (3000, 2)),
+    "cube_image": (LinearMap.cube_image, lambda: (embedding_matrix("tau", 30, 3), 3)),
+    "classic_solution": (classic_solution, lambda: (3000,)),
+    "diplomats_table": (diplomats_table, lambda: (3000,)),
+    "gray_sequence": (gray_sequence, lambda: (3000,)),
+    "embedding_matrix": (embedding_matrix, lambda: ("phi", 3163, 3)),
+    "build_sierpinski": (build_sierpinski, lambda: (3000, 3)),
+    "build_hamming": (build_hamming, lambda: (23, 2)),
+    "build_single_twist": (build_single_twist, lambda: (2, 1001)),
+    "phi_recursive": (phi_recursive, lambda: (3000, 3)),
+    "km_decomposition": (km_decomposition, lambda: (3000, 3)),
+    "invert_linear_map": (invert_linear_map, lambda: (embedding_matrix("phi", 392, 3),)),
+    "shortest_path_to_zero": (shortest_path_to_zero, lambda: ((1,) * 3000, 3)),
+    "solve_from_position": (solve_from_position, lambda: ((1,) * 3000, 3)),
+    "Graph": (Graph, lambda: (3000, 3, "x", [])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZE_CALLS))
+def test_every_builder_refuses_before_it_allocates(name):
+    build, make_args = OVERSIZE_CALLS[name]
+    args = make_args()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^refusing"):
+            build(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{name} traced {peak} bytes before refusing"
 
 
 # ---------------------------------------------------------------- edge rule
