@@ -1,101 +1,83 @@
 """Sierpinski graphs, Hamming graphs, twist recoordinatizations, and
-Tower-of-Hanoi solvers."""
+Tower-of-Hanoi solvers.
 
-from .codes import eta, eta_inverse, gamma, gray_sequence
-from .graphs import (
-    Graph,
-    PermutationSymmetry,
-    Vertex,
-    apply_symmetry,
-    build_hamming,
-    build_sierpinski,
-    build_single_twist,
-    corners,
-    edge_density,
-    from_edge_list,
-    hamming_edge_count,
-    is_sierpinski_edge,
-    km_decomposition,
-    sierpinski_edge_count,
-)
-from .hanoi import (
-    HanoiPosition,
-    MovePath,
-    classic_solution,
-    constant_corner_search,
-    diplomats_table,
-    is_legal_move,
-    is_legal_move_physical,
-    path_length_to_zero,
-    position_coordinate,
-    shortest_path_to_zero,
-    solve_from_position,
-    wolfe_coordinate,
-)
-from .maps import (
-    LinearMap,
-    TwistFamily,
-    compose_linear_maps,
-    embedding_matrix,
-    epsilon_forward,
-    invert_linear_map,
-    layout_metrics,
-    phi_forward,
-    phi_inverse,
-    phi_recursive,
-    sierpinski_isomorphism,
-    tau_forward,
-    tau_inverse,
-    verify_coordinatization,
-    verify_embedding,
-)
+The public names load on first use (PEP 562 module __getattr__): each is
+imported from the module _HOMES names and bound here. So `import sierham`
+loads no submodule, `python -m sierham.cli` runs without numpy until a
+command builds an array, and the integer layer's names (sierham.exact)
+load without numpy even from here.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "HanoiPosition",
-    "LinearMap",
-    "MovePath",
-    "PermutationSymmetry",
-    "TwistFamily",
-    "Vertex",
-    "apply_symmetry",
-    "build_hamming",
-    "build_sierpinski",
-    "build_single_twist",
-    "classic_solution",
-    "compose_linear_maps",
-    "constant_corner_search",
-    "corners",
-    "diplomats_table",
-    "edge_density",
-    "embedding_matrix",
-    "epsilon_forward",
-    "eta",
-    "eta_inverse",
-    "from_edge_list",
-    "gamma",
-    "gray_sequence",
-    "hamming_edge_count",
-    "invert_linear_map",
-    "is_legal_move",
-    "is_legal_move_physical",
-    "is_sierpinski_edge",
-    "km_decomposition",
-    "layout_metrics",
-    "path_length_to_zero",
-    "phi_forward",
-    "phi_inverse",
-    "phi_recursive",
-    "position_coordinate",
-    "shortest_path_to_zero",
-    "sierpinski_edge_count",
-    "sierpinski_isomorphism",
-    "solve_from_position",
-    "tau_forward",
-    "tau_inverse",
-    "verify_coordinatization",
-    "verify_embedding",
-    "wolfe_coordinate",
-]
+_HOMES = {
+    name: module
+    for module, names in {
+        "codes": ("eta", "eta_inverse", "gamma", "gray_sequence"),
+        "exact": (
+            "LinearMap",
+            "TwistFamily",
+            "Vertex",
+            "edge_density",
+            "embedding_matrix",
+            "epsilon_forward",
+            "hamming_edge_count",
+            "invert_linear_map",
+            "phi_forward",
+            "phi_inverse",
+            "sierpinski_edge_count",
+            "tau_forward",
+            "tau_inverse",
+            "verify_embedding",
+        ),
+        "graphs": (
+            "Graph",
+            "PermutationSymmetry",
+            "apply_symmetry",
+            "build_hamming",
+            "build_sierpinski",
+            "build_single_twist",
+            "corners",
+            "from_edge_list",
+            "is_sierpinski_edge",
+            "km_decomposition",
+        ),
+        "hanoi": (
+            "HanoiPosition",
+            "MovePath",
+            "classic_solution",
+            "constant_corner_search",
+            "diplomats_table",
+            "is_legal_move",
+            "is_legal_move_physical",
+            "path_length_to_zero",
+            "position_coordinate",
+            "shortest_path_to_zero",
+            "solve_from_position",
+            "wolfe_coordinate",
+        ),
+        "maps": (
+            "compose_linear_maps",
+            "layout_metrics",
+            "phi_recursive",
+            "sierpinski_isomorphism",
+            "verify_coordinatization",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

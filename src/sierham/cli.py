@@ -5,42 +5,74 @@ output against the shipped golden files.
 _leaf adds each leaf subcommand with its handler, --format and --out; a
 handler takes the parsed arguments and returns (output text, exit code).
 A table handler prints its digit arrays with one serialize.write call, a
-report (verify, corners-search) with one serialize._lines or _json call.
+report (verify, corners-search) with one _lines or _json call.
 Exit codes: 0 success or PASS, 1 verification failure or fixture mismatch,
 2 usage or parameter error, size refusals included (the library raises them),
 or an --out file that cannot be written.
+
+Importing this module loads the integer layer (exact) and no numpy. The
+names in _ARRAY_NAMES come from the array modules on first use: module
+__getattr__ (PEP 562) imports the module and binds the very object it
+holds in globals(), and the handlers read them through _array, which
+finds a name already bound (or a wrapper put on this module by name)
+first. Each handler runs its library guard before it reads an array name,
+so a refusal, a matrix, a density and a verdict that the matrix rows
+decide run without numpy.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import sys
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
-import numpy as np
-
-from .codes import gray_sequence
-from .graphs import (
-    _check_matrix,
-    _check_scale,
-    build_hamming,
-    build_sierpinski,
-    build_single_twist,
-    digit_cube,
-    edge_density,
-)
-from .hanoi import classic_solution, constant_corner_search, shortest_path_to_zero
-from .maps import (
+from . import exact
+from .exact import (
     LinearMap,
     TwistFamily,
+    _check_gray,
+    _check_matrix,
+    _check_play,
+    _check_scale,
+    _json,
+    _lines,
+    edge_density,
     embedding_matrix,
+    format_vertex,
     invert_linear_map,
     tau_inverse,
-    verify_coordinatization,
     verify_embedding,
 )
-from . import serialize
+
+_ARRAY_NAMES = {  # name: the module that defines it (serialize: the module itself)
+    "build_hamming": "graphs",
+    "build_sierpinski": "graphs",
+    "build_single_twist": "graphs",
+    "classic_solution": "hanoi",
+    "constant_corner_search": "hanoi",
+    "digit_cube": "graphs",
+    "gray_sequence": "codes",
+    "serialize": "serialize",
+    "shortest_path_to_zero": "hanoi",
+    "verify_coordinatization": "maps",
+}
+
+
+def __getattr__(name: str):
+    if name not in _ARRAY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{_ARRAY_NAMES[name]}", __package__)
+    if name != _ARRAY_NAMES[name]:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def _array(name: str):
+    """A name of _ARRAY_NAMES: the object bound here, else __getattr__'s import of it."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 FIXTURES: dict[str, list[str]] = {
     "solve_1020_m3.txt": ["hanoi", "solve", "--from", "1020"],
@@ -73,13 +105,9 @@ def _matrix_for(args: argparse.Namespace) -> LinearMap:
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
-    builders = {
-        "sierpinski": build_sierpinski,
-        "hamming": build_hamming,
-        "single-twist": build_single_twist,
-    }
-    g = builders[args.kind](args.n, args.m)
-    return serialize.render_graph(g, args.fmt), 0
+    _check_scale(args.n, args.m)  # each builder's first guard
+    g = _array(f"build_{args.kind.replace('-', '_')}")(args.n, args.m)
+    return _array("serialize").render_graph(g, args.fmt), 0
 
 
 def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
@@ -90,12 +118,16 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
     if args.invert:
         lm = invert_linear_map(lm)
     if args.matrix:
-        return serialize.write("matrix", args.fmt, lm), 0
-    return serialize.write("map_table", args.fmt, digit_cube(n, m), lm.cube_image(m), m), 0
+        # serialize re-exports the matrix writers, and a tracer wraps them there by
+        # name: read them from serialize once it is loaded, and never load it for them
+        writers = sys.modules.get(f"{__package__}.serialize", exact)
+        return getattr(writers, f"matrix_to_{args.fmt}")(lm), 0
+    cube = _array("digit_cube")(n, m)
+    return _array("serialize").write("map_table", args.fmt, cube, lm.cube_image(m), m), 0
 
 
 def _violation_line(item: dict, m: int) -> str:
-    fv = lambda v: serialize.format_vertex(v, m)  # noqa: E731
+    fv = lambda v: format_vertex(v, m)  # noqa: E731
     if item["kind"] == "degree":
         allowed = " or ".join(str(x) for x in item["allowed"])
         return (
@@ -120,42 +152,50 @@ def _violation_line(item: dict, m: int) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
+    _check_scale(n, m)  # the graph's guard, before the matrix, which has n^2 entries
     if args.kind == "single-twist" and args.c is None and args.c_list is None:
-        report = verify_coordinatization(build_single_twist(n, m))
+        report = _array("verify_coordinatization")(_array("build_single_twist")(n, m))
     else:  # _matrix_for refuses --c and --c-list for every kind but epsilon
-        _check_scale(n, m)  # before the matrix, which has n^2 entries
         report = verify_embedding(_matrix_for(args), n, m)
     checks = [k for k, v in report.items() if isinstance(v, bool) and k != "verdict"]
     code = 0 if report["verdict"] else 1
     if args.fmt == "json":
-        return serialize._json(report), code
+        return _json(report), code
     rows = [(key, "true" if report[key] else "false") for key in checks]
     rows += [(_violation_line(item, m),) for item in report["violations"][:5]]
     extra = report.get("violations_total", len(report["violations"])) - 5
     if extra > 0:
         rows.append((f"... and {extra} more violations",))
     rows.append(("PASS" if report["verdict"] else "FAIL",))
-    return serialize._lines(rows, [f"verify {args.kind} n={n} m={m}"], ": "), code
+    return _lines(rows, [f"verify {args.kind} n={n} m={m}"], ": "), code
 
 
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
-    play = classic_solution(n, m).positions  # refuses an oversize n before 2^n steps exist
-    return serialize.write("hanoi_table", args.fmt, np.arange(2**n), digit_cube(n, 2), play, m), 0
+    _check_play(n)  # an oversize n is refused before numpy loads, and before 2^n steps exist
+    import numpy as np
+
+    play = _array("classic_solution")(n, m).positions
+    bits = _array("digit_cube")(n, 2)
+    return _array("serialize").write("hanoi_table", args.fmt, np.arange(2**n), bits, play, m), 0
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
+    import numpy as np
+
     m = args.m
+    serialize = _array("serialize")
     start = serialize.parse_vertex(args.position, m)
     v = tau_inverse(start, m) if args.coords == "T" else start
-    s = shortest_path_to_zero(v, m).positions
+    s = _array("shortest_path_to_zero")(v, m).positions
     t = embedding_matrix("tau", len(start), m).image(s)
     # each step of the geodesic is one closer to 0^n
     return serialize.write("hanoi_table", args.fmt, np.arange(len(s) - 1, -1, -1), s, t, m), 0
 
 
 def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
-    return serialize.write("gray", args.fmt, gray_sequence(args.n)), 0
+    _check_gray(args.n)
+    return _array("serialize").write("gray", args.fmt, _array("gray_sequence")(args.n)), 0
 
 
 def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
@@ -163,9 +203,9 @@ def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_corners_search(args: argparse.Namespace) -> tuple[str, int]:
-    report = constant_corner_search(args.m, args.n)
+    report = _array("constant_corner_search")(args.m, args.n)
     if args.fmt == "json":
-        return serialize._json(report), 0
+        return _json(report), 0
     rows = [("exists", "true" if report["exists"] else "false")]
     if report.get("witness"):
         rows.append(("witness", str(report["witness"])))
@@ -173,7 +213,7 @@ def cmd_corners_search(args: argparse.Namespace) -> tuple[str, int]:
     rows += [(key, str(report[key])) for key in counts if key in report]
     if report.get("detail"):
         rows.append((report["detail"],))
-    return serialize._lines(rows, [f"constant-corner search n={report['n']} m={report['m']}"], ": "), 0
+    return _lines(rows, [f"constant-corner search n={report['n']} m={report['m']}"], ": "), 0
 
 
 def _leaf(sub, name: str, summary: str, run, formats=("text", "csv", "json"), **defaults):

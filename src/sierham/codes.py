@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Vertex, _check_params, _check_rows, code_to_vertex, vertex_to_code
-from .maps import embedding_matrix
+from .exact import Vertex, _check_gray, _check_params, embedding_matrix
+from .graphs import code_to_vertex, vertex_to_code
 
 
 def _check_bits(v: Sequence[int]) -> None:
@@ -56,5 +56,5 @@ def gray_sequence(n: int) -> np.ndarray:
     the classic reflect-and-prefix construction. Refuses more than
     MAX_VERTICES rows before building any of them.
     """
-    _check_rows(n, f"the Gray sequence for n={n}")
+    _check_gray(n)
     return embedding_matrix("phi", n, 2).cube_image(2)

@@ -1,0 +1,429 @@
+"""The integer layer: everything sierham computes without an array.
+
+The size guards and closed-form counts, the scalar maps phi, tau and
+epsilon, TwistFamily, LinearMap's rows, embedding_matrix,
+invert_linear_map, the row rule of verify_embedding, and the matrix
+writers with the two output primitives _lines and _json. All of it is
+exact Python integer arithmetic, and this module imports no numpy: a
+command that builds no array (a matrix, a refusal, a verdict the rows
+decide) runs without loading it. graphs, maps and serialize re-export
+these names and import numpy themselves. LinearMap.image and cube_image
+import the array code when called, and verify_embedding imports maps only
+when the rows do not decide.
+
+The row rule: an S(n,m) edge at position h between digits i and j has
+u - v = (0^h, d, (-d)^(n-h-1)) with d = i - j, so a lower-triangular map A
+sends it to d * c_h mod m, with c_h = A[:,h] - sum_{k>h} A[:,k]. The
+Hamming distance of the two images is the number of nonzero entries of
+d * c_h, the same for all m^h prefixes. Entry h of c_h is the unit
+A[h][h], so A embeds S(n,m) exactly when every entry of c_h past h is 0,
+that is when A[r][k] = 2^(r-1-k) A[r][r] (mod m) for every k < r: the
+twist family whose scales are the diagonal.
+"""
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, Sequence
+
+Vertex = tuple[int, ...]
+VertexMap = Callable[[Vertex], Vertex]
+
+MAX_VERTICES = 10**7
+MAX_EDGES = 3 * 10**7
+
+
+def check_vertex(v: Sequence[int], n: int, m: int) -> None:
+    if len(v) != n:
+        raise ValueError(f"expected {n} digits, got {len(v)}")
+    for d in v:
+        if not 0 <= d < m:
+            raise ValueError(f"digit {d} out of range for alphabet {{0..{m - 1}}}")
+
+
+def _check_params(n: int, m: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+
+
+def _power_text(m: int, n: int) -> str:
+    """'m^n = value' for small powers (n * floor(log2 m) < 60, so below 2^120), else 'm^n'."""
+    return f"{m}^{n} = {m**n}" if n * (m.bit_length() - 1) < 60 else f"{m}^{n}"
+
+
+def _check_scale(n: int, m: int) -> None:
+    _check_params(n, m)
+    # m**n > MAX_VERTICES for every m >= 2 once n reaches 24: skip computing it
+    if n >= MAX_VERTICES.bit_length() or m**n > MAX_VERTICES:
+        raise ValueError(
+            f"refusing to build a graph on {_power_text(m, n)} vertices "
+            f"(limit {MAX_VERTICES}); the counting formulas remain available"
+        )
+
+
+def _check_rows(n: int, what: str, base: int = 2) -> None:
+    """Refuse a table of base^n rows, more than MAX_VERTICES, before computing it."""
+    if n >= MAX_VERTICES.bit_length() or base**n > MAX_VERTICES:
+        raise ValueError(
+            f"refusing to build {_power_text(base, n)} rows of {what} (limit {MAX_VERTICES})"
+        )
+
+
+def _check_play(n: int) -> None:
+    """The row guard of the classic play (and so of the diplomats table)."""
+    _check_rows(n, f"the classic solution for n={n}")
+
+
+def _check_gray(n: int) -> None:
+    """The row guard of the Gray sequence."""
+    _check_rows(n, f"the Gray sequence for n={n}")
+
+
+def _check_matrix(n: int) -> None:
+    """Refuse an n x n matrix of more than MAX_VERTICES entries before building a row."""
+    if n * n > MAX_VERTICES:
+        raise ValueError(f"refusing to build a {n}x{n} matrix (limit {MAX_VERTICES} entries)")
+
+
+def _check_adds(adds: int, what: str) -> None:
+    """Refuse more than MAX_VERTICES multiply-adds, `what` naming them, before the first."""
+    if adds > MAX_VERTICES:
+        raise ValueError(f"refusing to build {what} = {adds} multiply-adds (limit {MAX_VERTICES})")
+
+
+def _check_edges(n: int, m: int, count: int) -> None:
+    if count > MAX_EDGES:
+        raise ValueError(
+            f"refusing to build a graph with {count} edges on {m}^{n} vertices "
+            f"(limit {MAX_EDGES}); the counting formulas remain available"
+        )
+
+
+def _check_sierpinski(n: int, m: int) -> None:
+    """The guards of S(n,m), and of the single twist, which has one edge per S(n,m) edge."""
+    _check_scale(n, m)
+    _check_edges(n, m, sierpinski_edge_count(n, m))
+
+
+def sierpinski_edge_count(n: int, m: int) -> int:
+    """|E(S(n,m))| = (m^(n+1) - m) / 2, exact at any size."""
+    _check_params(n, m)
+    return (m ** (n + 1) - m) // 2
+
+
+def hamming_edge_count(n: int, m: int) -> int:
+    """|E(K_m^n)| = n (m-1) m^n / 2, exact at any size."""
+    _check_params(n, m)
+    return n * (m - 1) * m**n // 2
+
+
+def edge_density(n: int, m: int) -> Fraction:
+    """Density of S(n,m)'s clique blocks inside K_m^n: exactly 1/n.
+
+    The m^(n-1) blocks of the clique decomposition each fill a complete
+    line of the host, which has n * m^(n-1) lines in all; equivalently the
+    block (interior) edges occupy m^n (m-1)/2 of the n m^n (m-1)/2 host
+    edges. Exact at any size.
+    """
+    _check_params(n, m)
+    return Fraction(1, n)
+
+
+def _inverse_of_two(m: int) -> int:
+    if m % 2 == 0:
+        raise ValueError(f"no multiplicative inverse of 2 mod {m}")
+    return (m + 1) // 2
+
+
+def phi_forward(v: Sequence[int], m: int) -> Vertex:
+    """Additive recoordinatization: w_i = (v_i + sum_{j<i} 2^(i-1-j) v_j) mod m."""
+    out = []
+    s = 0  # running sum_{j<i} 2^(i-1-j) v_j mod m
+    for d in v:
+        out.append((d + s) % m)
+        s = (2 * s + d) % m
+    return tuple(out)
+
+
+def _unscale_and_subtract(w: Sequence[int], m: int, ratio: int) -> Vertex:
+    """Shared inverse of phi (ratio 1) and tau (ratio 2), p_i = ratio^(i-1):
+    v_i = (p_i w_i - sum_{j<i} p_j w_j) mod m."""
+    out = []
+    s = 0  # sum_{j<i} p_j w_j mod m
+    p = 1  # p_i mod m
+    for d in w:
+        x = p * d
+        out.append((x - s) % m)
+        s = (s + x) % m
+        p = p * ratio % m
+    return tuple(out)
+
+
+def phi_inverse(w: Sequence[int], m: int) -> Vertex:
+    """Inverse of phi_forward: v_i = (w_i - sum_{j<i} w_j) mod m."""
+    return _unscale_and_subtract(w, m, 1)
+
+
+def tau_forward(v: Sequence[int], m: int) -> Vertex:
+    """Halved recoordinatization (odd m): t_i = 2^(-(i-1)) * phi(v)_i mod m.
+
+    Fixes every constant vertex, so the m corners keep their labels.
+    """
+    inv2 = _inverse_of_two(m)
+    out = []
+    s = 0
+    f = 1  # 2^(-(i-1)) mod m
+    for d in v:
+        out.append(f * (d + s) % m)
+        s = (2 * s + d) % m
+        f = f * inv2 % m
+    return tuple(out)
+
+
+def tau_inverse(t: Sequence[int], m: int) -> Vertex:
+    """Inverse of tau_forward: v_i = (2^(i-1) t_i - sum_{j<i} 2^(j-1) t_j) mod m."""
+    _inverse_of_two(m)  # reject even m up front
+    return _unscale_and_subtract(t, m, 2)
+
+
+@dataclass(frozen=True)
+class TwistFamily:
+    """One invertible multiplier per recursion level, defining one epsilon map.
+
+    The level multipliers (c_1,...,c_n) combine into a single unit scale per
+    output coordinate: coordinate 1 is scaled by c_1 * c_2^(-1), coordinate
+    i >= 2 by c_2 * c_3 * ... * c_i (a lone level, n = 1, scales by 1). The
+    all-ones family is phi, the all-2^(-1) family is tau, and distinct
+    multiplier tuples give distinct maps.
+    """
+
+    m: int
+    multipliers: tuple[int, ...]
+    _scales: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.m < 2:
+            raise ValueError(f"m must be >= 2, got {self.m}")
+        if len(self.multipliers) < 1:
+            raise ValueError("need at least one multiplier")
+        cs = tuple(c % self.m for c in self.multipliers)
+        for c in cs:
+            if math.gcd(c, self.m) != 1:
+                raise ValueError(f"multiplier {c} is not invertible mod {self.m}")
+        object.__setattr__(self, "multipliers", cs)
+        scales = [1] if len(cs) == 1 else [cs[0] * pow(cs[1], -1, self.m) % self.m]
+        acc = 1
+        for c in cs[1:]:
+            acc = acc * c % self.m
+            scales.append(acc)
+        object.__setattr__(self, "_scales", tuple(scales))
+
+    def scales(self) -> tuple[int, ...]:
+        return self._scales
+
+
+def epsilon_forward(v: Sequence[int], tw: TwistFamily) -> Vertex:
+    """Twist-family recoordinatization: e_i = scale_i * phi(v)_i mod m, in one pass."""
+    if len(v) != len(tw.multipliers):
+        raise ValueError(
+            f"vertex has {len(v)} digits, twist family has {len(tw.multipliers)} levels"
+        )
+    m = tw.m
+    out = []
+    s = 0  # running sum_{j<i} 2^(i-1-j) v_j mod m
+    for c, d in zip(tw.scales(), v):
+        out.append(c * (d + s) % m)
+        s = (2 * s + d) % m
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class LinearMap:
+    """Lower-triangular matrix over Z_m; row i gives output coordinate i."""
+
+    m: int
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.rows)
+        _check_params(n, self.m)
+        norm = []
+        for i, row in enumerate(self.rows):
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+            row = tuple(x % self.m for x in row)
+            if any(row[i + 1 :]):
+                raise ValueError(f"row {i + 1} has a nonzero entry above the diagonal")
+            if math.gcd(row[i], self.m) != 1:
+                raise ValueError(
+                    f"diagonal entry {row[i]} in row {i + 1} is not invertible mod {self.m}"
+                )
+            norm.append(row)
+        object.__setattr__(self, "rows", tuple(norm))
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def image(self, rows):
+        """The images of the rows of a (k, n) digit array: rows @ A.T mod m, a numpy array.
+
+        Digits must lie in [0, m). Every dot product is below n (m-1)^2, so
+        the arithmetic runs in int64 while that bound is under 2^63, and in
+        exact Python integers (an object array) beyond it.
+        """
+        import numpy as np
+
+        dtype = np.int64 if self.n * (self.m - 1) ** 2 < 2**63 else object
+        out = np.asarray(rows, dtype) @ np.array(self.rows, dtype).reshape(self.n, self.n).T
+        out %= self.m
+        return out
+
+    def cube_image(self, base: int, out=None):
+        """The images of all base^n digit rows in code order, 2 <= base <= m.
+
+        Equals image(digit_rows(np.arange(base**n), n, base)), built by the
+        paper's recursion on the leading digit: the rows whose digit k is d
+        are those whose digit k is 0, plus d * A[:, k] mod m. That costs
+        O(base^n n), against O(base^n n^2) for image, and allocates no
+        input rows. int64 while 2m < 2^63, exact Python integers beyond it;
+        refuses more than MAX_VERTICES rows. out, if given, is a zeroed
+        (base^n, n) array to fill.
+        """
+        from .graphs import _cube
+
+        if not 2 <= base <= self.m:
+            raise ValueError(f"base {base} is outside 2..{self.m}")
+        return _cube(self.n, base, self.m, self.rows, out)
+
+    def apply(self, v: Sequence[int]) -> Vertex:
+        check_vertex(v, self.n, self.m)
+        return tuple(self.image([v])[0].tolist())
+
+
+def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | None = None) -> LinearMap:
+    """Coefficient matrix of phi, tau, or a twist family, as a LinearMap.
+
+    phi is the all-ones twist family and tau the all-2^(-1) one; column j
+    is epsilon_forward of the j-th unit vector. A family is passed alone.
+    Refuses more than MAX_VERTICES entries before building a row.
+    """
+    if isinstance(kind, TwistFamily):
+        _check_matrix(len(kind.multipliers))
+        if n is not None or m is not None:
+            raise ValueError("a twist family carries its own n and m; pass it alone")
+    else:
+        if n is None or m is None:
+            raise ValueError("n and m are required for named map kinds")
+        _check_params(n, m)  # the rows below are reduced mod m
+        if kind not in ("phi", "tau"):
+            raise ValueError(f"unknown map kind {kind!r}")
+        c = 1 if kind == "phi" else _inverse_of_two(m)
+        _check_matrix(n)
+        kind = TwistFamily(m, (c,) * n)
+    n = len(kind.multipliers)
+    columns = [epsilon_forward((0,) * j + (1,) + (0,) * (n - 1 - j), kind) for j in range(n)]
+    return LinearMap(kind.m, tuple(zip(*columns)))
+
+
+def invert_linear_map(lm: LinearMap) -> LinearMap:
+    """Inverse of a unit-diagonal lower-triangular matrix mod m.
+
+    Column-by-column forward substitution; the product with the input is
+    the identity mod m in either order. Its n(n^2-1)/6 multiply-adds run in
+    Python, so more than MAX_VERTICES of them (n >= 392) are refused.
+    """
+    n, m = lm.n, lm.m
+    _check_adds(n * (n * n - 1) // 6, f"the inverse of a {n}x{n} matrix, n(n^2-1)/6")
+    a = lm.rows
+    inv_diag = [pow(a[i][i], -1, m) for i in range(n)]
+    x = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for i in range(c, n):
+            s = (1 if i == c else 0) - sum(a[i][k] * x[k][c] for k in range(c, i))
+            x[i][c] = s * inv_diag[i] % m
+    return LinearMap(m, tuple(tuple(row) for row in x))
+
+
+def _edge_differences(lm: LinearMap, n: int, m: int) -> list[list[int]]:
+    """c[r][h] = entry r of c_h = A[:,h] - sum_{k>h} A[:,k] mod m, from suffix sums of row r.
+
+    Runs the guards of S(n,m) first, as every verifier does, after checking
+    that the matrix is n x n mod m. c[r][h] is 0 for h > r, since A is
+    lower triangular, and the unit A[r][r] for h = r.
+    """
+    if (lm.n, lm.m) != (n, m):
+        raise ValueError(f"a {lm.n}x{lm.n} matrix mod {lm.m} does not map S({n},{m})")
+    _check_sierpinski(n, m)
+    out = []
+    for r, row in enumerate(lm.rows):
+        diffs = [0] * n
+        tail = 0  # sum_{k>h} A[r][k]
+        for h in range(r, -1, -1):
+            diffs[h] = (row[h] - tail) % m
+            tail += row[h]
+        out.append(diffs)
+    return out
+
+
+def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
+    """Check that vmap relabels S(n,m) onto a subgraph of K_m^n.
+
+    A LinearMap whose rows obey the row rule (see the module docstring) is
+    an embedding: its unit diagonal makes it a bijection, and a bijection
+    that keeps every edge at distance 1 keeps the edge count. That report
+    builds no S(n,m). Any other LinearMap, callable or mapping goes to
+    maps, which maps every vertex a row_blocks block at a time: a
+    LinearMap by LinearMap.image on digit rows, a callable or a mapping
+    once per vertex tuple, with each block of outputs checked at once and
+    check_vertex's error for the first bad one.
+
+    Report: is_bijection, all_edges_distance_one, edge_count_preserved,
+    verdict, violations (at most 10 collisions, every distance violation).
+    Bijectivity plus one differing coordinate per edge image certifies an
+    isomorphism onto the image, because the edge counts already agree.
+    """
+    if isinstance(vmap, LinearMap):
+        c = _edge_differences(vmap, n, m)
+        if not any(any(row[:r]) for r, row in enumerate(c)):
+            return {
+                "is_bijection": True,
+                "all_edges_distance_one": True,
+                "edge_count_preserved": True,
+                "verdict": True,
+                "violations": [],
+            }
+    from .maps import _verify_images
+
+    return _verify_images(vmap, n, m)
+
+
+def format_vertex(v: Sequence[int], m: int) -> str:
+    if m <= 10:
+        return "".join(str(d) for d in v)
+    return " ".join(str(d) for d in v)
+
+
+def _lines(rows: Iterable[Iterable[str]], head: Iterable[str] = (), sep: str = " ") -> str:
+    """The head lines, then each row's string cells joined by sep, one row per line."""
+    return "\n".join([*head, *map(sep.join, rows)]) + "\n"
+
+
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def matrix_to_text(lm: LinearMap) -> str:
+    return _lines(map(str, row) for row in lm.rows)
+
+
+def matrix_to_csv(lm: LinearMap) -> str:
+    return _lines((map(str, row) for row in lm.rows), sep=",")
+
+
+def matrix_to_json(lm: LinearMap) -> str:
+    return _json({"m": lm.m, "rows": list(map(list, lm.rows))})

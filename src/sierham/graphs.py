@@ -9,9 +9,10 @@ graph replaces the crossed tails with a shared tail k = (i+j) mod m.
 Graphs store edges as an (E, 2) array of integer vertex codes,
 code(v) = sum(v_i * m**(n-i)), canonically sorted and frozen. Constructors
 refuse instances over 10**7 vertices or, by the closed-form counts, 3 * 10**7
-edges, and _check_rows refuses the 2^n-row tables of hanoi and codes past
-10**7 rows; the counting and density formulas below work at any size with
-exact integer arithmetic. In bulk, vertices are rows of a (k, n) digit array:
+edges. Those guards, _check_rows (which refuses the 2^n-row tables of hanoi
+and codes past 10**7 rows) and the counting and density formulas, exact at
+any size, live in the integer layer (exact), which imports no numpy; this
+module re-exports them. In bulk, vertices are rows of a (k, n) digit array:
 digit_rows decodes any codes, and digit_cube builds the whole cube
 {0..b-1}^n in code order by the doubling that also maps it (_cube, which
 refuses an oversize cube before it builds even the identity). Passes that
@@ -21,18 +22,27 @@ iter_rows does to yield a table's rows as tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import kernels
+from .exact import (  # re-exported: the guards and counts live in the integer layer
+    MAX_EDGES,
+    MAX_VERTICES,
+    Vertex,
+    _check_edges,
+    _check_params,
+    _check_rows,
+    _check_scale,
+    _check_sierpinski,
+    check_vertex,
+    edge_density,
+    hamming_edge_count,
+    sierpinski_edge_count,
+)
 
-Vertex = tuple[int, ...]
-
-MAX_VERTICES = 10**7
-MAX_EDGES = 3 * 10**7
 ROW_BLOCK = 1 << 16  # rows per row_blocks slice, where a whole-table pass would hold copies
 
 
@@ -128,87 +138,11 @@ def row_tuples(rows: np.ndarray) -> list[Vertex]:
     return list(iter_rows(rows)) if rows.shape[1] else [()] * rows.shape[0]
 
 
-def check_vertex(v: Sequence[int], n: int, m: int) -> None:
-    if len(v) != n:
-        raise ValueError(f"expected {n} digits, got {len(v)}")
-    for d in v:
-        if not 0 <= d < m:
-            raise ValueError(f"digit {d} out of range for alphabet {{0..{m - 1}}}")
-
-
 def check_pair(u: Sequence[int], v: Sequence[int], m: int) -> None:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     check_vertex(u, len(u), m)
     check_vertex(v, len(v), m)
-
-
-def _check_params(n: int, m: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-
-
-def _power_text(m: int, n: int) -> str:
-    """'m^n = value' for small powers (n * floor(log2 m) < 60, so below 2^120), else 'm^n'."""
-    return f"{m}^{n} = {m**n}" if n * (m.bit_length() - 1) < 60 else f"{m}^{n}"
-
-
-def _check_scale(n: int, m: int) -> None:
-    _check_params(n, m)
-    # m**n > MAX_VERTICES for every m >= 2 once n reaches 24: skip computing it
-    if n >= MAX_VERTICES.bit_length() or m**n > MAX_VERTICES:
-        raise ValueError(
-            f"refusing to build a graph on {_power_text(m, n)} vertices "
-            f"(limit {MAX_VERTICES}); the counting formulas remain available"
-        )
-
-
-def _check_rows(n: int, what: str, base: int = 2) -> None:
-    """Refuse a table of base^n rows, more than MAX_VERTICES, before computing it."""
-    if n >= MAX_VERTICES.bit_length() or base**n > MAX_VERTICES:
-        raise ValueError(
-            f"refusing to build {_power_text(base, n)} rows of {what} (limit {MAX_VERTICES})"
-        )
-
-
-def _check_matrix(n: int) -> None:
-    """Refuse an n x n matrix of more than MAX_VERTICES entries before building a row."""
-    if n * n > MAX_VERTICES:
-        raise ValueError(f"refusing to build a {n}x{n} matrix (limit {MAX_VERTICES} entries)")
-
-
-def _check_edges(n: int, m: int, count: int) -> None:
-    if count > MAX_EDGES:
-        raise ValueError(
-            f"refusing to build a graph with {count} edges on {m}^{n} vertices "
-            f"(limit {MAX_EDGES}); the counting formulas remain available"
-        )
-
-
-def sierpinski_edge_count(n: int, m: int) -> int:
-    """|E(S(n,m))| = (m^(n+1) - m) / 2, exact at any size."""
-    _check_params(n, m)
-    return (m ** (n + 1) - m) // 2
-
-
-def hamming_edge_count(n: int, m: int) -> int:
-    """|E(K_m^n)| = n (m-1) m^n / 2, exact at any size."""
-    _check_params(n, m)
-    return n * (m - 1) * m**n // 2
-
-
-def edge_density(n: int, m: int) -> Fraction:
-    """Density of S(n,m)'s clique blocks inside K_m^n: exactly 1/n.
-
-    The m^(n-1) blocks of the clique decomposition each fill a complete
-    line of the host, which has n * m^(n-1) lines in all; equivalently the
-    block (interior) edges occupy m^n (m-1)/2 of the n m^n (m-1)/2 host
-    edges. Exact at any size.
-    """
-    _check_params(n, m)
-    return Fraction(1, n)
 
 
 def edge_keys(u: np.ndarray, v: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -296,8 +230,7 @@ class Graph:
 
 
 def build_sierpinski(n: int, m: int) -> Graph:
-    _check_scale(n, m)
-    _check_edges(n, m, sierpinski_edge_count(n, m))
+    _check_sierpinski(n, m)
     return Graph(n, m, "sierpinski", kernels.sierpinski_edges(n, m))
 
 
@@ -308,8 +241,7 @@ def build_hamming(n: int, m: int) -> Graph:
 
 
 def build_single_twist(n: int, m: int) -> Graph:
-    _check_scale(n, m)
-    _check_edges(n, m, sierpinski_edge_count(n, m))  # one row per S(n,m) edge
+    _check_sierpinski(n, m)
     return Graph(n, m, "single-twist", kernels.single_twist_edges(n, m))
 
 

@@ -24,10 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .codes import eta_inverse
-from .graphs import (
-    MAX_VERTICES, Vertex, _check_params, _check_rows, check_pair, check_vertex, digit_cube,
+from .exact import (
+    MAX_VERTICES, Vertex, _check_params, _check_play, _inverse_of_two, check_vertex,
+    embedding_matrix, phi_forward, tau_inverse,
 )
-from .maps import _inverse_of_two, embedding_matrix, phi_forward, tau_inverse
+from .graphs import check_pair, digit_cube
 
 HanoiPosition = Vertex
 
@@ -118,7 +119,7 @@ def classic_solution(n: int, m: int = 3) -> MovePath:
     two corners in increasing lexicographic order. Refuses more than
     MAX_VERTICES positions before building any of them.
     """
-    _check_rows(n, f"the classic solution for n={n}")
+    _check_play(n)
     return MovePath("T", m, embedding_matrix("tau", n, m).cube_image(2))
 
 
@@ -191,7 +192,7 @@ def diplomats_table(n: int) -> np.ndarray:
     """The five-peg transport schedule, an int64 (2^n, 2, n) digit array:
     [ell, 0] is binary ell and [ell, 1] is step ell of the five-peg classic
     play, its halved-map image over m = 5. Both columns are filled in place."""
-    _check_rows(n, f"the classic solution for n={n}")
+    _check_play(n)
     tau = embedding_matrix("tau", n, 5)
     table = np.zeros((2**n, 2, n), np.int64)
     digit_cube(n, 2, out=table[:, 0])

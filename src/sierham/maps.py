@@ -9,18 +9,25 @@ Three families, all lower-triangular linear maps mod m:
   coordinate, parameterized by one multiplier per recursion level.
 
 phi and tau are the twist families with every multiplier 1 and 2^(-1).
-embedding_matrix reads column j of any family's LinearMap off
-epsilon_forward of the j-th unit vector. LinearMap.cube_image maps the
-whole cube {0..b-1}^n by the paper's level-by-level doubling, and every
-full table (embed, the classic and diplomats plays, the Gray sequence)
-comes from it; LinearMap.image maps any other (k, n) digit array.
-phi_forward and tau_forward keep the paper's per-vertex formulas as
-independent forms. phi_recursive rebuilds phi by the level-by-level
-recursion instead of the closed form; the two must agree pointwise.
+The scalar maps, TwistFamily, LinearMap, embedding_matrix,
+invert_linear_map and verify_embedding live in the integer layer (exact),
+which imports no numpy, and are re-exported here. embedding_matrix reads
+column j of any family's LinearMap off epsilon_forward of the j-th unit
+vector. LinearMap.cube_image maps the whole cube {0..b-1}^n by the paper's
+level-by-level doubling, and every full table (embed, the classic and
+diplomats plays, the Gray sequence) comes from it; LinearMap.image maps
+any other (k, n) digit array. phi_forward and tau_forward keep the
+paper's per-vertex formulas as independent forms. phi_recursive rebuilds
+phi by the level-by-level recursion instead of the closed form; the two
+must agree pointwise.
+
 verify_embedding checks that a vertex map (a LinearMap, a callable or a
 mapping) is a bijection sending every S(n,m) edge to a Hamming-distance-1
-pair; a callable or a mapping is called once per vertex, and its outputs
-are checked a block at a time. sierpinski_isomorphism decides whether a
+pair. A LinearMap whose rows obey the row rule is decided from them;
+every other map reaches _verify_images here, where a callable or a
+mapping is called once per vertex and its outputs are checked a block at
+a time. layout_metrics reads a LinearMap's layout off the same rows.
+sierpinski_isomorphism decides whether a
 graph is a relabeled S(n,m) by reading every vertex's digits off its
 distances to the m corners, and returns the isomorphism as its witness;
 verify_coordinatization adds the gates that place the graph inside K_m^n.
@@ -29,21 +36,31 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
 from itertools import chain, islice, product
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import kernels
-from .graphs import (
-    MAX_VERTICES,
-    Graph,
+from .exact import (  # re-exported: the scalar maps and the matrices live in the integer layer
+    LinearMap,
+    TwistFamily,
     Vertex,
-    _check_matrix,
-    _check_params,
+    VertexMap,
+    _check_adds,
+    _edge_differences,
+    embedding_matrix,
+    epsilon_forward,
+    invert_linear_map,
+    phi_forward,
+    phi_inverse,
+    tau_forward,
+    tau_inverse,
+    verify_embedding,
+)
+from .graphs import (
+    Graph,
     _check_scale,
-    _cube,
     build_sierpinski,
     check_vertex,
     digit_rows,
@@ -53,43 +70,6 @@ from .graphs import (
     row_tuples,
     sierpinski_edge_count,
 )
-
-VertexMap = Callable[[Vertex], Vertex]
-
-
-def _inverse_of_two(m: int) -> int:
-    if m % 2 == 0:
-        raise ValueError(f"no multiplicative inverse of 2 mod {m}")
-    return (m + 1) // 2
-
-
-def phi_forward(v: Sequence[int], m: int) -> Vertex:
-    """Additive recoordinatization: w_i = (v_i + sum_{j<i} 2^(i-1-j) v_j) mod m."""
-    out = []
-    s = 0  # running sum_{j<i} 2^(i-1-j) v_j mod m
-    for d in v:
-        out.append((d + s) % m)
-        s = (2 * s + d) % m
-    return tuple(out)
-
-
-def _unscale_and_subtract(w: Sequence[int], m: int, ratio: int) -> Vertex:
-    """Shared inverse of phi (ratio 1) and tau (ratio 2), p_i = ratio^(i-1):
-    v_i = (p_i w_i - sum_{j<i} p_j w_j) mod m."""
-    out = []
-    s = 0  # sum_{j<i} p_j w_j mod m
-    p = 1  # p_i mod m
-    for d in w:
-        x = p * d
-        out.append((x - s) % m)
-        s = (s + x) % m
-        p = p * ratio % m
-    return tuple(out)
-
-
-def phi_inverse(w: Sequence[int], m: int) -> Vertex:
-    """Inverse of phi_forward: v_i = (w_i - sum_{j<i} w_j) mod m."""
-    return _unscale_and_subtract(w, m, 1)
 
 
 def phi_recursive(n: int, m: int) -> dict[Vertex, Vertex]:
@@ -110,189 +90,17 @@ def phi_recursive(n: int, m: int) -> dict[Vertex, Vertex]:
     return table
 
 
-def tau_forward(v: Sequence[int], m: int) -> Vertex:
-    """Halved recoordinatization (odd m): t_i = 2^(-(i-1)) * phi(v)_i mod m.
-
-    Fixes every constant vertex, so the m corners keep their labels.
-    """
-    inv2 = _inverse_of_two(m)
-    out = []
-    s = 0
-    f = 1  # 2^(-(i-1)) mod m
-    for d in v:
-        out.append(f * (d + s) % m)
-        s = (2 * s + d) % m
-        f = f * inv2 % m
-    return tuple(out)
-
-
-def tau_inverse(t: Sequence[int], m: int) -> Vertex:
-    """Inverse of tau_forward: v_i = (2^(i-1) t_i - sum_{j<i} 2^(j-1) t_j) mod m."""
-    _inverse_of_two(m)  # reject even m up front
-    return _unscale_and_subtract(t, m, 2)
-
-
-@dataclass(frozen=True)
-class TwistFamily:
-    """One invertible multiplier per recursion level, defining one epsilon map.
-
-    The level multipliers (c_1,...,c_n) combine into a single unit scale per
-    output coordinate: coordinate 1 is scaled by c_1 * c_2^(-1), coordinate
-    i >= 2 by c_2 * c_3 * ... * c_i (a lone level, n = 1, scales by 1). The
-    all-ones family is phi, the all-2^(-1) family is tau, and distinct
-    multiplier tuples give distinct maps.
-    """
-
-    m: int
-    multipliers: tuple[int, ...]
-    _scales: tuple[int, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if len(self.multipliers) < 1:
-            raise ValueError("need at least one multiplier")
-        cs = tuple(c % self.m for c in self.multipliers)
-        for c in cs:
-            if math.gcd(c, self.m) != 1:
-                raise ValueError(f"multiplier {c} is not invertible mod {self.m}")
-        object.__setattr__(self, "multipliers", cs)
-        scales = [1] if len(cs) == 1 else [cs[0] * pow(cs[1], -1, self.m) % self.m]
-        acc = 1
-        for c in cs[1:]:
-            acc = acc * c % self.m
-            scales.append(acc)
-        object.__setattr__(self, "_scales", tuple(scales))
-
-    def scales(self) -> tuple[int, ...]:
-        return self._scales
-
-
-def epsilon_forward(v: Sequence[int], tw: TwistFamily) -> Vertex:
-    """Twist-family recoordinatization: e_i = scale_i * phi(v)_i mod m, in one pass."""
-    if len(v) != len(tw.multipliers):
-        raise ValueError(
-            f"vertex has {len(v)} digits, twist family has {len(tw.multipliers)} levels"
-        )
-    m = tw.m
-    out = []
-    s = 0  # running sum_{j<i} 2^(i-1-j) v_j mod m
-    for c, d in zip(tw.scales(), v):
-        out.append(c * (d + s) % m)
-        s = (2 * s + d) % m
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Lower-triangular matrix over Z_m; row i gives output coordinate i."""
-
-    m: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        _check_params(n, self.m)
-        norm = []
-        for i, row in enumerate(self.rows):
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            row = tuple(x % self.m for x in row)
-            if any(row[i + 1 :]):
-                raise ValueError(f"row {i + 1} has a nonzero entry above the diagonal")
-            if math.gcd(row[i], self.m) != 1:
-                raise ValueError(
-                    f"diagonal entry {row[i]} in row {i + 1} is not invertible mod {self.m}"
-                )
-            norm.append(row)
-        object.__setattr__(self, "rows", tuple(norm))
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def image(self, rows) -> np.ndarray:
-        """The images of the rows of a (k, n) digit array: rows @ A.T mod m.
-
-        Digits must lie in [0, m). Every dot product is below n (m-1)^2, so
-        the arithmetic runs in int64 while that bound is under 2^63, and in
-        exact Python integers (an object array) beyond it.
-        """
-        dtype = np.int64 if self.n * (self.m - 1) ** 2 < 2**63 else object
-        out = np.asarray(rows, dtype) @ np.array(self.rows, dtype).reshape(self.n, self.n).T
-        out %= self.m
-        return out
-
-    def cube_image(self, base: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The images of all base^n digit rows in code order, 2 <= base <= m.
-
-        Equals image(digit_rows(np.arange(base**n), n, base)), built by the
-        paper's recursion on the leading digit: the rows whose digit k is d
-        are those whose digit k is 0, plus d * A[:, k] mod m. That costs
-        O(base^n n), against O(base^n n^2) for image, and allocates no
-        input rows. int64 while 2m < 2^63, exact Python integers beyond it;
-        refuses more than MAX_VERTICES rows. out, if given, is a zeroed
-        (base^n, n) array to fill.
-        """
-        if not 2 <= base <= self.m:
-            raise ValueError(f"base {base} is outside 2..{self.m}")
-        return _cube(self.n, base, self.m, self.rows, out)
-
-    def apply(self, v: Sequence[int]) -> Vertex:
-        check_vertex(v, self.n, self.m)
-        return tuple(self.image([v])[0].tolist())
-
-
-def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | None = None) -> LinearMap:
-    """Coefficient matrix of phi, tau, or a twist family, as a LinearMap.
-
-    phi is the all-ones twist family and tau the all-2^(-1) one; column j
-    is epsilon_forward of the j-th unit vector. A family is passed alone.
-    Refuses more than MAX_VERTICES entries before building a row.
-    """
-    if isinstance(kind, TwistFamily):
-        _check_matrix(len(kind.multipliers))
-        if n is not None or m is not None:
-            raise ValueError("a twist family carries its own n and m; pass it alone")
-    else:
-        if n is None or m is None:
-            raise ValueError("n and m are required for named map kinds")
-        _check_params(n, m)  # the rows below are reduced mod m
-        if kind not in ("phi", "tau"):
-            raise ValueError(f"unknown map kind {kind!r}")
-        c = 1 if kind == "phi" else _inverse_of_two(m)
-        _check_matrix(n)
-        kind = TwistFamily(m, (c,) * n)
-    n = len(kind.multipliers)
-    columns = [epsilon_forward((0,) * j + (1,) + (0,) * (n - 1 - j), kind) for j in range(n)]
-    return LinearMap(kind.m, tuple(zip(*columns)))
-
-
-def invert_linear_map(lm: LinearMap) -> LinearMap:
-    """Inverse of a unit-diagonal lower-triangular matrix mod m.
-
-    Column-by-column forward substitution; the product with the input is
-    the identity mod m in either order. Its n(n^2-1)/6 multiply-adds run in
-    Python, so more than MAX_VERTICES of them (n >= 392) are refused.
-    """
-    n, m = lm.n, lm.m
-    adds = n * (n * n - 1) // 6
-    if adds > MAX_VERTICES:
-        what = f"the inverse of a {n}x{n} matrix, n(n^2-1)/6 = {adds} multiply-adds"
-        raise ValueError(f"refusing to build {what} (limit {MAX_VERTICES})")
-    a = lm.rows
-    inv_diag = [pow(a[i][i], -1, m) for i in range(n)]
-    x = [[0] * n for _ in range(n)]
-    for c in range(n):
-        for i in range(c, n):
-            s = (1 if i == c else 0) - sum(a[i][k] * x[k][c] for k in range(c, i))
-            x[i][c] = s * inv_diag[i] % m
-    return LinearMap(m, tuple(tuple(row) for row in x))
-
-
 def compose_linear_maps(outer: LinearMap, inner: LinearMap) -> LinearMap:
+    """The product outer @ inner mod m: the map that applies inner, then outer.
+
+    A product of lower-triangular matrices takes n(n+1)(n+2)/6
+    multiply-adds, so more than MAX_VERTICES of them (n >= 391) are
+    refused before the first.
+    """
     if outer.m != inner.m or outer.n != inner.n:
         raise ValueError("matrix shape or modulus mismatch")
+    n = outer.n
+    _check_adds(n * (n + 1) * (n + 2) // 6, f"the product of two {n}x{n} matrices, n(n+1)(n+2)/6")
     # outer.image(B) = B @ outer.T, so the image of inner's columns is (outer @ inner).T
     product = outer.image(np.array(inner.rows, object).T).T
     return LinearMap(outer.m, tuple(map(tuple, product.tolist())))
@@ -341,14 +149,13 @@ def _edge_images(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """S(n,m)'s edges, the image code of every vertex, and the images of both edge ends.
 
-    A LinearMap maps digit_rows blocks by image. A callable or a mapping is
-    called once per vertex tuple, a row_blocks block at a time, and each
-    block of outputs is checked at once (_checked_rows): check_vertex runs
-    per output only when the block holds a bad one, so the first bad
-    vertex and its message are those a check on arrival would give.
+    A LinearMap, already checked against n and m, maps digit_rows blocks
+    by image. A callable or a mapping is called once per vertex tuple, a
+    row_blocks block at a time, and each block of outputs is checked at
+    once (_checked_rows): check_vertex runs per output only when the block
+    holds a bad one, so the first bad vertex and its message are those a
+    check on arrival would give.
     """
-    if isinstance(vmap, LinearMap) and (vmap.n, vmap.m) != (n, m):
-        raise ValueError(f"a {vmap.n}x{vmap.n} matrix mod {vmap.m} does not map S({n},{m})")
     edges = build_sierpinski(n, m).edges
     if isinstance(vmap, LinearMap):
         blocks = (vmap.image(digit_rows(codes, n, m)) for codes in row_blocks(np.arange(m**n)))
@@ -358,18 +165,10 @@ def _edge_images(
     return edges, img, img[edges[:, 0]], img[edges[:, 1]]
 
 
-def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
-    """Check that vmap relabels S(n,m) onto a subgraph of K_m^n.
+def _verify_images(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
+    """verify_embedding's report from the image of every vertex, for the maps its rows do not decide.
 
-    Every form of vmap is mapped a row_blocks block at a time: a LinearMap
-    by LinearMap.image on digit rows, a callable or a mapping once per
-    vertex tuple, with each block of outputs checked at once and
-    check_vertex's error for the first bad one.
-
-    Report: is_bijection, all_edges_distance_one, edge_count_preserved,
-    verdict, violations (at most 10 collisions, every distance violation).
-    Bijectivity plus one differing coordinate per edge image certifies an
-    isomorphism onto the image, because the edge counts already agree.
+    violations holds at most 10 collisions and every distance violation.
     """
     edges, img, a, b = _edge_images(vmap, n, m)
     counts = np.bincount(img, minlength=m**n)
@@ -578,7 +377,19 @@ def layout_metrics(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int
     vmap is a LinearMap, a callable or a mapping, as in verify_embedding.
     Wirelength sums the Hamming distances of the edge images; bandwidth is
     their maximum.
+
+    A LinearMap builds no S(n,m). Its m^h edges at position h between
+    digits i and j have images at distance wt((i-j) c_h), the nonzero
+    entries of (i-j) c_h mod m (see exact's row rule). An entry c is
+    nonzero for all but gcd(c, m) - 1 of the differences d = 1..m-1, so
+    summed over the digit pairs, (m - d) pairs per d, it counts
+    m (m - gcd(c, m)) / 2. Bandwidth is the largest wt(c_h), at d = 1.
     """
+    if isinstance(vmap, LinearMap):
+        c = _edge_differences(vmap, n, m)  # c[r][h] is entry r of c_h
+        pairs = sum(m**h * sum(m - math.gcd(row[h], m) for row in c) for h in range(n))
+        widest = max(sum(1 for row in c if row[h]) for h in range(n))
+        return {"wirelength": pairs * m // 2, "bandwidth": widest}
     _, _, a, b = _edge_images(vmap, n, m)
     diffs = kernels.digit_diff_counts(a, b, n, m)
     return {"wirelength": int(diffs.sum()), "bandwidth": int(diffs.max())}

@@ -10,25 +10,27 @@ Python objects a graphs.row_blocks block at a time, so no writer holds a
 whole column of them (the text play table keeps its S labels, which size
 their column). Every writer, and the cli's verify and corners-search
 reports, is one _lines or _json call: no other module joins output lines
-or encodes JSON.
-write(table, fmt, ...) finds <table>_to_<fmt> by name.
+or encodes JSON. format_vertex, _lines, _json and the matrix writers need
+no array, so they live in the integer layer (exact) and are re-exported
+here. write(table, fmt, ...) finds <table>_to_<fmt> by name.
 """
 from __future__ import annotations
 
 import json
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
+from .exact import (  # re-exported: the matrix writers and the primitives need no array
+    _json,
+    _lines,
+    format_vertex,
+    matrix_to_csv,
+    matrix_to_json,
+    matrix_to_text,
+)
 from .graphs import Graph, Vertex, check_vertex, from_edge_list, iter_rows, row_blocks, row_codes
-from .maps import LinearMap
-
-
-def format_vertex(v: Sequence[int], m: int) -> str:
-    if m <= 10:
-        return "".join(str(d) for d in v)
-    return " ".join(str(d) for d in v)
 
 
 def vertex_labels(rows: np.ndarray, m: int) -> Iterator[str]:
@@ -81,15 +83,6 @@ def _edge_strings(g: Graph) -> Iterator[tuple[str, str]]:
     return ((labels[u], labels[v]) for u, v in iter_rows(g.edges))
 
 
-def _lines(rows: Iterable[Iterable[str]], head: Iterable[str] = (), sep: str = " ") -> str:
-    """The head lines, then each row's string cells joined by sep, one row per line."""
-    return "\n".join([*head, *map(sep.join, rows)]) + "\n"
-
-
-def _json(payload: object) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def write(table: str, fmt: str, *args) -> str:
     """Print with <table>_to_<fmt>, looked up on each call, so a wrapper put on
     that module attribute (as a tracer does) is called; an import-time dict would bypass it."""
@@ -134,18 +127,6 @@ def graph_to_dot(g: Graph) -> str:
 
 def render_graph(g: Graph, fmt: str) -> str:
     return write("graph", fmt, g)
-
-
-def matrix_to_text(lm: LinearMap) -> str:
-    return _lines(map(str, row) for row in lm.rows)
-
-
-def matrix_to_csv(lm: LinearMap) -> str:
-    return _lines((map(str, row) for row in lm.rows), sep=",")
-
-
-def matrix_to_json(lm: LinearMap) -> str:
-    return _json({"m": lm.m, "rows": list(map(list, lm.rows))})
 
 
 def map_table_to_text(v: np.ndarray, w: np.ndarray, m: int) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping
 
 import numpy as np
@@ -412,6 +412,40 @@ def reference_layout_metrics(vmap, n: int, m: int) -> dict:
     img = reference_images(vmap, n, m)
     dists = [_hamming(img[u], img[v], n, m) for u, v in recursive_sierpinski_edges(n, m)]
     return {"wirelength": sum(dists), "bandwidth": max(dists)}
+
+
+def lower_triangular_matrices(n: int, m: int) -> np.ndarray:
+    """Every n x n lower-triangular matrix mod m with units on the diagonal, as (K, n, n).
+
+    K = phi(m)^n * m^(n(n-1)/2): the diagonals in the outer loop, then the
+    entries below the diagonal, row by row, in lexicographic order.
+    """
+    units = [c for c in range(1, m) if np.gcd(c, m) == 1]
+    below = np.tril_indices(n, -1)
+    out = []
+    for diagonal in product(units, repeat=n):
+        for entries in product(range(m), repeat=below[0].size):
+            a = np.diag(diagonal)
+            a[below] = entries
+            out.append(a)
+    return np.array(out, np.int64).reshape(-1, n, n)
+
+
+def batch_layouts(mats: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each matrix A of a (K, n, n) stack: whether x -> A x mod m embeds S(n,m),
+    and the wirelength and bandwidth of that layout.
+
+    Every vertex's image is computed for every matrix at once; the edges come
+    from recursive_sierpinski_edges. Embeds means a bijection that puts every
+    edge at Hamming distance 1 (a bijection keeps the edge count).
+    """
+    digits = np.array(all_vertices(n, m), np.int64)  # (V, n) in code order
+    img = np.einsum("kij,vj->kvi", mats, digits) % m  # (K, V, n)
+    codes = img @ (m ** np.arange(n - 1, -1, -1))
+    bijective = (np.sort(codes, axis=1) == np.arange(m**n)).all(axis=1)
+    u, v = np.array(sorted(recursive_sierpinski_edges(n, m))).T
+    dist = (img[:, u] != img[:, v]).sum(axis=2)  # (K, E)
+    return bijective & (dist == 1).all(axis=1), dist.sum(axis=1), dist.max(axis=1)
 
 
 def reference_coordinatization_gates(g) -> dict:

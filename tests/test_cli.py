@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sierham import cli, kernels, maps
+from sierham import cli, exact, kernels
 from sierham.cli import FIXTURES, main, run_command
 from sierham.graphs import MAX_VERTICES, build_sierpinski, sierpinski_edge_count
 from sierham.serialize import graph_from_json
@@ -331,7 +331,7 @@ def test_matrix_guard_refuses_before_building_the_matrix(invert, monkeypatch, ca
     def refuse(*args):
         raise AssertionError("the matrix was built past the size guard")
 
-    monkeypatch.setattr(maps, "LinearMap", refuse)
+    monkeypatch.setattr(exact, "LinearMap", refuse)  # embedding_matrix's home
     # 3163^2 = 10,004,569 entries is the first square above MAX_VERTICES
     assert 3162**2 <= MAX_VERTICES < 3163**2
     argv = ["embed", "phi", "--n", "3163", "--m", "3", "--matrix"]
@@ -478,6 +478,57 @@ def test_corners_search_answers_large_even_m_in_time(m, best, required):
     assert proc.returncode == 0
     assert f"max_exterior_edges: {best}\n" in proc.stdout
     assert f"required_exterior_edges: {required}\n" in proc.stdout
+
+
+# ---------------------------------------------------------------- numpy on demand
+
+# Commands that build no array: two matrices, three refusals, two verdicts the rows decide.
+ARRAY_FREE = [
+    ["embed", "phi", "--n", "6", "--m", "5", "--matrix"],
+    ["embed", "tau", "--n", "6", "--m", "7", "--matrix", "--invert"],
+    ["gen", "hamming", "--n", "15", "--m", "3"],
+    ["embed", "tau", "--n", "4", "--m", "4"],
+    ["hanoi", "classic", "--n", "30"],
+    ["verify", "phi", "--n", "5", "--m", "3"],
+    ["verify", "epsilon", "--n", "4", "--m", "5", "--c-list", "1,2,3,4"],
+]
+# Run a command as `python -m sierham.cli` runs it, and report what it printed
+# and whether numpy was imported.
+RUN_MODULE = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["sierham", *json.loads(sys.argv[1])]
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        runpy.run_module("sierham.cli", run_name="__main__")
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([out.getvalue(), err.getvalue(), code, "numpy" in sys.modules]))
+"""
+
+
+def _child(*args: str) -> str:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", *args], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", ARRAY_FREE, ids=" ".join)
+def test_array_free_commands_run_without_numpy(argv, capsys):
+    out, err, code, numpy_loaded = json.loads(_child(RUN_MODULE, json.dumps(argv)))
+    assert not numpy_loaded
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_importing_the_package_and_the_cli_loads_no_numpy():
+    probe = "import sys, sierham, sierham.cli; print('numpy' in sys.modules)"
+    assert _child(probe) == "False\n"
 
 
 # ---------------------------------------------------------------- plumbing

@@ -43,7 +43,9 @@ from sierham.hanoi import (
     shortest_path_to_zero,
     solve_from_position,
 )
-from sierham.maps import LinearMap, embedding_matrix, invert_linear_map, phi_recursive
+from sierham.maps import (
+    LinearMap, compose_linear_maps, embedding_matrix, invert_linear_map, phi_recursive,
+)
 
 import oracles
 
@@ -239,6 +241,9 @@ OVERSIZE_CALLS = {
     "phi_recursive": (phi_recursive, lambda: (3000, 3)),
     "km_decomposition": (km_decomposition, lambda: (3000, 3)),
     "invert_linear_map": (invert_linear_map, lambda: (embedding_matrix("phi", 392, 3),)),
+    "compose_linear_maps": (
+        compose_linear_maps, lambda: (embedding_matrix("phi", 391, 3), embedding_matrix("tau", 391, 3)),
+    ),
     "shortest_path_to_zero": (shortest_path_to_zero, lambda: ((1,) * 3000, 3)),
     "solve_from_position": (solve_from_position, lambda: ((1,) * 3000, 3)),
     "Graph": (Graph, lambda: (3000, 3, "x", [])),

@@ -10,7 +10,7 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
-from sierham import graphs, maps
+from sierham import exact, graphs, maps
 from sierham.graphs import (
     MAX_VERTICES,
     Graph,
@@ -255,7 +255,7 @@ def test_matrix_refuses_more_than_max_vertices_entries_before_building_a_row(
     def refuse(*args):
         raise AssertionError("the matrix was built past the size guard")
 
-    monkeypatch.setattr(maps, "LinearMap", refuse)
+    monkeypatch.setattr(exact, "LinearMap", refuse)  # embedding_matrix's home
     # 3163^2 = 10,004,569 entries is the first square above MAX_VERTICES
     assert 3162**2 <= MAX_VERTICES < 3163**2
     message = f"3163x3163 matrix (limit {MAX_VERTICES} entries)"
@@ -269,6 +269,14 @@ def test_inverse_refuses_more_than_max_vertices_multiply_adds():
     message = f"392x392 matrix, n(n^2-1)/6 = 10039316 multiply-adds (limit {MAX_VERTICES})"
     with pytest.raises(ValueError, match=re.escape(message)):
         invert_linear_map(embedding_matrix("phi", 392, 3))
+
+
+def test_products_refuse_more_than_max_vertices_multiply_adds():
+    # a lower-triangular product makes n(n+1)(n+2)/6 multiply-adds; n = 391 is the first above
+    assert 390 * 391 * 392 // 6 <= MAX_VERTICES < 391 * 392 * 393 // 6
+    message = f"two 391x391 matrices, n(n+1)(n+2)/6 = 10039316 multiply-adds (limit {MAX_VERTICES})"
+    with pytest.raises(ValueError, match="^refusing to build the product of " + re.escape(message)):
+        compose_linear_maps(embedding_matrix("phi", 391, 3), embedding_matrix("tau", 391, 3))
 
 
 def test_embedding_matrix_argument_checks():
@@ -428,6 +436,66 @@ def test_verifiers_take_a_linear_map(n, m):
     assert not verify_embedding(all_ones_below(n, m), n, m)["verdict"]
 
 
+# Every lower-triangular unit-diagonal matrix of these sizes: 8764 in all.
+RULE_SIZES = [(2, 3), (3, 3), (3, 4), (2, 6), (3, 5)]
+EMBEDDING_REPORT = {
+    "is_bijection": True,
+    "all_edges_distance_one": True,
+    "edge_count_preserved": True,
+    "verdict": True,
+    "violations": [],
+}
+
+
+def test_the_row_rule_decides_exactly_the_small_matrices_that_embed(monkeypatch):
+    # with the image path stubbed out, a report is the row rule's own answer
+    undecided = object()
+    monkeypatch.setattr(maps, "_verify_images", lambda *args: undecided)
+    counts = embeddings = 0
+    for n, m in RULE_SIZES:
+        mats = oracles.lower_triangular_matrices(n, m)
+        embeds, wirelength, bandwidth = oracles.batch_layouts(mats, n, m)
+        for a, ok, wire, band in zip(mats.tolist(), embeds, wirelength.tolist(), bandwidth.tolist()):
+            lm = LinearMap(m, tuple(map(tuple, a)))
+            report = verify_embedding(lm, n, m)
+            if ok:
+                assert typed(report) == typed(EMBEDDING_REPORT), a
+            else:
+                assert report is undecided, a
+            assert typed(layout_metrics(lm, n, m)) == typed({"wirelength": wire, "bandwidth": band}), a
+        counts += len(mats)
+        embeddings += int(embeds.sum())
+    assert counts == 8764
+    # the embeddings are the twist families, phi(m)^n per size
+    assert embeddings == sum(len(list(units(m))) ** n for n, m in RULE_SIZES) == 88
+
+
+def test_a_sample_of_non_embeddings_reports_as_its_apply():
+    rng = random.Random(20)
+    for n, m in RULE_SIZES:
+        mats = oracles.lower_triangular_matrices(n, m)
+        embeds = oracles.batch_layouts(mats, n, m)[0]
+        for k in rng.sample(np.flatnonzero(~embeds).tolist(), 6):
+            lm = LinearMap(m, tuple(map(tuple, mats[k].tolist())))
+            report = verify_embedding(lm, n, m)
+            assert not report["verdict"]
+            assert typed(report) == typed(verify_embedding(lm.apply, n, m)), mats[k]
+            assert typed(layout_metrics(lm, n, m)) == typed(layout_metrics(lm.apply, n, m)), mats[k]
+
+
+def test_linear_maps_are_decided_and_laid_out_without_building_the_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("S(n,m) was built")
+
+    monkeypatch.setattr(maps, "build_sierpinski", refuse)
+    # 4.8M vertices; 24.5M edges on one digit; 13.5M edges: each O(n^2) from the rows
+    for n, m in [(14, 3), (1, 7001), (2, 300)]:
+        for lm in (embedding_matrix("phi", n, m), embedding_matrix(some_twist(n, m))):
+            assert typed(verify_embedding(lm, n, m)) == typed(EMBEDDING_REPORT)
+            layout = {"wirelength": sierpinski_edge_count(n, m), "bandwidth": 1}
+            assert typed(layout_metrics(lm, n, m)) == typed(layout)
+
+
 def vertex_maps(n, m):
     """Every form the verifiers take (callable, mapping, LinearMap), embeddings or not."""
     forms = {
@@ -580,7 +648,10 @@ def test_blocked_callables_equal_the_per_vertex_reference(n, m, monkeypatch, blo
     for form, vmap in vertex_maps(n, m).items():
         block_passes.clear()
         report = verify_embedding(vmap, n, m)
-        assert block_passes[0] == [min(7, m**n - s) for s in range(0, m**n, 7)], form  # the cube
+        if isinstance(vmap, LinearMap) and report["verdict"]:
+            assert block_passes == [], form  # the row rule decides: no vertex is mapped
+        else:
+            assert block_passes[0] == [min(7, m**n - s) for s in range(0, m**n, 7)], form  # the cube
         assert typed(report) == typed(oracles.reference_verify_embedding(vmap, n, m)), form
         assert typed(layout_metrics(vmap, n, m)) == typed(oracles.reference_layout_metrics(vmap, n, m))
 

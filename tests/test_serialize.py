@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sierham import cli, graphs, serialize
+from sierham import cli, exact, graphs, serialize
 from sierham.codes import gray_sequence
 from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex, digit_cube, digit_rows
 from sierham.hanoi import classic_solution, shortest_path_to_zero
@@ -315,8 +315,10 @@ def test_every_writer_and_report_is_one_lines_or_json_call(monkeypatch):
 
         return wrapper
 
-    for name in ("_lines", "_json"):
-        monkeypatch.setattr(serialize, name, counted(getattr(serialize, name)))
+    for name in ("_lines", "_json"):  # defined in exact, bound in serialize and cli too
+        wrapper = counted(getattr(exact, name))
+        for module in (exact, serialize, cli):
+            monkeypatch.setattr(module, name, wrapper)
     assert {table for table, _ in WRITERS} == set(WRITER_INPUTS)
     for table, fmt in WRITERS:
         calls.clear()
