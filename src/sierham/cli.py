@@ -2,10 +2,13 @@
 density, corners-search, plus a --check-fixtures mode that diffs live
 output against the shipped golden files.
 
-_leaf adds each leaf subcommand with its handler, --format and --out; a
-handler takes the parsed arguments and returns (output text, exit code).
-A table handler prints its digit arrays with one serialize.write call, a
-report (verify, corners-search) with one _lines or _json call.
+One dispatcher, run_command, parses argv and answers (stdout text, exit
+code): --check-fixtures first, else the handler that _leaf bound to the leaf
+subcommand (with its --format and --out), and --out writes the text to its
+file and answers "". main maps SystemExit, ValueError and OSError to exit
+codes and writes the answer once. Every answer is the value of one _lines
+or _json call: a table's serialize.write, or the report of verify,
+corners-search, density or the fixture check.
 Exit codes: 0 success or PASS, 1 verification failure or fixture mismatch,
 2 usage or parameter error, size refusals included (the library raises them),
 or an --out file that cannot be written.
@@ -94,11 +97,14 @@ def _matrix_for(args: argparse.Namespace) -> LinearMap:
         _check_matrix(args.n)  # (c,) * n is built before embedding_matrix can refuse it
         cs = (args.c,) * args.n
     elif args.c_list is not None:
-        cs = tuple(int(part) for part in args.c_list.split(","))
+        cs = []
+        for part in args.c_list.split(","):
+            try:
+                cs.append(int(part))
+            except ValueError:
+                raise ValueError(f"--c-list entry {part!r} is not an integer") from None
         if len(cs) != args.n:
-            raise ValueError(
-                f"--c-list has {len(cs)} entries, expected n={args.n}"
-            )
+            raise ValueError(f"--c-list has {len(cs)} entries, expected n={args.n}")
     else:
         raise ValueError("the epsilon map needs --c or --c-list")
     return embedding_matrix(TwistFamily(args.m, cs))
@@ -135,13 +141,9 @@ def _violation_line(item: dict, m: int) -> str:
             f"{item['degree']}, expected {allowed}"
         )
     if item["kind"] == "distance":
-        edge = item["edge"]
-        base = (
-            f"distance violation: edge {fv(edge[0])} -- {fv(edge[1])}"
-        )
+        base = "distance violation: edge " + " -- ".join(map(fv, item["edge"]))
         if "images" in item:
-            img = item["images"]
-            base += f" maps to {fv(img[0])} -- {fv(img[1])}"
+            base += " maps to " + " -- ".join(map(fv, item["images"]))
         return base + f" ({item['distance']} differing coordinates)"
     if item["kind"] == "collision":
         return f"collision: image {fv(item['image'])} hit {item['count']} times"
@@ -199,7 +201,7 @@ def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
-    return str(edge_density(args.n, args.m)) + "\n", 0
+    return _lines([(str(edge_density(args.n, args.m)),)]), 0
 
 
 def cmd_corners_search(args: argparse.Namespace) -> tuple[str, int]:
@@ -238,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--check-fixtures",
-        action="store_true",
+        "--check-fixtures", action="store_true",
         help="re-run every golden command and diff against shipped fixtures",
     )
     sub = p.add_subparsers(dest="subcommand")
@@ -273,10 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     hc.add_argument("--m", type=int, default=3)
     hs = _leaf(hsub, "solve", "optimal play from an arbitrary position", cmd_solve)
     hs.add_argument(
-        "--from",
-        dest="position",
-        required=True,
-        metavar="DIGITS",
+        "--from", dest="position", required=True, metavar="DIGITS",
         help="starting position, e.g. 1020 (digit i = peg of disc i, disc 1 largest)",
     )
     hs.add_argument("--coords", choices=["S", "T"], default="T")
@@ -299,51 +297,44 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_command(argv: list[str]) -> tuple[str, int]:
-    """Parse argv and execute, returning (output text, exit code)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand is None:
-        parser.error("a subcommand is required (or --check-fixtures)")
-    return args.run(args)
+def run_command(argv: list[str] | None = None) -> tuple[str, int]:
+    """Parse argv and answer it: (stdout text, exit code), "" once --out holds the text.
 
-
-def check_fixtures() -> int:
-    failures = 0
-    for name, argv in sorted(FIXTURES.items()):
-        expected = (
-            resources.files("sierham").joinpath("fixtures", name).read_text()
-        )
-        live, code = run_command(argv)
-        if code == 0 and live == expected:
-            print(f"ok        {name}")
-        else:
-            failures += 1
-            print(f"MISMATCH  {name}")
-    print(f"{len(FIXTURES) - failures}/{len(FIXTURES)} fixtures match")
-    return 1 if failures else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    A missing subcommand raises ValueError; argparse's usage errors exit as usual.
+    """
+    args = build_parser().parse_args(argv)
     if args.check_fixtures:
         return check_fixtures()
     if args.subcommand is None:
-        print("error: a subcommand is required (or --check-fixtures)", file=sys.stderr)
-        return 2
+        raise ValueError("a subcommand is required (or --check-fixtures)")
+    text, code = args.run(args)
+    if args.out:
+        Path(args.out).write_text(text)
+        return "", code
+    return text, code
+
+
+def check_fixtures() -> tuple[str, int]:
+    """Re-run every golden command: an ok or MISMATCH line per fixture, then the tally."""
+    shipped = resources.files(__package__).joinpath("fixtures")
+    match = {
+        name: run_command(argv) == (shipped.joinpath(name).read_text(), 0)
+        for name, argv in sorted(FIXTURES.items())
+    }
+    rows = [(("ok" if ok else "MISMATCH").ljust(8), name) for name, ok in match.items()]
+    rows.append((f"{sum(match.values())}/{len(match)} fixtures match",))
+    return _lines(rows, sep="  "), int(not all(match.values()))
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        text, code = args.run(args)
-        if args.out:
-            Path(args.out).write_text(text)
+        text, code = run_command(argv)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code or 0)
     except (ValueError, OSError) as exc:  # a refusal, or an --out file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.out:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return code
 
 

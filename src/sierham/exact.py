@@ -1,15 +1,17 @@
-"""The integer layer: everything sierham computes without an array.
+"""The integer layer: the array-free code a command needs before numpy loads.
 
-The size guards and closed-form counts, the scalar maps phi, tau and
-epsilon, TwistFamily, LinearMap's rows, embedding_matrix,
-invert_linear_map, the row rule of verify_embedding, and the matrix
-writers with the two output primitives _lines and _json. All of it is
-exact Python integer arithmetic, and this module imports no numpy: a
-command that builds no array (a matrix, a refusal, a verdict the rows
-decide) runs without loading it. graphs, maps and serialize re-export
-these names and import numpy themselves. LinearMap.image and cube_image
-import the array code when called, and verify_embedding imports maps only
-when the rows do not decide.
+It holds the size guards and closed-form counts, the scalar maps phi, tau
+and epsilon, TwistFamily, LinearMap's rows, embedding_matrix,
+invert_linear_map, the row rule of verify_embedding, the vertex text
+format (_separators, format_vertex), and the matrix writers with the two
+output primitives _lines and _json. All of it is exact Python integer
+arithmetic, and this module imports no numpy: a command that builds no
+array (a matrix, a refusal, a verdict the rows decide) runs without
+loading it. graphs, maps and serialize re-export these names and import
+numpy themselves. LinearMap.image and cube_image import the array code
+when called, and verify_embedding imports maps only when the rows do not
+decide. graphs, hanoi and codes keep the pure-integer helpers that no
+command reaches without an array (vertex_to_code, the move rules, eta).
 
 The row rule: an S(n,m) edge at position h between digits i and j has
 u - v = (0^h, d, (-d)^(n-h-1)) with d = i - j, so a lower-triangular map A
@@ -402,10 +404,15 @@ def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: i
     return _verify_images(vmap, n, m)
 
 
+def _separators(m: int) -> tuple[str, str]:
+    """How vertices over {0..m-1} print: (between digits, between fields). Up to
+    m = 10 digits are one character, concatenated, and fields space-separated;
+    beyond, digits are space-separated and fields tab-separated."""
+    return ("", " ") if m <= 10 else (" ", "\t")
+
+
 def format_vertex(v: Sequence[int], m: int) -> str:
-    if m <= 10:
-        return "".join(str(d) for d in v)
-    return " ".join(str(d) for d in v)
+    return _separators(m)[0].join(map(str, v))
 
 
 def _lines(rows: Iterable[Iterable[str]], head: Iterable[str] = (), sep: str = " ") -> str:

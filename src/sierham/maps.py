@@ -205,21 +205,21 @@ def _verify_images(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int
     }
 
 
-def _corner_distances(g: Graph, corners: np.ndarray) -> np.ndarray | None:
+def _corner_distances(g: Graph, corners: np.ndarray, degrees: np.ndarray) -> np.ndarray | None:
     """Breadth-first distances from each corner, shape (len(corners), V).
 
     One search runs over len(corners) disjoint copies of g at once: state
     k * V + v is vertex v seen from corner k. Neighbours come from CSR
-    arrays built once from g.edges, and each frontier is expanded with
-    numpy. Returns None once a search needs 2^n levels, since no vertex of
-    S(n,m) lies that far from a corner. Unreached vertices keep -1.
+    arrays built once from g.edges and degrees, and each frontier is
+    expanded with numpy. Returns None once a search needs 2^n levels, since
+    no vertex of S(n,m) lies that far from a corner. Unreached keep -1.
     """
     size = g.num_vertices
     src = g.edges.ravel()  # row t holds (u, v): slot 2t is u, 2t + 1 is v
     order = np.argsort(src, kind="stable")
     nbrs = g.edges[:, ::-1].ravel()[order]
     start = np.zeros(size + 1, np.int64)
-    np.cumsum(np.bincount(src, minlength=size), out=start[1:])
+    np.cumsum(degrees, out=start[1:])
 
     limit = 2**g.n
     dist = np.full(corners.shape[0] * size, -1, np.int32)
@@ -244,7 +244,7 @@ def _corner_distances(g: Graph, corners: np.ndarray) -> np.ndarray | None:
     return dist.reshape(corners.shape[0], size)
 
 
-def _corner_certificate(g: Graph) -> tuple[np.ndarray | None, str]:
+def _corner_certificate(g: Graph, degrees: np.ndarray) -> tuple[np.ndarray | None, str]:
     """Labels that carry g onto S(n,m), or None with the reason there are none.
 
     In S(n,m), d(v, i^n) = sum of 2^(n-j) over the digits v_j != i, so
@@ -255,12 +255,13 @@ def _corner_certificate(g: Graph) -> tuple[np.ndarray | None, str]:
     corner distances recovers that isomorphism. The labels are accepted
     only if they are a bijection that carries the edge set of g onto the
     edge set of S(n,m), so an accepted labeling is its own proof.
+    degrees is g.degrees(), counted once by the caller.
     """
     n, m, size = g.n, g.m, g.num_vertices
-    corners = np.flatnonzero(g.degrees() == m - 1)
+    corners = np.flatnonzero(degrees == m - 1)
     if corners.shape[0] != m:
         return None, f"{corners.shape[0]} vertices of degree {m - 1}, expected {m} corners"
-    dist = _corner_distances(g, corners)
+    dist = _corner_distances(g, corners, degrees)
     if dist is None:
         return None, f"a vertex lies {2**n} or more steps from a corner"
     unreached = int((dist < 0).any(axis=0).sum())
@@ -289,7 +290,7 @@ def sierpinski_isomorphism(g: Graph) -> np.ndarray | None:
     Polynomial: one breadth-first search from the m corners, O(m E) work
     spread over at most 2^n numpy steps.
     """
-    return _corner_certificate(g)[0]
+    return _corner_certificate(g, g.degrees())[0]
 
 
 def verify_coordinatization(candidate: Graph) -> dict:
@@ -349,7 +350,7 @@ def verify_coordinatization(candidate: Graph) -> dict:
 
     isomorphic = False
     if edge_count_matches and degree_sequence_matches:
-        labels, reason = _corner_certificate(candidate)
+        labels, reason = _corner_certificate(candidate, degs)
         isomorphic = labels is not None
         if not isomorphic:
             violations.append({"kind": "isomorphism", "detail": reason})

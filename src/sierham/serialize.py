@@ -1,7 +1,7 @@
 """Text, CSV, JSON, DOT and edge-list renderings of graphs, maps, and tables.
 
-Digit strings: for m <= 10 a vertex prints as concatenated digits ("1020");
-for larger alphabets digits are space-separated and fields tab-separated.
+Digit strings (exact._separators): for m <= 10 a vertex prints as concatenated
+digits ("1020"); beyond, digits are space-separated and fields tab-separated.
 All writers are deterministic: same input, same bytes. Graph writers
 format each vertex once, into a list of labels indexed by vertex code,
 and read edge codes through graphs.iter_rows; table writers label (k, n)
@@ -25,12 +25,14 @@ import numpy as np
 from .exact import (  # re-exported: the matrix writers and the primitives need no array
     _json,
     _lines,
+    _separators,
     format_vertex,
     matrix_to_csv,
     matrix_to_json,
     matrix_to_text,
 )
-from .graphs import Graph, Vertex, check_vertex, from_edge_list, iter_rows, row_blocks, row_codes
+from .graphs import Graph, Vertex, check_vertex, iter_rows, row_blocks, row_codes
+from .graphs import vertex_to_code as _code  # no <table>_to_<fmt> name for write to find
 
 
 def vertex_labels(rows: np.ndarray, m: int) -> Iterator[str]:
@@ -40,8 +42,8 @@ def vertex_labels(rows: np.ndarray, m: int) -> Iterator[str]:
     newline per row), decoded in one call; multi-digit cells go row by row.
     """
     for block in row_blocks(np.asarray(rows)):
-        if m > 10 or block.dtype == object:
-            yield from map(format_vertex, block.tolist(), repeat(m))
+        if _separators(m)[0] or block.dtype == object:
+            yield from map(format_vertex, iter_rows(block), repeat(m))
             continue
         text = np.full((len(block), block.shape[1] + 1), ord("\n"), np.uint8)
         np.add(block, ord("0"), out=text[:, :-1], casting="unsafe")
@@ -56,7 +58,7 @@ def _ints(column: np.ndarray) -> Iterator[int]:
 def parse_vertex(s: str, m: int, n: int | None = None) -> Vertex:
     """Parse a digit string; accepts spaces or commas between digits for m > 10."""
     s = s.strip()
-    if m <= 10 and " " not in s and "," not in s:
+    if not _separators(m)[0] and " " not in s and "," not in s:
         digits = tuple(int(ch) for ch in s)
     else:
         digits = tuple(int(part) for part in s.replace(",", " ").split())
@@ -71,7 +73,7 @@ def parse_vertex(s: str, m: int, n: int | None = None) -> Vertex:
 def _vertex_labels(n: int, m: int) -> list[str]:
     """format_vertex of every vertex of {0..m-1}^n, indexed by vertex code."""
     digits = [str(d) for d in range(m)]
-    sep = "" if m <= 10 else " "
+    sep = _separators(m)[0]
     labels = digits
     for _ in range(n - 1):
         labels = [p + sep + d for p in labels for d in digits]
@@ -93,12 +95,12 @@ def write(table: str, fmt: str, *args) -> str:
 
 
 def graph_to_edgelist(g: Graph) -> str:
-    return _lines(_edge_strings(g), sep=" " if g.m <= 10 else "\t")
+    return _lines(_edge_strings(g), sep=_separators(g.m)[1])
 
 
 def graph_to_text(g: Graph) -> str:
     head = f"{g.kind} graph n={g.n} m={g.m} vertices={g.num_vertices} edges={g.num_edges}"
-    return _lines(_edge_strings(g), [head], " " if g.m <= 10 else "\t")
+    return _lines(_edge_strings(g), [head], _separators(g.m)[1])
 
 
 def graph_to_csv(g: Graph) -> str:
@@ -112,10 +114,9 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     payload = json.loads(text)
     n, m, kind = payload["n"], payload["m"], payload["kind"]
-    pairs = [
-        (parse_vertex(a, m, n), parse_vertex(b, m, n)) for a, b in payload["edges"]
-    ]
-    return from_edge_list(n, m, kind, pairs)
+    code = lambda label: _code(parse_vertex(label, m, n), m)  # noqa: E731
+    # parse_vertex checks every label, and Graph checks n and m after them
+    return Graph(n, m, kind, [(code(a), code(b)) for a, b in payload["edges"]])
 
 
 def graph_to_dot(g: Graph) -> str:

@@ -6,7 +6,7 @@ import pytest
 # make the shared oracle helpers importable from every test module
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from sierham import graphs, maps, serialize  # noqa: E402
+from sierham import cli, exact, graphs, maps, serialize  # noqa: E402
 
 
 @pytest.fixture
@@ -29,3 +29,22 @@ def block_passes(monkeypatch):
     for module in (graphs, maps, serialize):
         monkeypatch.setattr(module, "row_blocks", counting)
     return passes
+
+
+@pytest.fixture
+def primitive_calls(monkeypatch):
+    """The value of every _lines and _json call of the test, in call order."""
+    calls = []
+
+    def counted(primitive):
+        def wrapper(*args, **kwargs):
+            calls.append(primitive(*args, **kwargs))
+            return calls[-1]
+
+        return wrapper
+
+    for name in ("_lines", "_json"):  # defined in exact, bound in serialize and cli too
+        wrapper = counted(getattr(exact, name))
+        for module in (exact, serialize, cli):
+            monkeypatch.setattr(module, name, wrapper)
+    return calls

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,8 +36,17 @@ def test_fixture_matches_live_output(name):
 def test_check_fixtures_flag(capsys):
     assert main(["--check-fixtures"]) == 0
     out = capsys.readouterr().out
-    assert "5/5 fixtures match" in out
-    assert "MISMATCH" not in out
+    assert out.splitlines() == [f"ok        {name}" for name in sorted(FIXTURES)] + ["5/5 fixtures match"]
+    assert run_command(["--check-fixtures"]) == (out, 0)
+
+
+def test_fixture_check_reports_a_mismatch(monkeypatch):
+    broken = {**FIXTURES, "classic_n4_m5.txt": ["hanoi", "classic", "--n", "4", "--m", "3"]}
+    monkeypatch.setattr(cli, "FIXTURES", broken)
+    text, code = run_command(["--check-fixtures"])
+    assert code == 1
+    assert "MISMATCH  classic_n4_m5.txt\n" in text
+    assert text.endswith("\n4/5 fixtures match\n")
 
 
 # ---------------------------------------------------------------- gen
@@ -72,6 +82,8 @@ def test_out_writes_the_file_or_reports_why_not(tmp_path, capsys):
     argv = ["gen", "sierpinski", "--n", "2", "--m", "3"]
     assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
     assert (tmp_path / "out.txt").read_text() == run(argv)[0]
+    assert run_command([*argv, "--out", str(tmp_path / "run.txt")]) == ("", 0)
+    assert (tmp_path / "run.txt").read_text() == run(argv)[0]
     assert main([*argv, "--out", str(tmp_path / "missing" / "out.txt")]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -127,6 +139,11 @@ def test_embed_epsilon_usage_errors(capsys):
     assert main(["embed", "epsilon", "--n", "2", "--m", "5"]) == 2
     assert "needs --c or --c-list" in capsys.readouterr().err
     assert main(["embed", "epsilon", "--n", "3", "--m", "5", "--c-list", "2,3"]) == 2
+    assert capsys.readouterr().err == "error: --c-list has 2 entries, expected n=3\n"
+    for argv in (["embed", "--c-list", "1,,2"], ["verify", "--c-list", "1,x,2"]):
+        assert main([argv[0], "epsilon", "--n", "3", "--m", "5", *argv[1:]]) == 2
+        bad = argv[-1].split(",")[1]
+        assert capsys.readouterr() == ("", f"error: --c-list entry {bad!r} is not an integer\n")
     assert main(["embed", "epsilon", "--n", "2", "--m", "4", "--c", "2"]) == 2
     assert main(["embed", "epsilon", "--n", "2", "--m", "5", "--c", "2", "--c-list", "2,3"]) == 2
     assert "not allowed with argument --c" in capsys.readouterr().err
@@ -186,6 +203,16 @@ def test_isomorphism_violation_line():
     assert _violation_line(item, 3) == (
         "isomorphism violation: 6 vertices are not reachable from the corners"
     )
+
+
+def test_distance_violation_line():
+    edge, images = ((0, 1), (1, 0)), ((0, 1), (2, 2))
+    item = {"kind": "distance", "edge": edge, "images": images, "distance": 2}
+    assert cli._violation_line(item, 3) == (
+        "distance violation: edge 01 -- 10 maps to 01 -- 22 (2 differing coordinates)"
+    )
+    item = {"kind": "distance", "edge": ((0, 11), (1, 0)), "distance": 3}
+    assert cli._violation_line(item, 12) == "distance violation: edge 0 11 -- 1 0 (3 differing coordinates)"
 
 
 def test_verify_single_twist_depth_two_passes():
@@ -549,7 +576,9 @@ def test_verify_exit_code_through_main(capsys):
 
 def test_no_subcommand(capsys):
     assert main([]) == 2
-    assert "subcommand" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: a subcommand is required (or --check-fixtures)\n")
+    with pytest.raises(ValueError, match=r"^a subcommand is required \(or --check-fixtures\)$"):
+        run_command([])
 
 
 def test_unknown_arguments_exit_2(capsys):
@@ -657,3 +686,28 @@ def test_every_leaf_subcommand_keeps_its_options():
         defaults = dict(parser._defaults)
         assert defaults.pop("run").__name__ == handler, path
         assert defaults == extra, path
+
+
+# one argv per leaf subcommand of SURFACE: its path, then its options
+COMMANDS = {
+    ("gen",): ["sierpinski", "--n", "2", "--m", "3", "--format", "dot"],
+    ("embed",): ["tau", "--n", "2", "--m", "5", "--format", "csv"],
+    ("verify",): ["epsilon", "--n", "3", "--m", "5", "--c-list", "1,2,3"],
+    ("hanoi", "classic"): ["--n", "2", "--format", "json"],
+    ("hanoi", "solve"): ["--from", "1020"],
+    ("diplomats",): ["--n", "2"],
+    ("gray",): ["--n", "3", "--format", "both"],
+    ("density",): ["--n", "4", "--m", "3"],
+    ("corners-search",): ["--m", "6"],
+}
+
+
+def test_every_command_writes_the_value_of_its_last_lines_or_json_call(primitive_calls, monkeypatch):
+    assert sorted(COMMANDS) == sorted(SURFACE)
+    written = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=written.append))
+    for argv in [[*path, *options] for path, options in COMMANDS.items()] + [["--check-fixtures"]]:
+        primitive_calls.clear()
+        written.clear()
+        assert main(argv) == 0, argv
+        assert len(written) == 1 and written[0] is primitive_calls[-1], argv

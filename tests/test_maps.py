@@ -828,6 +828,21 @@ def test_coordinatization_accepts_the_phi_image():
     assert report["violations"] == []
 
 
+def test_coordinatization_counts_degrees_once(monkeypatch):
+    g = phi_image(3, 3)
+    endpoint_counts = []
+    bincount = np.bincount
+
+    def counted(x, *args, **kwargs):
+        if len(x) == 2 * g.num_edges:
+            endpoint_counts.append(len(x))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    assert verify_coordinatization(g)["verdict"]
+    assert len(endpoint_counts) == 1
+
+
 def test_coordinatization_rejects_raw_sierpinski():
     report = verify_coordinatization(build_sierpinski(3, 3))
     assert not report["all_edges_distance_one"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sierham import cli, exact, graphs, serialize
+from sierham import cli, graphs, serialize
 from sierham.codes import gray_sequence
 from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex, digit_cube, digit_rows
 from sierham.hanoi import classic_solution, shortest_path_to_zero
@@ -104,6 +104,32 @@ def test_json_roundtrip():
     payload = json.loads(graph_to_json(g))
     assert payload["n"] == 3 and payload["m"] == 4
     assert len(payload["edges"]) == g.num_edges
+
+
+def test_json_read_checks_each_label_once(monkeypatch):
+    g = build_sierpinski(3, 3)
+    checked = []
+    for module in (graphs, serialize):
+        check = module.check_vertex
+        monkeypatch.setattr(module, "check_vertex", lambda v, n, m, f=check: checked.append(v) or f(v, n, m))
+    assert graph_from_json(graph_to_json(g)) == g
+    assert len(checked) == 2 * g.num_edges
+
+
+@pytest.mark.parametrize(
+    "n,m,edges,message",
+    [
+        (2, 3, [["00", "01"], ["0", "02"]], "expected 2 digits, got 1 in '0'"),
+        (2, 3, [["00", "03"]], "digit 3 out of range for alphabet {0..2}"),
+        # every label is checked before the size of the graph
+        (30, 3, [["0" * 30, "0" * 29 + "3"]], "digit 3 out of range"),
+        (30, 3, [["0" * 30, "0" * 29 + "1"]], "refusing to build a graph on 3^30"),
+        (2, 3, [["01", "01"]], "self-loop in edge list"),
+    ],
+)
+def test_json_read_refuses_bad_input_in_order(n, m, edges, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        graph_from_json(json.dumps({"n": n, "m": m, "kind": "x", "edges": edges}))
 
 
 def test_dot():
@@ -305,28 +331,15 @@ REPORTS = [
 ]
 
 
-def test_every_writer_and_report_is_one_lines_or_json_call(monkeypatch):
-    calls = []
-
-    def counted(primitive):
-        def wrapper(*args, **kwargs):
-            calls.append(primitive(*args, **kwargs))
-            return calls[-1]
-
-        return wrapper
-
-    for name in ("_lines", "_json"):  # defined in exact, bound in serialize and cli too
-        wrapper = counted(getattr(exact, name))
-        for module in (exact, serialize, cli):
-            monkeypatch.setattr(module, name, wrapper)
+def test_every_writer_and_report_is_one_lines_or_json_call(primitive_calls):
     assert {table for table, _ in WRITERS} == set(WRITER_INPUTS)
     for table, fmt in WRITERS:
-        calls.clear()
+        primitive_calls.clear()
         out = serialize.write(table, fmt, *WRITER_INPUTS[table])
-        assert len(calls) == 1 and calls[0] is out, (table, fmt)
+        assert len(primitive_calls) == 1 and primitive_calls[0] is out, (table, fmt)
     for argv in REPORTS:
         for fmt in ("text", "json"):
-            calls.clear()
+            primitive_calls.clear()
             out, _ = cli.run_command([*argv, "--format", fmt])
-            assert len(calls) == 1 and calls[0] is out, (argv, fmt)
+            assert len(primitive_calls) == 1 and primitive_calls[0] is out, (argv, fmt)
     assert "json" not in vars(cli)
