@@ -19,6 +19,7 @@ _HOMES = {
             "LinearMap",
             "TwistFamily",
             "Vertex",
+            "constant_corner_search",
             "edge_density",
             "embedding_matrix",
             "epsilon_forward",
@@ -47,7 +48,6 @@ _HOMES = {
             "HanoiPosition",
             "MovePath",
             "classic_solution",
-            "constant_corner_search",
             "diplomats_table",
             "is_legal_move",
             "is_legal_move_physical",

@@ -13,21 +13,18 @@ Exit codes: 0 success or PASS, 1 verification failure or fixture mismatch,
 2 usage or parameter error, size refusals included (the library raises them),
 or an --out file that cannot be written.
 
-Importing this module loads the integer layer (exact) and no numpy. The
-names in _ARRAY_NAMES come from the array modules on first use: module
-__getattr__ (PEP 562) imports the module and binds the very object it
-holds in globals(), and the handlers read them through _array, which
-finds a name already bound (or a wrapper put on this module by name)
-first. Each handler runs its library guard before it reads an array name,
-so a refusal, a matrix, a density and a verdict that the matrix rows
-decide run without numpy.
+Importing this module loads the integer layer (exact) and no numpy. Each
+handler runs its library guard first, then imports the array modules it
+calls (graphs, maps, hanoi, codes, serialize) and reads their functions as
+attributes at call time, so a refusal, a matrix, a density, a verdict that
+the matrix rows decide and the corner search run without numpy.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import sys
-from importlib import import_module, resources
+from importlib import resources
 from pathlib import Path
 
 from . import exact
@@ -38,8 +35,10 @@ from .exact import (
     _check_matrix,
     _check_play,
     _check_scale,
+    _inverse_of_two,
     _json,
     _lines,
+    constant_corner_search,
     edge_density,
     embedding_matrix,
     format_vertex,
@@ -47,35 +46,6 @@ from .exact import (
     tau_inverse,
     verify_embedding,
 )
-
-_ARRAY_NAMES = {  # name: the module that defines it (serialize: the module itself)
-    "build_hamming": "graphs",
-    "build_sierpinski": "graphs",
-    "build_single_twist": "graphs",
-    "classic_solution": "hanoi",
-    "constant_corner_search": "hanoi",
-    "digit_cube": "graphs",
-    "gray_sequence": "codes",
-    "serialize": "serialize",
-    "shortest_path_to_zero": "hanoi",
-    "verify_coordinatization": "maps",
-}
-
-
-def __getattr__(name: str):
-    if name not in _ARRAY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = import_module(f".{_ARRAY_NAMES[name]}", __package__)
-    if name != _ARRAY_NAMES[name]:
-        value = getattr(value, name)
-    globals()[name] = value
-    return value
-
-
-def _array(name: str):
-    """A name of _ARRAY_NAMES: the object bound here, else __getattr__'s import of it."""
-    return globals()[name] if name in globals() else __getattr__(name)
-
 
 FIXTURES: dict[str, list[str]] = {
     "solve_1020_m3.txt": ["hanoi", "solve", "--from", "1020"],
@@ -112,8 +82,10 @@ def _matrix_for(args: argparse.Namespace) -> LinearMap:
 
 def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
     _check_scale(args.n, args.m)  # each builder's first guard
-    g = _array(f"build_{args.kind.replace('-', '_')}")(args.n, args.m)
-    return _array("serialize").render_graph(g, args.fmt), 0
+    from . import graphs, serialize
+
+    g = getattr(graphs, f"build_{args.kind.replace('-', '_')}")(args.n, args.m)
+    return serialize.render_graph(g, args.fmt), 0
 
 
 def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
@@ -128,8 +100,9 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
         # name: read them from serialize once it is loaded, and never load it for them
         writers = sys.modules.get(f"{__package__}.serialize", exact)
         return getattr(writers, f"matrix_to_{args.fmt}")(lm), 0
-    cube = _array("digit_cube")(n, m)
-    return _array("serialize").write("map_table", args.fmt, cube, lm.cube_image(m), m), 0
+    from . import graphs, serialize
+
+    return serialize.write("map_table", args.fmt, graphs.digit_cube(n, m), lm.cube_image(m), m), 0
 
 
 def _violation_line(item: dict, m: int) -> str:
@@ -156,7 +129,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
     _check_scale(n, m)  # the graph's guard, before the matrix, which has n^2 entries
     if args.kind == "single-twist" and args.c is None and args.c_list is None:
-        report = _array("verify_coordinatization")(_array("build_single_twist")(n, m))
+        from . import graphs, maps
+
+        report = maps.verify_coordinatization(graphs.build_single_twist(n, m))
     else:  # _matrix_for refuses --c and --c-list for every kind but epsilon
         report = verify_embedding(_matrix_for(args), n, m)
     checks = [k for k, v in report.items() if isinstance(v, bool) and k != "verdict"]
@@ -177,19 +152,23 @@ def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     _check_play(n)  # an oversize n is refused before numpy loads, and before 2^n steps exist
     import numpy as np
 
-    play = _array("classic_solution")(n, m).positions
-    bits = _array("digit_cube")(n, 2)
-    return _array("serialize").write("hanoi_table", args.fmt, np.arange(2**n), bits, play, m), 0
+    from . import graphs, hanoi, serialize
+
+    play = hanoi.classic_solution(n, m).positions
+    bits = graphs.digit_cube(n, 2)
+    return serialize.write("hanoi_table", args.fmt, np.arange(2**n), bits, play, m), 0
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     import numpy as np
 
+    from . import hanoi, serialize
+
     m = args.m
-    serialize = _array("serialize")
     start = serialize.parse_vertex(args.position, m)
+    _inverse_of_two(m)  # the tau matrix's modulus check, before the geodesic exists
     v = tau_inverse(start, m) if args.coords == "T" else start
-    s = _array("shortest_path_to_zero")(v, m).positions
+    s = hanoi.shortest_path_to_zero(v, m).positions
     t = embedding_matrix("tau", len(start), m).image(s)
     # each step of the geodesic is one closer to 0^n
     return serialize.write("hanoi_table", args.fmt, np.arange(len(s) - 1, -1, -1), s, t, m), 0
@@ -197,7 +176,9 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
     _check_gray(args.n)
-    return _array("serialize").write("gray", args.fmt, _array("gray_sequence")(args.n)), 0
+    from . import codes, serialize
+
+    return serialize.write("gray", args.fmt, codes.gray_sequence(args.n)), 0
 
 
 def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
@@ -205,7 +186,7 @@ def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_corners_search(args: argparse.Namespace) -> tuple[str, int]:
-    report = _array("constant_corner_search")(args.m, args.n)
+    report = constant_corner_search(args.m, args.n)
     if args.fmt == "json":
         return _json(report), 0
     rows = [("exists", "true" if report["exists"] else "false")]

@@ -180,7 +180,10 @@ class Graph:
     def __post_init__(self) -> None:
         _check_scale(self.n, self.m)
         size = self.m**self.n
-        e = np.asarray(self.edges, np.int64).reshape(-1, 2)
+        e = np.asarray(self.edges, np.int64)
+        if e.size and (e.ndim != 2 or e.shape[1] != 2):
+            raise ValueError(f"edges must be an (E, 2) array, got shape {e.shape}")
+        e = e.reshape(-1, 2)
         # range first: a negative endpoint could alias the key of a real edge
         if e.size and not (0 <= e.min() and e.max() < size):
             raise ValueError("edge endpoint out of vertex range")

@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .codes import eta_inverse
-from .exact import (
+from .exact import (  # re-exported: constant_corner_search needs no array
     MAX_VERTICES, Vertex, _check_params, _check_play, _inverse_of_two, check_vertex,
-    embedding_matrix, phi_forward, tau_inverse,
+    constant_corner_search, embedding_matrix, phi_forward, tau_inverse,
 )
 from .graphs import check_pair, digit_cube
 
@@ -198,58 +198,3 @@ def diplomats_table(n: int) -> np.ndarray:
     digit_cube(n, 2, out=table[:, 0])
     tau.cube_image(2, out=table[:, 1])
     return table
-
-
-def constant_corner_search(m: int, n: int = 2) -> dict:
-    """Can S(n,m) be relabeled inside K_m^n keeping every corner constant?
-
-    Odd m: yes, the halved map is a witness. Even m, n = 1: yes, S(1,m) is
-    K_m = K_m^1 and the identity keeps every corner. Even m with n >= 3 is
-    refused: the argument below is two-dimensional. Even m, n = 2: no.
-    Block i of S(2,m) is an m-clique through the corner (i, i), so it lands
-    on the row or the column through (i, i); each of the m(m-1)/2 block
-    pairs {i, j} then needs one exterior edge joining line i to line j off
-    the corners.
-
-    * Two decompositions. A row line and a column line always meet, so the
-      lines partition the vertices only when all are rows or all columns.
-    * At most m(m-2)/2 edges. With all rows, pair {i, j} needs an edge
-      (i, y) - (j, y), y not in {i, j}, and no vertex serves twice. Column
-      y holds m - 1 non-corner vertices, an odd count, so it hosts at most
-      (m-2)/2 of these edges.
-    * The maximum is reached. Number the rows Z_(m-1) plus inf = m - 1.
-      Column a in Z_(m-1) takes {a-t, a+t} for 1 <= t <= (m-2)/2, the
-      round-robin near-1-factorization of K_(m-1). Column inf takes
-      {2t-1, 2t mod (m-1)}, and the column that held that pair takes
-      {inf, 2t-1} in its place.
-    """
-    _check_params(n, m)
-    if m % 2 == 1 or n == 1:
-        odd = m % 2 == 1
-        return {
-            "m": m,
-            "n": n,
-            "exists": True,
-            "witness": "tau_forward" if odd else "identity",
-            "detail": "the halved map fixes every corner and embeds S(n,m)"
-            if odd
-            else "S(1,m) is K_m = K_m^1, and the identity keeps every corner",
-        }
-    if n != 2:
-        raise ValueError(
-            "the even-m argument is only implemented for n=2; whether "
-            "constant-corner relabelings exist for even m and larger n "
-            "is not attempted here"
-        )
-    best = m * (m - 2) // 2
-    required = m * (m - 1) // 2
-    return {
-        "m": m,
-        "n": 2,
-        "exists": False,
-        "witness": None,
-        "max_exterior_edges": best,
-        "required_exterior_edges": required,
-        "decompositions_searched": 2,
-        "detail": f"max exterior edges {best} < {required} required",
-    }

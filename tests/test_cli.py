@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sierham import cli, exact, kernels
+from sierham import cli, exact, hanoi, kernels
 from sierham.cli import FIXTURES, main, run_command
 from sierham.graphs import MAX_VERTICES, build_sierpinski, sierpinski_edge_count
 from sierham.serialize import graph_from_json
@@ -335,6 +336,16 @@ def test_solve_refusal_names_the_start_by_its_length(capsys):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("coords", ["S", "T"])
+def test_solve_refuses_an_even_modulus_before_building_the_geodesic(coords, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the geodesic was built before the modulus check")
+
+    monkeypatch.setattr(hanoi, "shortest_path_to_zero", refuse)
+    assert main(["hanoi", "solve", "--coords", coords, "--m", "4", "--from", "1" * 18]) == 2
+    assert capsys.readouterr() == ("", "error: no multiplicative inverse of 2 mod 4\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -509,7 +520,8 @@ def test_corners_search_answers_large_even_m_in_time(m, best, required):
 
 # ---------------------------------------------------------------- numpy on demand
 
-# Commands that build no array: two matrices, three refusals, two verdicts the rows decide.
+# Commands that build no array: two matrices, three refusals, two verdicts the
+# rows decide, and the corner search.
 ARRAY_FREE = [
     ["embed", "phi", "--n", "6", "--m", "5", "--matrix"],
     ["embed", "tau", "--n", "6", "--m", "7", "--matrix", "--invert"],
@@ -518,6 +530,7 @@ ARRAY_FREE = [
     ["hanoi", "classic", "--n", "30"],
     ["verify", "phi", "--n", "5", "--m", "3"],
     ["verify", "epsilon", "--n", "4", "--m", "5", "--c-list", "1,2,3,4"],
+    ["corners-search", "--m", "4"],
 ]
 # Run a command as `python -m sierham.cli` runs it, and report what it printed
 # and whether numpy was imported.
@@ -556,6 +569,35 @@ def test_array_free_commands_run_without_numpy(argv, capsys):
 def test_importing_the_package_and_the_cli_loads_no_numpy():
     probe = "import sys, sierham, sierham.cli; print('numpy' in sys.modules)"
     assert _child(probe) == "False\n"
+
+
+# Each array function a handler calls, with one argv whose handler calls it.
+CALLED_BY_ATTRIBUTE = [
+    ("graphs", "build_sierpinski", ["gen", "sierpinski", "--n", "2", "--m", "3"]),
+    ("graphs", "build_hamming", ["gen", "hamming", "--n", "2", "--m", "3"]),
+    ("graphs", "build_single_twist", ["gen", "single-twist", "--n", "2", "--m", "3"]),
+    ("maps", "verify_coordinatization", ["verify", "single-twist", "--n", "3", "--m", "3"]),
+    ("hanoi", "classic_solution", ["hanoi", "classic", "--n", "3"]),
+    ("hanoi", "shortest_path_to_zero", ["hanoi", "solve", "--from", "1020"]),
+    ("codes", "gray_sequence", ["gray", "--n", "3"]),
+]
+
+
+@pytest.mark.parametrize("module,name,argv", CALLED_BY_ATTRIBUTE, ids=[c[1] for c in CALLED_BY_ATTRIBUTE])
+def test_handlers_call_array_functions_through_their_modules(module, name, argv, monkeypatch):
+    # a wrapper put on the defining module sees the call: no handler binds the
+    # function when cli is imported
+    expected = run(argv)
+    home = importlib.import_module(f"sierham.{module}")
+    original, calls = getattr(home, name), []
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(home, name, recorder)
+    assert run(argv) == expected
+    assert calls
 
 
 # ---------------------------------------------------------------- plumbing

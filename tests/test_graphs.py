@@ -446,6 +446,13 @@ def test_graph_empty_edge_list():
         assert np.array_equal(g.degrees(), np.zeros(9, np.int64))
 
 
+def test_graph_refuses_an_edge_array_that_is_not_e_by_2():
+    # reshape(-1, 2) would read this as the three edges 0-1, 2-3 and 4-5
+    for shape in [(2, 3), (6,), (1, 2, 2)]:
+        with pytest.raises(ValueError, match=r"edges must be an \(E, 2\) array"):
+            Graph(2, 3, "x", np.arange(int(np.prod(shape))).reshape(shape))
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(1, 3, "x", np.array([[0, 3]]))  # endpoint out of range
