@@ -25,12 +25,14 @@ _HOMES = {
             "epsilon_forward",
             "hamming_edge_count",
             "invert_linear_map",
+            "path_length_to_zero",
             "phi_forward",
             "phi_inverse",
             "sierpinski_edge_count",
             "tau_forward",
             "tau_inverse",
             "verify_embedding",
+            "verify_single_twist",
         ),
         "graphs": (
             "Graph",
@@ -51,7 +53,6 @@ _HOMES = {
             "diplomats_table",
             "is_legal_move",
             "is_legal_move_physical",
-            "path_length_to_zero",
             "position_coordinate",
             "shortest_path_to_zero",
             "solve_from_position",

@@ -11,18 +11,22 @@ or _json call: a table's serialize.write, or the report of verify,
 corners-search, density or the fixture check.
 Exit codes: 0 success or PASS, 1 verification failure or fixture mismatch,
 2 usage or parameter error, size refusals included (the library raises them),
-or an --out file that cannot be written.
+or an --out file that cannot be written. `python -m sierham.cli` and the
+sierham script run entry, which calls main and then freezes the heap
+(gc.freeze) so the collections at interpreter exit skip it.
 
-Importing this module loads the integer layer (exact) and no numpy. Each
-handler runs its library guard first, then imports the array modules it
-calls (graphs, maps, hanoi, codes, serialize) and reads their functions as
-attributes at call time, so a refusal, a matrix, a density, a verdict that
-the matrix rows decide and the corner search run without numpy.
+Importing this module loads the integer layer (exact) and no numpy, json or
+fractions. Each handler runs its library guard first, then imports the
+array modules it calls (graphs, maps, hanoi, codes, serialize) and reads
+their functions as attributes at call time, so a refusal (hanoi's
+included), a matrix, a density, a verdict that the matrix rows decide, the
+single twist's verdict for n >= 3 and the corner search run without numpy.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from importlib import resources
 from pathlib import Path
@@ -31,8 +35,11 @@ from . import exact
 from .exact import (
     LinearMap,
     TwistFamily,
+    _check_geodesic,
     _check_gray,
     _check_matrix,
+    _check_modulus,
+    _check_params,
     _check_play,
     _check_scale,
     _inverse_of_two,
@@ -43,8 +50,10 @@ from .exact import (
     embedding_matrix,
     format_vertex,
     invert_linear_map,
+    parse_vertex,
     tau_inverse,
     verify_embedding,
+    verify_single_twist,
 )
 
 FIXTURES: dict[str, list[str]] = {
@@ -129,9 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
     _check_scale(n, m)  # the graph's guard, before the matrix, which has n^2 entries
     if args.kind == "single-twist" and args.c is None and args.c_list is None:
-        from . import graphs, maps
-
-        report = maps.verify_coordinatization(graphs.build_single_twist(n, m))
+        report = verify_single_twist(n, m)
     else:  # _matrix_for refuses --c and --c-list for every kind but epsilon
         report = verify_embedding(_matrix_for(args), n, m)
     checks = [k for k, v in report.items() if isinstance(v, bool) and k != "verdict"]
@@ -150,6 +157,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
     _check_play(n)  # an oversize n is refused before numpy loads, and before 2^n steps exist
+    _check_params(n, m)  # then the tau matrix's checks, in embedding_matrix's order
+    _inverse_of_two(m)
     import numpy as np
 
     from . import graphs, hanoi, serialize
@@ -160,14 +169,16 @@ def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
+    m = args.m
+    _check_modulus(m)  # m, then the tau matrix's modulus check, then the digits and the size
+    _inverse_of_two(m)
+    start = parse_vertex(args.position, m)
+    v = tau_inverse(start, m) if args.coords == "T" else start
+    _check_geodesic(v)
     import numpy as np
 
     from . import hanoi, serialize
 
-    m = args.m
-    start = serialize.parse_vertex(args.position, m)
-    _inverse_of_two(m)  # the tau matrix's modulus check, before the geodesic exists
-    v = tau_inverse(start, m) if args.coords == "T" else start
     s = hanoi.shortest_path_to_zero(v, m).positions
     t = embedding_matrix("tau", len(start), m).image(s)
     # each step of the geodesic is one closer to 0^n
@@ -319,5 +330,15 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry() -> int:
+    """The process entry of `python -m sierham.cli` and the sierham script: main, then
+    gc.freeze(). The collections at interpreter exit then skip the heap the command
+    built; atexit, stream flushing and module teardown still run. main itself leaves
+    the collector alone, so an in-process caller's cycles are still collected."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

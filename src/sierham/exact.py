@@ -1,18 +1,21 @@
 """The integer layer: the array-free code a command needs before numpy loads.
 
-It holds the size guards and closed-form counts, the scalar maps phi, tau
-and epsilon, TwistFamily, LinearMap's rows, embedding_matrix,
-invert_linear_map, the row rule of verify_embedding,
+It holds the size guards (the geodesic's too) and closed-form counts, the
+scalar maps phi, tau and epsilon, path_length_to_zero, TwistFamily,
+LinearMap's rows, embedding_matrix, invert_linear_map, the row rule of
+verify_embedding, the single twist's degree formula (verify_single_twist),
 constant_corner_search, the vertex text format (_separators,
-format_vertex), and the matrix writers with the two output primitives
-_lines and _json. All of it is exact Python integer arithmetic, and this
-module imports no numpy: a command that builds no array (a matrix, a
-refusal, a verdict the rows decide, the corner search) runs without
-loading it. graphs, hanoi, maps and serialize re-export these names and
-import numpy themselves. LinearMap.image and cube_image import the array
-code when called, and verify_embedding imports maps only when the rows do
-not decide. graphs, hanoi and codes keep the pure-integer helpers that no
-command reaches without an array (vertex_to_code, the move rules, eta).
+format_vertex, parse_vertex), and the matrix writers with the two output
+primitives _lines and _json. All of it is exact Python integer arithmetic,
+and this module imports no numpy, and json and fractions only when used: a
+command that builds no array (a matrix, a refusal, a verdict the rows or
+the degree formula decide, the corner search) runs without loading it.
+graphs, hanoi, maps and serialize re-export these names and import numpy
+themselves. LinearMap.image and cube_image import the array code when
+called, and verify_embedding and verify_single_twist import maps only when
+the rows or the formula do not decide. graphs, hanoi and codes keep the
+pure-integer helpers that no command reaches without an array
+(vertex_to_code, the move rules, eta).
 
 The row rule: an S(n,m) edge at position h between digits i and j has
 u - v = (0^h, d, (-d)^(n-h-1)) with d = i - j, so a lower-triangular map A
@@ -25,11 +28,13 @@ twist family whose scales are the diagonal.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vertex = tuple[int, ...]
 VertexMap = Callable[[Vertex], Vertex]
@@ -46,11 +51,15 @@ def check_vertex(v: Sequence[int], n: int, m: int) -> None:
             raise ValueError(f"digit {d} out of range for alphabet {{0..{m - 1}}}")
 
 
+def _check_modulus(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+
+
 def _check_params(n: int, m: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    _check_modulus(m)
 
 
 def _power_text(m: int, n: int) -> str:
@@ -133,6 +142,8 @@ def edge_density(n: int, m: int) -> Fraction:
     edges. Exact at any size.
     """
     _check_params(n, m)
+    from fractions import Fraction
+
     return Fraction(1, n)
 
 
@@ -193,6 +204,24 @@ def tau_inverse(t: Sequence[int], m: int) -> Vertex:
     return _unscale_and_subtract(t, m, 2)
 
 
+def path_length_to_zero(v: Sequence[int]) -> int:
+    """Distance from v to the all-zero corner: sum of 2^(n-i) over nonzero digits.
+
+    Read as one binary numeral, so a start of 10^5 digits costs linear time.
+    """
+    return int("".join("0" if d == 0 else "1" for d in v) or "0", 2)
+
+
+def _check_geodesic(v: Sequence[int]) -> int:
+    """Refuse the geodesic from v to 0^n past MAX_VERTICES positions, else return its length."""
+    d = path_length_to_zero(v)
+    if d >= MAX_VERTICES:  # d + 1 positions; 2^k <= d < 2^(k+1)
+        count = d + 1 if d < 2**60 else f"more than 2^{d.bit_length() - 1}"
+        what = f"a geodesic of {count} positions from a {len(v)}-disc start"
+        raise ValueError(f"refusing to build {what} (limit {MAX_VERTICES})")
+    return d
+
+
 @dataclass(frozen=True)
 class TwistFamily:
     """One invertible multiplier per recursion level, defining one epsilon map.
@@ -209,8 +238,7 @@ class TwistFamily:
     _scales: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
+        _check_modulus(self.m)
         if len(self.multipliers) < 1:
             raise ValueError("need at least one multiplier")
         cs = tuple(c % self.m for c in self.multipliers)
@@ -405,6 +433,59 @@ def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: i
     return _verify_images(vmap, n, m)
 
 
+def _twist_degree(x: Sequence[int], m: int) -> int:
+    """Degree of vertex x in the single twist, from its digits alone.
+
+    The twist joins x to the vertex that differs from it only at h when the
+    digits after h are one constant k, and the other digit at h is
+    k - x_h != x_h mod m; with no digits after h (h = n-1) every other digit
+    qualifies. So if x ends in exactly t copies of k, then deg(x) = (m-1)
+    + (t-1) [k != 0] + [t < n] [2 x_(n-1-t) != k mod m], 0-based.
+    """
+    n, k = len(x), x[-1]
+    t = 1
+    while t < n and x[n - 1 - t] == k:
+        t += 1
+    return m - 1 + (t - 1) * (k != 0) + (t < n and (2 * x[n - 1 - t] - k) % m != 0)
+
+
+def verify_single_twist(n: int, m: int) -> dict:
+    """maps.verify_coordinatization of graphs.build_single_twist(n, m), the same report.
+
+    For n <= 2 the degrees are those of S(n,m) and the isomorphism
+    certificate decides, so the graph is built. For n >= 3 the report comes
+    from _twist_degree without one: every edge joins digit strings that
+    differ at one place, no two edges coincide, and 1^n has degree
+    m + n - 2 > m, so only the degree and isomorphism gates fail. A degree
+    above m needs k != 0 and, if t = 2, 2 x_(n-3) != k. For each k != 0
+    that is t = n (one vertex), 3 <= t < n (m^(n-3) - 1 vertices in all),
+    or t = 2 (m^(n-3) times the x != k with 2x != k). Summed over k, with
+    g = gcd(2, m) solutions of 2x = 0, there are m^(n-3) (m^2 - 2m + g).
+    The sampled violations are the first 10 such vertices in code order.
+    """
+    _check_sierpinski(n, m)
+    if n <= 2:
+        from . import graphs, maps
+
+        return maps.verify_coordinatization(graphs.build_single_twist(n, m))
+    violations = []
+    for x in product(range(m), repeat=n):
+        d = _twist_degree(x, m)
+        if d > m:
+            violations.append({"kind": "degree", "vertex": x, "degree": d, "allowed": [m - 1, m]})
+            if len(violations) == 10:
+                break
+    return {
+        "all_edges_distance_one": True,
+        "edge_count_matches": True,
+        "degree_sequence_matches": False,
+        "isomorphic_to_sierpinski": False,
+        "verdict": False,
+        "violations": violations,
+        "violations_total": m ** (n - 3) * (m * m - 2 * m + math.gcd(2, m)),
+    }
+
+
 def constant_corner_search(m: int, n: int = 2) -> dict:
     """Can S(n,m) be relabeled inside K_m^n keeping every corner constant?
 
@@ -470,12 +551,29 @@ def format_vertex(v: Sequence[int], m: int) -> str:
     return _separators(m)[0].join(map(str, v))
 
 
+def parse_vertex(s: str, m: int, n: int | None = None) -> Vertex:
+    """Parse a digit string; accepts spaces or commas between digits for m > 10."""
+    s = s.strip()
+    if not _separators(m)[0] and " " not in s and "," not in s:
+        digits = tuple(int(ch) for ch in s)
+    else:
+        digits = tuple(int(part) for part in s.replace(",", " ").split())
+    if n is not None and len(digits) != n:
+        raise ValueError(f"expected {n} digits, got {len(digits)} in {s!r}")
+    if not digits:
+        raise ValueError("empty vertex string")
+    check_vertex(digits, len(digits), m)
+    return digits
+
+
 def _lines(rows: Iterable[Iterable[str]], head: Iterable[str] = (), sep: str = " ") -> str:
     """The head lines, then each row's string cells joined by sep, one row per line."""
     return "\n".join([*head, *map(sep.join, rows)]) + "\n"
 
 
 def _json(payload: object) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 

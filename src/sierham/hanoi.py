@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .codes import eta_inverse
-from .exact import (  # re-exported: constant_corner_search needs no array
-    MAX_VERTICES, Vertex, _check_params, _check_play, _inverse_of_two, check_vertex,
-    constant_corner_search, embedding_matrix, phi_forward, tau_inverse,
+from .exact import (  # re-exported: the corner search and the geodesic guard need no array
+    Vertex, _check_geodesic, _check_params, _check_play, _inverse_of_two, check_vertex,
+    constant_corner_search, embedding_matrix, path_length_to_zero, phi_forward, tau_inverse,
 )
 from .graphs import check_pair, digit_cube
 
@@ -70,14 +70,6 @@ class MovePath:
         return self.positions.shape[0] - 1
 
 
-def path_length_to_zero(v: Sequence[int]) -> int:
-    """Distance from v to the all-zero corner: sum of 2^(n-i) over nonzero digits.
-
-    Read as one binary numeral, so a start of 10^5 digits costs linear time.
-    """
-    return int("".join("0" if d == 0 else "1" for d in v) or "0", 2)
-
-
 def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
     """The unique geodesic from v to 0^n in S(n,m), every step in closed form.
 
@@ -89,11 +81,7 @@ def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
     n = len(v)
     _check_params(n, m)
     check_vertex(v, n, m)
-    d = path_length_to_zero(v)
-    if d >= MAX_VERTICES:  # d + 1 positions; 2^k <= d < 2^(k+1)
-        count = d + 1 if d < 2**60 else f"more than 2^{d.bit_length() - 1}"
-        what = f"a geodesic of {count} positions from a {n}-disc start"
-        raise ValueError(f"refusing to build {what} (limit {MAX_VERTICES})")
+    d = _check_geodesic(v)
     shift = np.minimum(np.arange(n - 1, -1, -1), 63)  # r < 2^63 reads 0 past bit 63
     r_bits = ((np.arange(d, -1, -1)[:, None] >> shift) & 1).astype(bool)
     lost = r_bits < np.array([x != 0 for x in v])  # set in d, clear in r

@@ -10,19 +10,18 @@ Python objects a graphs.row_blocks block at a time, so no writer holds a
 whole column of them (the text play table keeps its S labels, which size
 their column). Every writer, and the cli's verify and corners-search
 reports, is one _lines or _json call: no other module joins output lines
-or encodes JSON. format_vertex, _lines, _json and the matrix writers need
-no array, so they live in the integer layer (exact) and are re-exported
-here. write(table, fmt, ...) finds <table>_to_<fmt> by name.
+or encodes JSON. format_vertex, parse_vertex, _lines, _json and the matrix
+writers need no array, so they live in the integer layer (exact) and are
+re-exported here. write(table, fmt, ...) finds <table>_to_<fmt> by name.
 """
 from __future__ import annotations
 
-import json
 from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
 
-from .exact import (  # re-exported: the matrix writers and the primitives need no array
+from .exact import (  # re-exported: the matrix writers, primitives and parse_vertex need no array
     _json,
     _lines,
     _separators,
@@ -30,8 +29,9 @@ from .exact import (  # re-exported: the matrix writers and the primitives need 
     matrix_to_csv,
     matrix_to_json,
     matrix_to_text,
+    parse_vertex,
 )
-from .graphs import Graph, Vertex, check_vertex, iter_rows, row_blocks, row_codes
+from .graphs import Graph, iter_rows, row_blocks, row_codes
 from .graphs import vertex_to_code as _code  # no <table>_to_<fmt> name for write to find
 
 
@@ -53,21 +53,6 @@ def vertex_labels(rows: np.ndarray, m: int) -> Iterator[str]:
 def _ints(column: np.ndarray) -> Iterator[int]:
     """The entries of a 1-D array as Python ints, converted a block at a time."""
     return chain.from_iterable(block.tolist() for block in row_blocks(np.asarray(column)))
-
-
-def parse_vertex(s: str, m: int, n: int | None = None) -> Vertex:
-    """Parse a digit string; accepts spaces or commas between digits for m > 10."""
-    s = s.strip()
-    if not _separators(m)[0] and " " not in s and "," not in s:
-        digits = tuple(int(ch) for ch in s)
-    else:
-        digits = tuple(int(part) for part in s.replace(",", " ").split())
-    if n is not None and len(digits) != n:
-        raise ValueError(f"expected {n} digits, got {len(digits)} in {s!r}")
-    if not digits:
-        raise ValueError("empty vertex string")
-    check_vertex(digits, len(digits), m)
-    return digits
 
 
 def _vertex_labels(n: int, m: int) -> list[str]:
@@ -112,6 +97,8 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    import json
+
     payload = json.loads(text)
     n, m, kind = payload["n"], payload["m"], payload["kind"]
     code = lambda label: _code(parse_vertex(label, m, n), m)  # noqa: E731

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -220,6 +221,42 @@ def test_verify_single_twist_depth_two_passes():
     text, code = run(["verify", "single-twist", "--n", "2", "--m", "5"])
     assert code == 0
     assert text.splitlines()[-1] == "PASS"
+
+
+# Every single twist of depth 3 to 8 over 2 to 7 digits with at most 10^6
+# vertices: the two larger ones, S(8,6) and S(8,7), take 0.4 and 1.3 GB to
+# build and verify.
+TWIST_SIZES = [(n, m) for n in range(3, 9) for m in range(2, 8) if m**n <= 10**6]
+
+
+@pytest.mark.parametrize("n,m", TWIST_SIZES)
+def test_single_twist_report_counts_what_the_graph_report_finds(n, m, monkeypatch):
+    from sierham import graphs, maps
+
+    g = graphs.build_single_twist(n, m)
+    expected = maps.verify_coordinatization(g)
+    report = exact.verify_single_twist(n, m)
+    assert report == expected
+    assert [(k, type(v)) for k, v in report.items()] == [(k, type(v)) for k, v in expected.items()]
+    assert repr(report["violations"]) == repr(expected["violations"])
+    assert report["violations_total"] == int((g.degrees() > m).sum())
+    text = ["verify", "single-twist", "--n", str(n), "--m", str(m)]
+    argvs = [text, text + ["--format", "json"]]
+    counted = [run(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "verify_single_twist", lambda n, m: expected)
+    assert counted == [run(argv) for argv in argvs]
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 7) for m in range(2, 6) if m**n <= 2000])
+def test_twist_degree_formula_counts_every_vertex(n, m):
+    import oracles
+    from sierham.graphs import code_to_vertex
+
+    degrees = [0] * m**n
+    for edge in oracles.single_twist_edges_loop(n, m):
+        for code in edge:
+            degrees[code] += 1
+    assert [exact._twist_degree(code_to_vertex(c, n, m), m) for c in range(m**n)] == degrees
 
 
 def test_verify_epsilon():
@@ -520,8 +557,9 @@ def test_corners_search_answers_large_even_m_in_time(m, best, required):
 
 # ---------------------------------------------------------------- numpy on demand
 
-# Commands that build no array: two matrices, three refusals, two verdicts the
-# rows decide, and the corner search.
+# Commands that build no array: two matrices, seven refusals, two verdicts the
+# rows decide, the single twist's verdict from its degree formula, and the
+# corner search.
 ARRAY_FREE = [
     ["embed", "phi", "--n", "6", "--m", "5", "--matrix"],
     ["embed", "tau", "--n", "6", "--m", "7", "--matrix", "--invert"],
@@ -531,6 +569,11 @@ ARRAY_FREE = [
     ["verify", "phi", "--n", "5", "--m", "3"],
     ["verify", "epsilon", "--n", "4", "--m", "5", "--c-list", "1,2,3,4"],
     ["corners-search", "--m", "4"],
+    ["verify", "single-twist", "--n", "4", "--m", "3"],
+    ["hanoi", "solve", "--from", "1" * 28],
+    ["hanoi", "solve", "--coords", "S", "--m", "4", "--from", "1020"],
+    ["hanoi", "solve", "--from", "12", "--m", "1"],
+    ["hanoi", "classic", "--n", "3", "--m", "4"],
 ]
 # Run a command as `python -m sierham.cli` runs it, and report what it printed
 # and whether numpy was imported.
@@ -567,8 +610,42 @@ def test_array_free_commands_run_without_numpy(argv, capsys):
 
 
 def test_importing_the_package_and_the_cli_loads_no_numpy():
-    probe = "import sys, sierham, sierham.cli; print('numpy' in sys.modules)"
-    assert _child(probe) == "False\n"
+    probe = "import sys, sierham, sierham.cli; print(sorted({'numpy', 'json', 'fractions'} & set(sys.modules)))"
+    assert _child(probe) == "[]\n"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only the process entry freezes the heap, once the command has answered
+    enabled = gc.isenabled()
+    for argv in (["density", "--n", "3", "--m", "3"], ["gen", "sierpinski", "--n", "2", "--m", "3"]):
+        assert main(argv) == 0
+        assert gc.isenabled() == enabled
+        assert gc.get_freeze_count() == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["gen", "sierpinski", "--n", "2", "--m", "3"], 0),
+        (["verify", "single-twist", "--n", "3", "--m", "3"], 1),
+        (["gen", "hamming", "--n", "15", "--m", "3"], 2),
+        (["gen", "moebius"], 2),
+    ],
+)
+def test_the_process_entry_answers_as_main(argv, code, capsys):
+    # `python -m sierham.cli`, and the console script's call of its entry
+    pyproject = Path(__file__).resolve().parents[1].joinpath("pyproject.toml").read_text()
+    assert '\nsierham = "sierham.cli:entry"\n' in pyproject
+    expected = (main(argv), *capsys.readouterr())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    console = "import sys; from sierham.cli import entry; sys.exit(entry())"
+    for prefix in (["-m", "sierham.cli"], ["-c", console]):
+        proc = subprocess.run(
+            [sys.executable, *prefix, *argv], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 # Each array function a handler calls, with one argv whose handler calls it.
@@ -576,7 +653,7 @@ CALLED_BY_ATTRIBUTE = [
     ("graphs", "build_sierpinski", ["gen", "sierpinski", "--n", "2", "--m", "3"]),
     ("graphs", "build_hamming", ["gen", "hamming", "--n", "2", "--m", "3"]),
     ("graphs", "build_single_twist", ["gen", "single-twist", "--n", "2", "--m", "3"]),
-    ("maps", "verify_coordinatization", ["verify", "single-twist", "--n", "3", "--m", "3"]),
+    ("maps", "verify_coordinatization", ["verify", "single-twist", "--n", "2", "--m", "3"]),
     ("hanoi", "classic_solution", ["hanoi", "classic", "--n", "3"]),
     ("hanoi", "shortest_path_to_zero", ["hanoi", "solve", "--from", "1020"]),
     ("codes", "gray_sequence", ["gray", "--n", "3"]),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sierham import cli, graphs, serialize
+from sierham import cli, exact, graphs, serialize
 from sierham.codes import gray_sequence
 from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex, digit_cube, digit_rows
 from sierham.hanoi import classic_solution, shortest_path_to_zero
@@ -109,7 +109,7 @@ def test_json_roundtrip():
 def test_json_read_checks_each_label_once(monkeypatch):
     g = build_sierpinski(3, 3)
     checked = []
-    for module in (graphs, serialize):
+    for module in (graphs, exact):  # parse_vertex's home is exact
         check = module.check_vertex
         monkeypatch.setattr(module, "check_vertex", lambda v, n, m, f=check: checked.append(v) or f(v, n, m))
     assert graph_from_json(graph_to_json(g)) == g
