@@ -16,11 +16,18 @@ sierham script run entry, which calls main and then freezes the heap
 (gc.freeze) so the collections at interpreter exit skip it.
 
 Importing this module loads the integer layer (exact) and no numpy, json or
-fractions. Each handler runs its library guard first, then imports the
-array modules it calls (graphs, maps, hanoi, codes, serialize) and reads
-their functions as attributes at call time, so a refusal (hanoi's
-included), a matrix, a density, a verdict that the matrix rows decide, the
-single twist's verdict for n >= 3 and the corner search run without numpy.
+fractions. Each handler runs its library guards first, every one the array
+path would meet, in that order. A table of at most exact.SMALL_TABLE rows
+(m^n for embed, 2^n for hanoi classic, diplomats and gray, d + 1 for hanoi
+solve) is then built from the paper's row formulas as tuples of Python
+ints: LinearMap.apply of each digit tuple, tau_forward or phi_forward of
+binary ell, and exact.geodesic_to_zero. A larger table imports the array
+modules it calls (graphs, hanoi, codes) and reads their functions as
+attributes at call time, so a tracer's wrapper on them sees every call. So
+every refusal, a matrix, a density, a verdict that the matrix rows decide,
+the single twist's verdict for n >= 3, the corner search, the small tables
+and the fixture check run without numpy; gen, the larger tables and the
+verdicts that need a graph load it.
 """
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ import functools
 import gc
 import sys
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 from . import exact
@@ -49,8 +57,11 @@ from .exact import (
     edge_density,
     embedding_matrix,
     format_vertex,
+    geodesic_to_zero,
     invert_linear_map,
     parse_vertex,
+    phi_forward,
+    tau_forward,
     tau_inverse,
     verify_embedding,
     verify_single_twist,
@@ -109,7 +120,12 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
         # name: read them from serialize once it is loaded, and never load it for them
         writers = sys.modules.get(f"{__package__}.serialize", exact)
         return getattr(writers, f"matrix_to_{args.fmt}")(lm), 0
-    from . import graphs, serialize
+    from . import serialize
+
+    if m**n <= exact.SMALL_TABLE:  # row v is A v mod m
+        v = list(product(range(m), repeat=n))
+        return serialize.write("map_table", args.fmt, v, list(map(lm.apply, v)), m), 0
+    from . import graphs
 
     return serialize.write("map_table", args.fmt, graphs.digit_cube(n, m), lm.cube_image(m), m), 0
 
@@ -159,9 +175,15 @@ def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     _check_play(n)  # an oversize n is refused before numpy loads, and before 2^n steps exist
     _check_params(n, m)  # then the tau matrix's checks, in embedding_matrix's order
     _inverse_of_two(m)
+    from . import serialize
+
+    if 2**n <= exact.SMALL_TABLE:  # step ell is tau of binary ell
+        bits = list(product((0, 1), repeat=n))
+        play = [tau_forward(b, m) for b in bits]
+        return serialize.write("hanoi_table", args.fmt, range(2**n), bits, play, m), 0
     import numpy as np
 
-    from . import graphs, hanoi, serialize
+    from . import graphs, hanoi
 
     play = hanoi.classic_solution(n, m).positions
     bits = graphs.digit_cube(n, 2)
@@ -174,10 +196,17 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     _inverse_of_two(m)
     start = parse_vertex(args.position, m)
     v = tau_inverse(start, m) if args.coords == "T" else start
-    _check_geodesic(v)
+    d = _check_geodesic(v)
+    _check_matrix(len(start))  # the tau matrix's guard, which the array path meets next
+    from . import serialize
+
+    if d + 1 <= exact.SMALL_TABLE:  # step k is tau of the geodesic's step k
+        s = geodesic_to_zero(v)
+        t = [tau_forward(x, m) for x in s]
+        return serialize.write("hanoi_table", args.fmt, range(d, -1, -1), s, t, m), 0
     import numpy as np
 
-    from . import hanoi, serialize
+    from . import hanoi
 
     s = hanoi.shortest_path_to_zero(v, m).positions
     t = embedding_matrix("tau", len(start), m).image(s)
@@ -186,10 +215,17 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
-    _check_gray(args.n)
-    from . import codes, serialize
+    n = args.n
+    _check_gray(n)
+    _check_params(n, 2)  # then the phi matrix's checks, which the array path meets next
+    from . import serialize
 
-    return serialize.write("gray", args.fmt, codes.gray_sequence(args.n)), 0
+    if 2**n <= exact.SMALL_TABLE:  # word ell is phi of binary ell
+        words = [phi_forward(b, 2) for b in product((0, 1), repeat=n)]
+        return serialize.write("gray", args.fmt, words), 0
+    from . import codes
+
+    return serialize.write("gray", args.fmt, codes.gray_sequence(n)), 0
 
 
 def cmd_density(args: argparse.Namespace) -> tuple[str, int]:

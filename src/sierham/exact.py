@@ -1,21 +1,27 @@
 """The integer layer: the array-free code a command needs before numpy loads.
 
 It holds the size guards (the geodesic's too) and closed-form counts, the
-scalar maps phi, tau and epsilon, path_length_to_zero, TwistFamily,
-LinearMap's rows, embedding_matrix, invert_linear_map, the row rule of
+scalar maps phi, tau and epsilon, path_length_to_zero and the geodesic's
+per-step closed form (geodesic_to_zero), TwistFamily, LinearMap's rows and
+its exact apply, embedding_matrix, invert_linear_map, the row rule of
 verify_embedding, the single twist's degree formula (verify_single_twist),
 constant_corner_search, the vertex text format (_separators,
-format_vertex, parse_vertex), and the matrix writers with the two output
-primitives _lines and _json. All of it is exact Python integer arithmetic,
-and this module imports no numpy, and json and fractions only when used: a
-command that builds no array (a matrix, a refusal, a verdict the rows or
-the degree formula decide, the corner search) runs without loading it.
-graphs, hanoi, maps and serialize re-export these names and import numpy
-themselves. LinearMap.image and cube_image import the array code when
-called, and verify_embedding and verify_single_twist import maps only when
-the rows or the formula do not decide. graphs, hanoi and codes keep the
-pure-integer helpers that no command reaches without an array
-(vertex_to_code, the move rules, eta).
+format_vertex, parse_vertex, vertex_to_code), and the matrix writers with
+the two output primitives _lines and _json. All of it is exact Python
+integer arithmetic, and this module imports no numpy, and json and
+fractions only when used: a command that builds no array (a matrix, a
+refusal, a verdict the rows or the degree formula decide, the corner
+search) runs without loading it. So does a CLI table of at most
+SMALL_TABLE rows, which the cli builds from these row formulas as tuples
+of Python ints: row v of a map table is LinearMap.apply(v), step ell of
+the classic play is tau_forward of binary ell, Gray word ell is
+phi_forward of binary ell, and a solved play is tau_forward of each
+geodesic_to_zero step. graphs, hanoi, maps and serialize re-export these
+names and import numpy themselves. LinearMap.image and cube_image import
+the array code when called, and verify_embedding and verify_single_twist
+import maps only when the rows or the formula do not decide. graphs,
+hanoi and codes keep the pure-integer helpers that no command reaches
+without an array (code_to_vertex, the move rules, eta).
 
 The row rule: an S(n,m) edge at position h between digits i and j has
 u - v = (0^h, d, (-d)^(n-h-1)) with d = i - j, so a lower-triangular map A
@@ -31,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -41,6 +48,17 @@ VertexMap = Callable[[Vertex], Vertex]
 
 MAX_VERTICES = 10**7
 MAX_EDGES = 3 * 10**7
+# A CLI table of at most this many rows is built from the row formulas here, as
+# tuples of Python ints, without numpy: importing numpy costs about as much as
+# formatting this many rows one at a time.
+SMALL_TABLE = 2**12
+
+
+def vertex_to_code(v: Sequence[int], m: int) -> int:
+    c = 0
+    for d in v:
+        c = c * m + d
+    return c
 
 
 def check_vertex(v: Sequence[int], n: int, m: int) -> None:
@@ -222,6 +240,30 @@ def _check_geodesic(v: Sequence[int]) -> int:
     return d
 
 
+def geodesic_to_zero(v: Sequence[int]) -> list[Vertex]:
+    """The unique geodesic from v to 0^n in S(n,m), as its d + 1 digit tuples.
+
+    The closed form of hanoi.shortest_path_to_zero, one step at a time: digit
+    i carries bit 2^(n-1-i) of d = path_length_to_zero(v). Step k has r = d - k
+    moves left; h is the first digit whose bit is set in d and clear in r.
+    Step k keeps v before h, has 0 at h, and has v_h at each later digit
+    whose bit is set in r; step 0, with no such h, is v. Refused as the
+    geodesic guard refuses it.
+    """
+    d = _check_geodesic(v)
+    n, v = len(v), tuple(v)
+    steps = []
+    for r in range(d, -1, -1):
+        lost = d & ~r
+        if not lost:
+            steps.append(v)
+            continue
+        h = n - lost.bit_length()
+        tail = (v[h] if r >> (n - 1 - i) & 1 else 0 for i in range(h + 1, n))
+        steps.append((*v[:h], 0, *tail))
+    return steps
+
+
 @dataclass(frozen=True)
 class TwistFamily:
     """One invertible multiplier per recursion level, defining one epsilon map.
@@ -332,8 +374,9 @@ class LinearMap:
         return _cube(self.n, base, self.m, self.rows, out)
 
     def apply(self, v: Sequence[int]) -> Vertex:
+        """The image of one vertex, A v mod m, in exact Python integers."""
         check_vertex(v, self.n, self.m)
-        return tuple(self.image([v])[0].tolist())
+        return tuple(sum(map(mul, row, v)) % self.m for row in self.rows)
 
 
 def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | None = None) -> LinearMap:

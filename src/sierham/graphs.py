@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .exact import (  # re-exported: the guards and counts live in the integer layer
+from .exact import (  # re-exported: the guards, counts and vertex codes live in the integer layer
     MAX_EDGES,
     MAX_VERTICES,
     Vertex,
@@ -41,16 +41,10 @@ from .exact import (  # re-exported: the guards and counts live in the integer l
     edge_density,
     hamming_edge_count,
     sierpinski_edge_count,
+    vertex_to_code,
 )
 
 ROW_BLOCK = 1 << 16  # rows per row_blocks slice, where a whole-table pass would hold copies
-
-
-def vertex_to_code(v: Sequence[int], m: int) -> int:
-    c = 0
-    for d in v:
-        c = c * m + d
-    return c
 
 
 def code_to_vertex(code: int, n: int, m: int) -> Vertex:

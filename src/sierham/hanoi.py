@@ -77,6 +77,7 @@ def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
     r = d - k moves left; h is the first digit whose bit is set in d and
     clear in r. Step k keeps v before h, has 0 at h, and has v_h at each
     later digit whose bit is set in r; step 0, with no such h, is v.
+    exact.geodesic_to_zero builds the same steps as tuples of Python ints.
     """
     n = len(v)
     _check_params(n, m)

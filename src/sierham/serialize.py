@@ -4,11 +4,15 @@ Digit strings (exact._separators): for m <= 10 a vertex prints as concatenated
 digits ("1020"); beyond, digits are space-separated and fields tab-separated.
 All writers are deterministic: same input, same bytes. Graph writers
 format each vertex once, into a list of labels indexed by vertex code,
-and read edge codes through graphs.iter_rows; table writers label (k, n)
-digit-array columns. Edge codes, labels, steps and Gray codes become
-Python objects a graphs.row_blocks block at a time, so no writer holds a
-whole column of them (the text play table keeps its S labels, which size
-their column). Every writer, and the cli's verify and corners-search
+and read edge codes through graphs.iter_rows. Table writers take each digit
+column as a (k, n) digit array or as a list of int tuples, and the step
+column as an array, a range or a list of ints: one writer per table and
+format serves the array path and the small tables the cli builds from the
+row formulas, with the same bytes. Array columns become Python objects a
+graphs.row_blocks block at a time, so no writer holds a whole column of
+them (the text play table keeps its S labels, which size their column).
+This module imports numpy and graphs only when an array or a Graph
+reaches it. Every writer, and the cli's verify and corners-search
 reports, is one _lines or _json call: no other module joins output lines
 or encodes JSON. format_vertex, parse_vertex, _lines, _json and the matrix
 writers need no array, so they live in the integer layer (exact) and are
@@ -17,9 +21,7 @@ re-exported here. write(table, fmt, ...) finds <table>_to_<fmt> by name.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .exact import (  # re-exported: the matrix writers, primitives and parse_vertex need no array
     _json,
@@ -31,16 +33,34 @@ from .exact import (  # re-exported: the matrix writers, primitives and parse_ve
     matrix_to_text,
     parse_vertex,
 )
-from .graphs import Graph, iter_rows, row_blocks, row_codes
-from .graphs import vertex_to_code as _code  # no <table>_to_<fmt> name for write to find
+from .exact import vertex_to_code as _code  # no <table>_to_<fmt> name for write to find
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .graphs import Graph
+
+    Rows = np.ndarray | list[tuple[int, ...]]
+    Steps = np.ndarray | Sequence[int]
 
 
-def vertex_labels(rows: np.ndarray, m: int) -> Iterator[str]:
-    """Yield format_vertex of every row of a (k, n) digit array, a block of rows at a time.
+def vertex_labels(rows: Rows, m: int) -> Iterator[str]:
+    """format_vertex of every row of a list of int tuples, or of a (k, n) digit array.
 
-    For m <= 10 each block becomes one byte matrix (digit + ord("0"), a
-    newline per row), decoded in one call; multi-digit cells go row by row.
+    A list goes row by row. An array goes a block of rows at a time: for
+    m <= 10 each block becomes one byte matrix (digit + ord("0"), a newline
+    per row), decoded in one call; multi-digit cells go row by row.
     """
+    if isinstance(rows, list):
+        return map(format_vertex, rows, repeat(m))
+    return _array_labels(rows, m)
+
+
+def _array_labels(rows: np.ndarray, m: int) -> Iterator[str]:
+    import numpy as np
+
+    from .graphs import iter_rows, row_blocks
+
     for block in row_blocks(np.asarray(rows)):
         if _separators(m)[0] or block.dtype == object:
             yield from map(format_vertex, iter_rows(block), repeat(m))
@@ -50,9 +70,29 @@ def vertex_labels(rows: np.ndarray, m: int) -> Iterator[str]:
         yield from text.tobytes().decode("ascii").split("\n")[:-1]
 
 
-def _ints(column: np.ndarray) -> Iterator[int]:
-    """The entries of a 1-D array as Python ints, converted a block at a time."""
+def _ints(column: Steps) -> Iterator[int]:
+    """The entries of a range or list of ints, or of a 1-D array converted a block at a time."""
+    if isinstance(column, (range, list)):
+        return iter(column)
+    import numpy as np
+
+    from .graphs import row_blocks
+
     return chain.from_iterable(block.tolist() for block in row_blocks(np.asarray(column)))
+
+
+def _codes(rows: Rows, m: int) -> Iterator[int]:
+    """The vertex code of every row of a list of int tuples or of a (k, n) digit array."""
+    if isinstance(rows, list):
+        return map(_code, rows, repeat(m))
+    from .graphs import row_codes
+
+    return _ints(row_codes(rows, m))
+
+
+def _width(rows: Rows) -> int:
+    """Digits per row: an array's second axis, or the length of a list's first tuple."""
+    return len(rows[0]) if isinstance(rows, list) else rows.shape[1]
 
 
 def _vertex_labels(n: int, m: int) -> list[str]:
@@ -66,6 +106,8 @@ def _vertex_labels(n: int, m: int) -> list[str]:
 
 
 def _edge_strings(g: Graph) -> Iterator[tuple[str, str]]:
+    from .graphs import iter_rows
+
     labels = _vertex_labels(g.n, g.m)
     return ((labels[u], labels[v]) for u, v in iter_rows(g.edges))
 
@@ -99,6 +141,8 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     import json
 
+    from .graphs import Graph
+
     payload = json.loads(text)
     n, m, kind = payload["n"], payload["m"], payload["kind"]
     code = lambda label: _code(parse_vertex(label, m, n), m)  # noqa: E731
@@ -107,6 +151,8 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_to_dot(g: Graph) -> str:
+    from .graphs import iter_rows
+
     # whole lines, no cells, so all are head lines
     vertices = (f'  v{code} [label="{label}"];' for code, label in enumerate(_vertex_labels(g.n, g.m)))
     edges = (f"  v{u} -- v{v};" for u, v in iter_rows(g.edges))
@@ -117,24 +163,25 @@ def render_graph(g: Graph, fmt: str) -> str:
     return write("graph", fmt, g)
 
 
-def map_table_to_text(v: np.ndarray, w: np.ndarray, m: int) -> str:
+def map_table_to_text(v: Rows, w: Rows, m: int) -> str:
     return _lines(zip(vertex_labels(v, m), vertex_labels(w, m)), sep="  ")
 
 
-def map_table_to_csv(v: np.ndarray, w: np.ndarray, m: int) -> str:
+def map_table_to_csv(v: Rows, w: Rows, m: int) -> str:
     return _lines(zip(vertex_labels(v, m), vertex_labels(w, m)), ["v,image"], ",")
 
 
-def map_table_to_json(v: np.ndarray, w: np.ndarray, m: int) -> str:
+def map_table_to_json(v: Rows, w: Rows, m: int) -> str:
     pairs = map(list, zip(vertex_labels(v, m), vertex_labels(w, m)))
-    return _json({"n": v.shape[1], "m": m, "map": list(pairs)})
+    return _json({"n": _width(v), "m": m, "map": list(pairs)})
 
 
-def hanoi_table_to_text(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
+def hanoi_table_to_text(ell: Steps, s: Rows, t: Rows, m: int) -> str:
     """Step index, S and T positions, in columns sized first and padded row by row."""
-    s_head, t_head = (f"{c}({s.shape[1]},{m})" for c in "ST")
+    s_head, t_head = (f"{c}({_width(s)},{m})" for c in "ST")
     s_labels = list(vertex_labels(s, m))
-    wl = f">{max(3, len(str(np.max(ell, initial=0))))}"
+    top = max(ell, default=0) if isinstance(ell, (range, list)) else ell.max(initial=0)
+    wl = f">{max(3, len(str(top)))}"
     ws = f"<{max(len(s_head), max(map(len, s_labels), default=0))}"
     steps = map(format, _ints(ell), repeat(wl))
     rows = zip(steps, map(format, s_labels, repeat(ws)), vertex_labels(t, m), strict=True)
@@ -142,23 +189,23 @@ def hanoi_table_to_text(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -
     return _lines(rows, [f"{'ell':{wl}}  {s_head:{ws}}  {t_head}"], "  ")
 
 
-def hanoi_table_to_csv(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
+def hanoi_table_to_csv(ell: Steps, s: Rows, t: Rows, m: int) -> str:
     steps = map(str, _ints(ell))
     return _lines(zip(steps, vertex_labels(s, m), vertex_labels(t, m)), ["ell,s,t"], ",")
 
 
-def hanoi_table_to_json(ell: np.ndarray, s: np.ndarray, t: np.ndarray, m: int) -> str:
+def hanoi_table_to_json(ell: Steps, s: Rows, t: Rows, m: int) -> str:
     rows = zip(_ints(ell), vertex_labels(s, m), vertex_labels(t, m))
-    return _json({"n": s.shape[1], "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]})
+    return _json({"n": _width(s), "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]})
 
 
-def gray_to_bits(seq: np.ndarray) -> str:
+def gray_to_bits(seq: Rows) -> str:
     return _lines(zip(vertex_labels(seq, 2)))
 
 
-def gray_to_int(seq: np.ndarray) -> str:
-    return _lines(zip(map(str, _ints(row_codes(seq, 2)))))
+def gray_to_int(seq: Rows) -> str:
+    return _lines(zip(map(str, _codes(seq, 2))))
 
 
-def gray_to_both(seq: np.ndarray) -> str:
-    return _lines(zip(vertex_labels(seq, 2), map(str, _ints(row_codes(seq, 2)))))
+def gray_to_both(seq: Rows) -> str:
+    return _lines(zip(vertex_labels(seq, 2), map(str, _codes(seq, 2))))

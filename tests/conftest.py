@@ -13,8 +13,9 @@ from sierham import cli, exact, graphs, maps, serialize  # noqa: E402
 def block_passes(monkeypatch):
     """One list per graphs.row_blocks pass of the test, holding its blocks' row counts.
 
-    The counting pass-through replaces row_blocks in every module that
-    imports it; set the block size with monkeypatch on graphs.ROW_BLOCK.
+    The counting pass-through replaces row_blocks in graphs and in maps, which
+    imports it (serialize reads it from graphs on each call); set the block size
+    with monkeypatch on graphs.ROW_BLOCK.
     """
     passes = []
     row_blocks = graphs.row_blocks
@@ -26,7 +27,7 @@ def block_passes(monkeypatch):
             sizes.append(len(block))
             yield block
 
-    for module in (graphs, maps, serialize):
+    for module in (graphs, maps):
         monkeypatch.setattr(module, "row_blocks", counting)
     return passes
 

@@ -558,8 +558,9 @@ def test_corners_search_answers_large_even_m_in_time(m, best, required):
 # ---------------------------------------------------------------- numpy on demand
 
 # Commands that build no array: two matrices, seven refusals, two verdicts the
-# rows decide, the single twist's verdict from its degree formula, and the
-# corner search.
+# rows decide, the single twist's verdict from its degree formula, the corner
+# search, and the small tables that cli-export runs (at most exact.SMALL_TABLE
+# rows, built from the row formulas) with the fixture check.
 ARRAY_FREE = [
     ["embed", "phi", "--n", "6", "--m", "5", "--matrix"],
     ["embed", "tau", "--n", "6", "--m", "7", "--matrix", "--invert"],
@@ -574,6 +575,13 @@ ARRAY_FREE = [
     ["hanoi", "solve", "--coords", "S", "--m", "4", "--from", "1020"],
     ["hanoi", "solve", "--from", "12", "--m", "1"],
     ["hanoi", "classic", "--n", "3", "--m", "4"],
+    ["embed", "tau", "--n", "5", "--m", "3"],
+    ["embed", "epsilon", "--n", "4", "--m", "5", "--c-list", "1,2,3,4"],
+    ["hanoi", "classic", "--n", "10", "--m", "5"],
+    ["hanoi", "solve", "--from", "121012101"],
+    ["diplomats", "--n", "9"],
+    ["gray", "--n", "10"],
+    ["--check-fixtures"],
 ]
 # Run a command as `python -m sierham.cli` runs it, and report what it printed
 # and whether numpy was imported.
@@ -654,9 +662,10 @@ CALLED_BY_ATTRIBUTE = [
     ("graphs", "build_hamming", ["gen", "hamming", "--n", "2", "--m", "3"]),
     ("graphs", "build_single_twist", ["gen", "single-twist", "--n", "2", "--m", "3"]),
     ("maps", "verify_coordinatization", ["verify", "single-twist", "--n", "2", "--m", "3"]),
-    ("hanoi", "classic_solution", ["hanoi", "classic", "--n", "3"]),
-    ("hanoi", "shortest_path_to_zero", ["hanoi", "solve", "--from", "1020"]),
-    ("codes", "gray_sequence", ["gray", "--n", "3"]),
+    # tables just above exact.SMALL_TABLE rows, which the array functions build
+    ("hanoi", "classic_solution", ["hanoi", "classic", "--n", "13"]),
+    ("hanoi", "shortest_path_to_zero", ["hanoi", "solve", "--from", "1" * 13]),
+    ("codes", "gray_sequence", ["gray", "--n", "13"]),
 ]
 
 

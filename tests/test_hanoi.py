@@ -11,7 +11,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from sierham import hanoi
+from sierham import exact, hanoi
 from sierham.graphs import (
     MAX_VERTICES,
     PermutationSymmetry,
@@ -126,6 +126,7 @@ def test_geodesic_matches_the_walk(n, m):
         walked = oracles.geodesic_walk(v, m).positions
         assert closed.dtype == walked.dtype
         assert oracles.as_tuples(closed) == oracles.as_tuples(walked)
+        assert exact.geodesic_to_zero(v) == oracles.as_tuples(walked)  # the scalar closed form
 
 
 @pytest.mark.parametrize(
@@ -140,6 +141,7 @@ def test_geodesic_matches_the_walk_past_int64(v, m):
     walked = oracles.geodesic_walk(v, m).positions
     assert closed.dtype == walked.dtype
     assert oracles.as_tuples(closed) == oracles.as_tuples(walked)
+    assert exact.geodesic_to_zero(v) == oracles.as_tuples(walked)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +157,9 @@ def test_geodesic_refuses_empty_and_oversize_starts(v, message):
     # refused before any step is built: (1,) * 5000 has 2^5000 positions
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         shortest_path_to_zero(v, 3)
+    if v:  # the scalar form runs the geodesic guard; n >= 1 is its caller's check
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            exact.geodesic_to_zero(v)
 
 
 # ---------------------------------------------------------------- solving

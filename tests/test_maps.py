@@ -373,6 +373,20 @@ def test_image_is_exact_beyond_int64():
     assert image_tuples(invert_linear_map(lm), out) == vs
 
 
+@pytest.mark.parametrize("m", [2**63 + 1, 2**64 + 13, 10**30 + 57])
+def test_apply_is_exact_past_int64(m):
+    # apply sums Python ints row by row; image takes the object path here
+    rng = np.random.default_rng(m % 1000)
+    vs = [tuple(int(x) * 7 % m for x in row) for row in rng.integers(0, 2**62, (40, 4))]
+    vs += [(m - 1,) * 4, (0,) * 4]
+    units = [c for c in range(2, 100) if math.gcd(c, m) == 1][:3]
+    for lm in (embedding_matrix("phi", 4, m), embedding_matrix(TwistFamily(m, (m - 2, *units)))):
+        lm_inv = invert_linear_map(lm)
+        for a in (lm, lm_inv):
+            assert [a.apply(v) for v in vs] == image_tuples(a, vs)
+        assert [lm_inv.apply(lm.apply(v)) for v in vs] == vs
+
+
 def all_ones_below(n, m):
     """w_i = v_1 + ... + v_i: unit lower-triangular, not an embedding."""
     return LinearMap(m, tuple(tuple(1 if j <= i else 0 for j in range(n)) for i in range(n)))

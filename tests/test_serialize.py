@@ -313,6 +313,38 @@ def test_writers_print_the_same_bytes_in_blocks_of_seven_rows(monkeypatch, block
         assert table == "matrix" or max(map(len, block_passes)) > 1, (table, fmt)
 
 
+def _listed(arg):
+    """A table column as the small-table path passes it: digit rows as a list of
+    int tuples, a step column as a range when it counts by one, else a list."""
+    if not isinstance(arg, np.ndarray):
+        return arg
+    if arg.ndim == 2:
+        return [tuple(row) for row in arg.tolist()]
+    steps = arg.tolist()
+    for r in (range(len(steps)), range(len(steps) - 1, -1, -1)):
+        if steps == list(r):
+            return r
+    return steps
+
+
+@pytest.mark.parametrize("table", ["map_table", "hanoi_table", "gray"])
+def test_table_writers_print_lists_as_they_print_arrays(table):
+    inputs = BLOCKED_INPUTS[table] + [WRITER_INPUTS[table]]
+    inputs += {
+        "map_table": [(digit_cube(1, 4096), embedding_matrix("phi", 1, 4096).cube_image(4096), 4096)],
+        "hanoi_table": [
+            (np.array([14, 13]), *(c[:2] for c in HANOI_TABLES["solve-m13-0"][1:3]), 13),  # a list of steps
+            classic_table(10, 3),
+        ],
+        "gray": [(gray_sequence(1),), (gray_sequence(12),)],
+    }[table]
+    for fmt in [fmt for name, fmt in WRITERS if name == table]:
+        for args in inputs:
+            listed = [_listed(a) for a in args]
+            assert any(isinstance(a, (list, range)) for a in listed)
+            assert serialize.write(table, fmt, *listed) == serialize.write(table, fmt, *args), (table, fmt)
+
+
 # ---------------------------------------------------------------- one output seam
 
 WRITER_INPUTS = {

@@ -1,0 +1,164 @@
+"""The two paths of every CLI table: rows from the integer formulas, or arrays.
+
+A table of at most exact.SMALL_TABLE rows is built as tuples of Python ints
+from the paper's row formulas, without numpy; a larger one as digit arrays.
+Each argv here runs through main on both paths, forced by setting the
+threshold, and must print the same bytes, to stdout or to --out, with the
+same exit code and the same stderr. Refusals must be the same on both.
+"""
+from __future__ import annotations
+
+import pytest
+
+from sierham import codes, exact, graphs, hanoi
+from sierham.cli import main
+
+SMALL = exact.SMALL_TABLE
+FORMATS = ("text", "csv", "json")
+
+TABLES = [
+    *(
+        ["embed", *argv, "--format", fmt]
+        for argv in (
+            ["phi", "--n", "3", "--m", "3"],
+            ["tau", "--n", "3", "--m", "5", "--invert"],
+            ["epsilon", "--n", "3", "--m", "7", "--c", "3"],
+            ["epsilon", "--n", "2", "--m", "12", "--c-list", "5,7"],
+            ["phi", "--n", "2", "--m", "13", "--invert"],
+        )
+        for fmt in FORMATS
+    ),
+    *(
+        [*argv, "--format", fmt]
+        for argv in (
+            ["hanoi", "classic", "--n", "4"],
+            ["hanoi", "classic", "--n", "3", "--m", "13"],
+            ["diplomats", "--n", "5"],
+            ["hanoi", "solve", "--from", "1020"],
+            ["hanoi", "solve", "--coords", "S", "--from", "1020"],
+            ["hanoi", "solve", "--m", "13", "--from", "1 12 9"],
+            ["hanoi", "solve", "--coords", "S", "--m", "13", "--from", "12,0,7"],
+            ["hanoi", "solve", "--coords", "S", "--from", "0" * 40 + "121"],
+        )
+        for fmt in FORMATS
+    ),
+    *(["gray", "--n", "4", "--format", fmt] for fmt in ("bits", "int", "both")),
+]
+
+# tables of SMALL / 2, SMALL and 2 SMALL rows (or one row fewer and more)
+BOUNDARY = [
+    ["hanoi", "classic", "--n", "11"],
+    ["hanoi", "classic", "--n", "12", "--format", "json"],
+    ["hanoi", "classic", "--n", "13", "--format", "csv"],
+    ["diplomats", "--n", "12"],
+    ["gray", "--n", "11", "--format", "both"],
+    ["gray", "--n", "12"],
+    ["gray", "--n", "13", "--format", "int"],
+    ["embed", "tau", "--n", "7", "--m", "3"],
+    ["embed", "phi", "--n", "6", "--m", "4", "--format", "json"],
+    ["embed", "tau", "--n", "8", "--m", "3", "--invert", "--format", "csv"],
+    ["embed", "phi", "--n", "1", "--m", "4095"],
+    ["embed", "epsilon", "--n", "1", "--m", "4096", "--c", "5", "--format", "json"],
+    ["embed", "phi", "--n", "1", "--m", "4097", "--invert"],
+    ["hanoi", "solve", "--coords", "S", "--from", "111111111110"],
+    ["hanoi", "solve", "--coords", "S", "--from", "111111111111", "--format", "json"],
+    ["hanoi", "solve", "--coords", "S", "--from", "1000000000000"],
+    ["hanoi", "solve", "--from", "1" * 12],
+]
+
+REFUSALS = [
+    ["hanoi", "classic", "--n", "0"],
+    ["diplomats", "--n", "0"],
+    ["gray", "--n", "0"],
+    ["gray", "--n", "-1"],
+    ["embed", "phi", "--n", "0", "--m", "3"],
+    ["embed", "phi", "--n", "2", "--m", "1"],
+    ["hanoi", "classic", "--n", "2", "--m", "1"],
+    ["hanoi", "solve", "--from", "12", "--m", "1"],
+    ["embed", "tau", "--n", "3", "--m", "4"],
+    ["hanoi", "classic", "--n", "3", "--m", "4"],
+    ["hanoi", "solve", "--m", "4", "--from", "1020"],
+    ["hanoi", "solve", "--from", "1930"],
+    ["hanoi", "solve", "--m", "13", "--from", "1 13 0"],
+    ["embed", "epsilon", "--n", "3", "--m", "5", "--c-list", "1,2"],
+    ["embed", "epsilon", "--n", "2", "--m", "4", "--c", "2"],
+    ["embed", "phi", "--n", "2", "--m", "3", "--c", "2"],
+    # one step, but the tau matrix of 3164 x 3164 entries is refused on both paths
+    ["hanoi", "solve", "--coords", "S", "--from", "0" * 3163 + "1"],
+]
+
+
+def answer(argv, limit, monkeypatch, capsys):
+    monkeypatch.setattr(exact, "SMALL_TABLE", limit)
+    code = main(argv)
+    return code, *capsys.readouterr()
+
+
+def both_paths(argv, monkeypatch, capsys):
+    """(integer path, array path) answers: (exit code, stdout, stderr) each."""
+    return answer(argv, 2**64, monkeypatch, capsys), answer(argv, 0, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv", TABLES + BOUNDARY, ids=" ".join)
+def test_both_paths_print_the_same_table(argv, monkeypatch, capsys):
+    small, array = both_paths(argv, monkeypatch, capsys)
+    assert small[0] == 0 and small[1]
+    assert small == array
+
+
+@pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
+def test_both_paths_refuse_alike(argv, monkeypatch, capsys):
+    small, array = both_paths(argv, monkeypatch, capsys)
+    assert small[0] == 2 and small[1] == "" and small[2].startswith("error: ")
+    assert small == array
+
+
+def test_gray_n0_is_refused_on_both_paths(monkeypatch, capsys):
+    for limit in (SMALL, 0):
+        assert answer(["gray", "--n", "0"], limit, monkeypatch, capsys) == (
+            2, "", "error: n must be >= 1, got 0\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv", [["hanoi", "classic", "--n", "5", "--format", "json"], ["gray", "--n", "12"]], ids=" ".join
+)
+def test_both_paths_write_the_same_file(argv, tmp_path, monkeypatch, capsys):
+    files = []
+    for limit in (2**64, 0):
+        files.append(tmp_path / f"limit{limit}.txt")
+        assert answer([*argv, "--out", str(files[-1])], limit, monkeypatch, capsys) == (0, "", "")
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
+# for each table: an argv of SMALL rows, one of more, and the array functions
+# the larger one calls
+SELECTION = [
+    (["hanoi", "classic", "--n", "12"], ["hanoi", "classic", "--n", "13"], [(hanoi, "classic_solution")]),
+    (["diplomats", "--n", "12"], ["diplomats", "--n", "13"], [(hanoi, "classic_solution")]),
+    (
+        ["hanoi", "solve", "--coords", "S", "--from", "1" * 12],
+        ["hanoi", "solve", "--coords", "S", "--from", "1" * 13],
+        [(hanoi, "shortest_path_to_zero")],
+    ),
+    (["gray", "--n", "12"], ["gray", "--n", "13"], [(codes, "gray_sequence")]),
+    (
+        ["embed", "phi", "--n", "6", "--m", "4"],
+        ["embed", "phi", "--n", "1", "--m", "4097"],
+        [(graphs, "digit_cube"), (exact.LinearMap, "cube_image")],
+    ),
+]
+
+
+@pytest.mark.parametrize("small,large,functions", SELECTION, ids=[s[0][0] + " " + s[0][1] for s in SELECTION])
+def test_the_row_count_selects_the_path(small, large, functions, monkeypatch, capsys):
+    assert SMALL == 2**12
+    calls = []
+    for owner, name in functions:
+        original = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    assert main(small) == 0 and calls == []
+    assert main(large) == 0 and sorted(calls) == sorted(name for _, name in functions)
+    capsys.readouterr()
