@@ -15,19 +15,23 @@ or an --out file that cannot be written. `python -m sierham.cli` and the
 sierham script run entry, which calls main and then freezes the heap
 (gc.freeze) so the collections at interpreter exit skip it.
 
-Importing this module loads the integer layer (exact) and no numpy, json or
-fractions. Each handler runs its library guards first, every one the array
-path would meet, in that order. A table of at most exact.SMALL_TABLE rows
-(m^n for embed, 2^n for hanoi classic, diplomats and gray, d + 1 for hanoi
-solve) is then built from the paper's row formulas as tuples of Python
-ints: LinearMap.apply of each digit tuple, tau_forward or phi_forward of
-binary ell, and exact.geodesic_to_zero. A larger table imports the array
-modules it calls (graphs, hanoi, codes) and reads their functions as
-attributes at call time, so a tracer's wrapper on them sees every call. So
-every refusal, a matrix, a density, a verdict that the matrix rows decide,
-the single twist's verdict for n >= 3, the corner search, the small tables
-and the fixture check run without numpy; gen, the larger tables and the
-verdicts that need a graph load it.
+Importing this module loads the integer layer (exact) and no numpy, json,
+fractions or dataclasses. Each handler runs its library guards first, every
+one the array path would meet, in that order. A table of at most
+exact.SMALL_TABLE rows (m^n for embed, 2^n for hanoi classic, diplomats and
+gray, d + 1 for hanoi solve) is then built from the paper's row formulas as
+tuples of Python ints: epsilon_forward of each digit tuple under the map's
+twist family (LinearMap.apply with --invert), tau_forward or phi_forward of
+binary ell, and exact.geodesic_to_zero. A gen graph of at most SMALL_TABLE
+edges (the closed-form count) is exact.graph_edges in an exact.EdgeList. A
+larger table or graph imports the array modules it calls (graphs, hanoi,
+codes) and reads their functions as attributes at call time, so a tracer's
+wrapper on them sees every call; hanoi solve maps only the last
+bit_length(d) digits of each step, since the others stay 0. So every
+refusal, a matrix, a density, a verdict that the matrix rows decide, the
+single twist's verdict for n >= 3, the corner search, the small tables and
+graphs and the fixture check run without numpy; the larger tables and
+graphs and the verdicts that need a graph load it.
 """
 from __future__ import annotations
 
@@ -41,9 +45,10 @@ from pathlib import Path
 
 from . import exact
 from .exact import (
-    LinearMap,
+    EdgeList,
     TwistFamily,
     _check_geodesic,
+    _check_graph,
     _check_gray,
     _check_matrix,
     _check_modulus,
@@ -56,13 +61,16 @@ from .exact import (
     constant_corner_search,
     edge_density,
     embedding_matrix,
+    epsilon_forward,
     format_vertex,
     geodesic_to_zero,
+    graph_edges,
     invert_linear_map,
     parse_vertex,
     phi_forward,
     tau_forward,
     tau_inverse,
+    twist_family,
     verify_embedding,
     verify_single_twist,
 )
@@ -78,11 +86,11 @@ FIXTURES: dict[str, list[str]] = {
 }
 
 
-def _matrix_for(args: argparse.Namespace) -> LinearMap:
+def _family_for(args: argparse.Namespace) -> TwistFamily:
     if args.kind != "epsilon":
         if args.c is not None or args.c_list is not None:
             raise ValueError(f"--c and --c-list apply to epsilon, not {args.kind}")
-        return embedding_matrix(args.kind, args.n, args.m)
+        return twist_family(args.kind, args.n, args.m)
     if args.c is not None:
         _check_matrix(args.n)  # (c,) * n is built before embedding_matrix can refuse it
         cs = (args.c,) * args.n
@@ -97,14 +105,20 @@ def _matrix_for(args: argparse.Namespace) -> LinearMap:
             raise ValueError(f"--c-list has {len(cs)} entries, expected n={args.n}")
     else:
         raise ValueError("the epsilon map needs --c or --c-list")
-    return embedding_matrix(TwistFamily(args.m, cs))
+    return TwistFamily(args.m, cs)
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
-    _check_scale(args.n, args.m)  # each builder's first guard
-    from . import graphs, serialize
+    n, m, kind = args.n, args.m, args.kind
+    edges = _check_graph(kind, n, m)  # every guard the array builder meets
+    from . import serialize
 
-    g = getattr(graphs, f"build_{args.kind.replace('-', '_')}")(args.n, args.m)
+    if edges <= exact.SMALL_TABLE:
+        g = EdgeList(n, m, kind, graph_edges(kind, n, m))
+    else:
+        from . import graphs
+
+        g = getattr(graphs, f"build_{kind.replace('-', '_')}")(n, m)
     return serialize.render_graph(g, args.fmt), 0
 
 
@@ -112,7 +126,8 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
     if not args.matrix:
         _check_scale(n, m)  # names m^n before the matrix refuses its n^2 entries
-    lm = _matrix_for(args)
+    family = _family_for(args)
+    lm = embedding_matrix(family)
     if args.invert:
         lm = invert_linear_map(lm)
     if args.matrix:
@@ -122,9 +137,10 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
         return getattr(writers, f"matrix_to_{args.fmt}")(lm), 0
     from . import serialize
 
-    if m**n <= exact.SMALL_TABLE:  # row v is A v mod m
+    if m**n <= exact.SMALL_TABLE:  # row v is A v mod m, for a family its O(n) recurrence
         v = list(product(range(m), repeat=n))
-        return serialize.write("map_table", args.fmt, v, list(map(lm.apply, v)), m), 0
+        w = list(map(lm.apply, v)) if args.invert else [epsilon_forward(x, family) for x in v]
+        return serialize.write("map_table", args.fmt, v, w, m), 0
     from . import graphs
 
     return serialize.write("map_table", args.fmt, graphs.digit_cube(n, m), lm.cube_image(m), m), 0
@@ -155,8 +171,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     _check_scale(n, m)  # the graph's guard, before the matrix, which has n^2 entries
     if args.kind == "single-twist" and args.c is None and args.c_list is None:
         report = verify_single_twist(n, m)
-    else:  # _matrix_for refuses --c and --c-list for every kind but epsilon
-        report = verify_embedding(_matrix_for(args), n, m)
+    else:  # _family_for refuses --c and --c-list for every kind but epsilon
+        report = verify_embedding(embedding_matrix(_family_for(args)), n, m)
     checks = [k for k, v in report.items() if isinstance(v, bool) and k != "verdict"]
     code = 0 if report["verdict"] else 1
     if args.fmt == "json":
@@ -209,7 +225,16 @@ def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     from . import hanoi
 
     s = hanoi.shortest_path_to_zero(v, m).positions
-    t = embedding_matrix("tau", len(start), m).image(s)
+    # only the last r digits of a step can be nonzero (digit i carries bit
+    # 2^(n-1-i) of d), so tau maps the first k = n - r to 0 and the last r to
+    # 2^(-k) tau_r of themselves: O(d r^2), not O(d n^2)
+    r = max(d.bit_length(), 1)
+    k = len(start) - r
+    tail = embedding_matrix("tau", r, m).image(s[:, k:])
+    tail *= pow(2, -k, m)
+    tail %= m
+    t = np.zeros(s.shape, tail.dtype)
+    t[:, k:] = tail
     # each step of the geodesic is one closer to 0^n
     return serialize.write("hanoi_table", args.fmt, np.arange(len(s) - 1, -1, -1), s, t, m), 0
 

@@ -2,21 +2,25 @@
 
 It holds the size guards (the geodesic's too) and closed-form counts, the
 scalar maps phi, tau and epsilon, path_length_to_zero and the geodesic's
-per-step closed form (geodesic_to_zero), TwistFamily, LinearMap's rows and
-its exact apply, embedding_matrix, invert_linear_map, the row rule of
-verify_embedding, the single twist's degree formula (verify_single_twist),
-constant_corner_search, the vertex text format (_separators,
-format_vertex, parse_vertex, vertex_to_code), and the matrix writers with
-the two output primitives _lines and _json. All of it is exact Python
-integer arithmetic, and this module imports no numpy, and json and
-fractions only when used: a command that builds no array (a matrix, a
-refusal, a verdict the rows or the degree formula decide, the corner
-search) runs without loading it. So does a CLI table of at most
-SMALL_TABLE rows, which the cli builds from these row formulas as tuples
-of Python ints: row v of a map table is LinearMap.apply(v), step ell of
-the classic play is tau_forward of binary ell, Gray word ell is
-phi_forward of binary ell, and a solved play is tau_forward of each
-geodesic_to_zero step. graphs, hanoi, maps and serialize re-export these
+per-step closed form (geodesic_to_zero), TwistFamily (twist_family names
+phi's and tau's), LinearMap's rows and its exact apply, embedding_matrix,
+invert_linear_map, the row rule of verify_embedding, the single twist's
+degree formula (verify_single_twist), constant_corner_search, the edge
+sets of the three gen graphs (graph_edges, held in an EdgeList), the
+vertex text format (_separators, format_vertex, parse_vertex,
+vertex_to_code), and the matrix writers with the two output primitives
+_lines and _json. All of it is exact Python integer arithmetic, and this
+module imports no numpy, no dataclasses (TwistFamily and LinearMap are
+__slots__ values), and json and fractions only when used: a command that
+builds no array (a matrix, a refusal, a verdict the rows or the degree
+formula decide, the corner search) runs without loading it. So does a CLI
+table of at most SMALL_TABLE rows, and a gen graph of at most SMALL_TABLE
+edges, which the cli builds from these formulas as Python ints: row v of
+a map table is epsilon_forward(v) of its twist family (LinearMap.apply
+of the inverse with --invert), step ell of the classic play is
+tau_forward of binary ell, Gray word ell is phi_forward of binary ell, a
+solved play is tau_forward of each geodesic_to_zero step, and a graph's
+edges are graph_edges. graphs, hanoi, maps and serialize re-export these
 names and import numpy themselves. LinearMap.image and cube_image import
 the array code when called, and verify_embedding and verify_single_twist
 import maps only when the rows or the formula do not decide. graphs,
@@ -35,10 +39,9 @@ twist family whose scales are the diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -48,9 +51,9 @@ VertexMap = Callable[[Vertex], Vertex]
 
 MAX_VERTICES = 10**7
 MAX_EDGES = 3 * 10**7
-# A CLI table of at most this many rows is built from the row formulas here, as
-# tuples of Python ints, without numpy: importing numpy costs about as much as
-# formatting this many rows one at a time.
+# A CLI table of at most this many rows, or a gen graph of at most this many
+# edges, is built from the formulas here as Python ints, without numpy:
+# importing numpy costs about as much as formatting this many rows one at a time.
 SMALL_TABLE = 2**12
 
 
@@ -139,6 +142,18 @@ def _check_sierpinski(n: int, m: int) -> None:
     _check_edges(n, m, sierpinski_edge_count(n, m))
 
 
+def _check_graph(kind: str, n: int, m: int) -> int:
+    """The guards of K_m^n ("hamming"), or else of S(n,m) and the single
+    twist, in their builders' order; returns the graph's edge count."""
+    if kind != "hamming":
+        _check_sierpinski(n, m)
+        return sierpinski_edge_count(n, m)
+    _check_scale(n, m)
+    count = hamming_edge_count(n, m)
+    _check_edges(n, m, count)
+    return count
+
+
 def sierpinski_edge_count(n: int, m: int) -> int:
     """|E(S(n,m))| = (m^(n+1) - m) / 2, exact at any size."""
     _check_params(n, m)
@@ -149,6 +164,52 @@ def hamming_edge_count(n: int, m: int) -> int:
     """|E(K_m^n)| = n (m-1) m^n / 2, exact at any size."""
     _check_params(n, m)
     return n * (m - 1) * m**n // 2
+
+
+class EdgeList(NamedTuple):
+    """A gen graph as the serialize graph writers read it: Graph's n, m, kind
+    and edges, with the edges a list of graph_edges' code pairs."""
+
+    n: int
+    m: int
+    kind: str
+    edges: list[tuple[int, int]]
+
+
+def graph_edges(kind: str, n: int, m: int) -> list[tuple[int, int]]:
+    """The edge codes of S(n,m), K_m^n or the single twist, as the kernels emit them.
+
+    Pairs of Python ints in canonical order (smaller endpoint first, sorted),
+    from the closed forms of the edge kernels. An S(n,m) edge at digit h
+    joins prefix p, digit i and a constant tail of j to prefix p, digit j
+    and a tail of i, for i < j; the single twist gives both tails
+    (i + j) mod m. A K_m^n vertex u's larger partners are u + s * m^pos,
+    s = 1..m-1-u_pos, which ascend taken least significant position first.
+    Runs no guard: gen runs _check_graph before it calls this.
+    """
+    if kind == "hamming":
+        weights = [m**pos for pos in range(n)]  # least significant first
+        edges = []
+        for u in range(m**n):
+            x = u
+            for w in weights:
+                x, d = divmod(x, m)
+                edges += [(u, u + s * w) for s in range(1, m - d)]
+        return edges
+    if kind not in ("sierpinski", "single-twist"):
+        raise ValueError(f"unknown graph kind {kind!r}")
+    edges = []
+    for h in range(n):
+        span = m ** (n - 1 - h)  # weight of digit h
+        rep = (span - 1) // (m - 1)  # code of a run of 1s after digit h
+        prefixes = range(0, m**n, m * span)
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                ti, tj = ((i + j) % m,) * 2 if kind == "single-twist" else (j, i)
+                near, far = i * span + ti * rep, j * span + tj * rep
+                edges += [(p + near, p + far) for p in prefixes]
+    edges.sort()
+    return edges
 
 
 def edge_density(n: int, m: int) -> Fraction:
@@ -264,8 +325,43 @@ def geodesic_to_zero(v: Sequence[int]) -> list[Vertex]:
     return steps
 
 
-@dataclass(frozen=True)
-class TwistFamily:
+class _Value:
+    """An immutable value: __init__ sets the slots, later assignment raises.
+
+    Equality, hash and repr read the public fields, which are also the
+    constructor's arguments (so copy and pickle rebuild through __init__).
+    Instances compare equal only within one class.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+
+class TwistFamily(_Value):
     """One invertible multiplier per recursion level, defining one epsilon map.
 
     The level multipliers (c_1,...,c_n) combine into a single unit scale per
@@ -275,24 +371,26 @@ class TwistFamily:
     multiplier tuples give distinct maps.
     """
 
+    __slots__ = ("m", "multipliers", "_scales")
+    _fields = ("m", "multipliers")
     m: int
     multipliers: tuple[int, ...]
-    _scales: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _check_modulus(self.m)
-        if len(self.multipliers) < 1:
+    def __init__(self, m: int, multipliers: Sequence[int]) -> None:
+        _check_modulus(m)
+        if len(multipliers) < 1:
             raise ValueError("need at least one multiplier")
-        cs = tuple(c % self.m for c in self.multipliers)
+        cs = tuple(c % m for c in multipliers)
         for c in cs:
-            if math.gcd(c, self.m) != 1:
-                raise ValueError(f"multiplier {c} is not invertible mod {self.m}")
-        object.__setattr__(self, "multipliers", cs)
-        scales = [1] if len(cs) == 1 else [cs[0] * pow(cs[1], -1, self.m) % self.m]
+            if math.gcd(c, m) != 1:
+                raise ValueError(f"multiplier {c} is not invertible mod {m}")
+        scales = [1] if len(cs) == 1 else [cs[0] * pow(cs[1], -1, m) % m]
         acc = 1
         for c in cs[1:]:
-            acc = acc * c % self.m
+            acc = acc * c % m
             scales.append(acc)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "multipliers", cs)
         object.__setattr__(self, "_scales", tuple(scales))
 
     def scales(self) -> tuple[int, ...]:
@@ -314,28 +412,30 @@ def epsilon_forward(v: Sequence[int], tw: TwistFamily) -> Vertex:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_Value):
     """Lower-triangular matrix over Z_m; row i gives output coordinate i."""
 
+    __slots__ = ("m", "rows")
+    _fields = ("m", "rows")
     m: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        _check_params(n, self.m)
+    def __init__(self, m: int, rows: Sequence[Sequence[int]]) -> None:
+        n = len(rows)
+        _check_params(n, m)
         norm = []
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            row = tuple(x % self.m for x in row)
+            row = tuple(x % m for x in row)
             if any(row[i + 1 :]):
                 raise ValueError(f"row {i + 1} has a nonzero entry above the diagonal")
-            if math.gcd(row[i], self.m) != 1:
+            if math.gcd(row[i], m) != 1:
                 raise ValueError(
-                    f"diagonal entry {row[i]} in row {i + 1} is not invertible mod {self.m}"
+                    f"diagonal entry {row[i]} in row {i + 1} is not invertible mod {m}"
                 )
             norm.append(row)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", tuple(norm))
 
     @property
@@ -379,12 +479,26 @@ class LinearMap:
         return tuple(sum(map(mul, row, v)) % self.m for row in self.rows)
 
 
+def twist_family(kind: str, n: int, m: int) -> TwistFamily:
+    """phi (the all-ones family) or tau (the all-2^(-1) one) on n levels mod m.
+
+    Checks n and m, the kind, tau's odd m and the n x n matrix guard, in
+    that order, before it builds the family.
+    """
+    _check_params(n, m)  # the multipliers are reduced mod m
+    if kind not in ("phi", "tau"):
+        raise ValueError(f"unknown map kind {kind!r}")
+    c = 1 if kind == "phi" else _inverse_of_two(m)
+    _check_matrix(n)
+    return TwistFamily(m, (c,) * n)
+
+
 def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | None = None) -> LinearMap:
     """Coefficient matrix of phi, tau, or a twist family, as a LinearMap.
 
-    phi is the all-ones twist family and tau the all-2^(-1) one; column j
-    is epsilon_forward of the j-th unit vector. A family is passed alone.
-    Refuses more than MAX_VERTICES entries before building a row.
+    A named kind is its twist_family; column j is epsilon_forward of the
+    j-th unit vector. A family is passed alone. Refuses more than
+    MAX_VERTICES entries before building a row.
     """
     if isinstance(kind, TwistFamily):
         _check_matrix(len(kind.multipliers))
@@ -393,12 +507,7 @@ def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | Non
     else:
         if n is None or m is None:
             raise ValueError("n and m are required for named map kinds")
-        _check_params(n, m)  # the rows below are reduced mod m
-        if kind not in ("phi", "tau"):
-            raise ValueError(f"unknown map kind {kind!r}")
-        c = 1 if kind == "phi" else _inverse_of_two(m)
-        _check_matrix(n)
-        kind = TwistFamily(m, (c,) * n)
+        kind = twist_family(kind, n, m)
     n = len(kind.multipliers)
     columns = [epsilon_forward((0,) * j + (1,) + (0,) * (n - 1 - j), kind) for j in range(n)]
     return LinearMap(kind.m, tuple(zip(*columns)))

@@ -33,6 +33,7 @@ from .exact import (  # re-exported: the guards, counts and vertex codes live in
     MAX_VERTICES,
     Vertex,
     _check_edges,
+    _check_graph,
     _check_params,
     _check_rows,
     _check_scale,
@@ -232,8 +233,7 @@ def build_sierpinski(n: int, m: int) -> Graph:
 
 
 def build_hamming(n: int, m: int) -> Graph:
-    _check_scale(n, m)
-    _check_edges(n, m, hamming_edge_count(n, m))
+    _check_graph("hamming", n, m)
     return Graph(n, m, "hamming", kernels.hamming_edges(n, m))
 
 

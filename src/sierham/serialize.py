@@ -2,26 +2,29 @@
 
 Digit strings (exact._separators): for m <= 10 a vertex prints as concatenated
 digits ("1020"); beyond, digits are space-separated and fields tab-separated.
-All writers are deterministic: same input, same bytes. Graph writers
-format each vertex once, into a list of labels indexed by vertex code,
-and read edge codes through graphs.iter_rows. Table writers take each digit
-column as a (k, n) digit array or as a list of int tuples, and the step
-column as an array, a range or a list of ints: one writer per table and
-format serves the array path and the small tables the cli builds from the
-row formulas, with the same bytes. Array columns become Python objects a
-graphs.row_blocks block at a time, so no writer holds a whole column of
-them (the text play table keeps its S labels, which size their column).
-This module imports numpy and graphs only when an array or a Graph
-reaches it. Every writer, and the cli's verify and corners-search
-reports, is one _lines or _json call: no other module joins output lines
-or encodes JSON. format_vertex, parse_vertex, _lines, _json and the matrix
-writers need no array, so they live in the integer layer (exact) and are
-re-exported here. write(table, fmt, ...) finds <table>_to_<fmt> by name.
+All writers are deterministic: same input, same bytes. Graph writers read
+only n, m, kind and edges, from a Graph or from the exact.EdgeList that the
+cli builds for a small graph. They format each vertex once, into a list of
+labels indexed by vertex code, and read edge codes through _pairs: a list
+of int pairs as it is, an edge array by graphs.iter_rows. Table writers
+take each digit column as a (k, n) digit array or as a list of int tuples,
+and the step column as an array, a range or a list of ints: one writer per
+table and format serves the array path and the small tables the cli
+builds from the row formulas, with the same bytes. Array columns become
+Python objects a graphs.row_blocks block at a time, so no writer holds a
+whole column of them (the text play table keeps its S labels, which size
+their column). This module imports numpy and graphs only when an array
+or a Graph reaches it. Every writer, and the cli's verify and
+corners-search reports, is one _lines or _json call: no other module
+joins output lines or encodes JSON. format_vertex, parse_vertex, _lines,
+_json and the matrix writers need no array, so they live in the integer
+layer (exact) and are re-exported here. write(table, fmt, ...) finds
+<table>_to_<fmt> by name.
 """
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .exact import (  # re-exported: the matrix writers, primitives and parse_vertex need no array
     _json,
@@ -38,8 +41,11 @@ from .exact import vertex_to_code as _code  # no <table>_to_<fmt> name for write
 if TYPE_CHECKING:
     import numpy as np
 
+    from .exact import EdgeList
     from .graphs import Graph
 
+    AnyGraph = Graph | EdgeList
+    Edges = np.ndarray | list[tuple[int, int]]
     Rows = np.ndarray | list[tuple[int, ...]]
     Steps = np.ndarray | Sequence[int]
 
@@ -105,11 +111,18 @@ def _vertex_labels(n: int, m: int) -> list[str]:
     return labels
 
 
-def _edge_strings(g: Graph) -> Iterator[tuple[str, str]]:
+def _pairs(edges: Edges) -> Iterable[tuple[int, int]]:
+    """The code pairs of a list of int pairs, or of an (E, 2) edge array a block at a time."""
+    if isinstance(edges, list):
+        return edges
     from .graphs import iter_rows
 
+    return iter_rows(edges)
+
+
+def _edge_strings(g: AnyGraph) -> Iterator[tuple[str, str]]:
     labels = _vertex_labels(g.n, g.m)
-    return ((labels[u], labels[v]) for u, v in iter_rows(g.edges))
+    return ((labels[u], labels[v]) for u, v in _pairs(g.edges))
 
 
 def write(table: str, fmt: str, *args) -> str:
@@ -121,20 +134,20 @@ def write(table: str, fmt: str, *args) -> str:
     return writer(*args)
 
 
-def graph_to_edgelist(g: Graph) -> str:
+def graph_to_edgelist(g: AnyGraph) -> str:
     return _lines(_edge_strings(g), sep=_separators(g.m)[1])
 
 
-def graph_to_text(g: Graph) -> str:
-    head = f"{g.kind} graph n={g.n} m={g.m} vertices={g.num_vertices} edges={g.num_edges}"
+def graph_to_text(g: AnyGraph) -> str:
+    head = f"{g.kind} graph n={g.n} m={g.m} vertices={g.m**g.n} edges={len(g.edges)}"
     return _lines(_edge_strings(g), [head], _separators(g.m)[1])
 
 
-def graph_to_csv(g: Graph) -> str:
+def graph_to_csv(g: AnyGraph) -> str:
     return _lines(_edge_strings(g), ["u,v"], ",")
 
 
-def graph_to_json(g: Graph) -> str:
+def graph_to_json(g: AnyGraph) -> str:
     return _json({"n": g.n, "m": g.m, "kind": g.kind, "edges": list(map(list, _edge_strings(g)))})
 
 
@@ -150,16 +163,14 @@ def graph_from_json(text: str) -> Graph:
     return Graph(n, m, kind, [(code(a), code(b)) for a, b in payload["edges"]])
 
 
-def graph_to_dot(g: Graph) -> str:
-    from .graphs import iter_rows
-
+def graph_to_dot(g: AnyGraph) -> str:
     # whole lines, no cells, so all are head lines
     vertices = (f'  v{code} [label="{label}"];' for code, label in enumerate(_vertex_labels(g.n, g.m)))
-    edges = (f"  v{u} -- v{v};" for u, v in iter_rows(g.edges))
+    edges = (f"  v{u} -- v{v};" for u, v in _pairs(g.edges))
     return _lines((), chain([f'graph "{g.kind}_{g.n}_{g.m}" {{'], vertices, edges, ["}"]))
 
 
-def render_graph(g: Graph, fmt: str) -> str:
+def render_graph(g: AnyGraph, fmt: str) -> str:
     return write("graph", fmt, g)
 
 

@@ -559,8 +559,9 @@ def test_corners_search_answers_large_even_m_in_time(m, best, required):
 
 # Commands that build no array: two matrices, seven refusals, two verdicts the
 # rows decide, the single twist's verdict from its degree formula, the corner
-# search, and the small tables that cli-export runs (at most exact.SMALL_TABLE
-# rows, built from the row formulas) with the fixture check.
+# search, and the small tables and graphs that cli-export runs (at most
+# exact.SMALL_TABLE rows or edges, built from the closed forms) with the fixture
+# check. With them, every command of a cli-export round is here.
 ARRAY_FREE = [
     ["embed", "phi", "--n", "6", "--m", "5", "--matrix"],
     ["embed", "tau", "--n", "6", "--m", "7", "--matrix", "--invert"],
@@ -582,9 +583,14 @@ ARRAY_FREE = [
     ["diplomats", "--n", "9"],
     ["gray", "--n", "10"],
     ["--check-fixtures"],
+    ["gen", "sierpinski", "--n", "6", "--m", "3", "--format", "text"],
+    ["gen", "single-twist", "--n", "5", "--m", "3", "--format", "csv"],
+    ["gen", "hamming", "--n", "4", "--m", "4", "--format", "json"],
+    ["gen", "sierpinski", "--n", "4", "--m", "5", "--format", "dot"],
+    ["gen", "single-twist", "--n", "4", "--m", "4", "--format", "edgelist"],
 ]
 # Run a command as `python -m sierham.cli` runs it, and report what it printed
-# and whether numpy was imported.
+# and which of numpy and dataclasses (and through it inspect) it imported.
 RUN_MODULE = """
 import contextlib, io, json, runpy, sys
 sys.argv = ["sierham", *json.loads(sys.argv[1])]
@@ -595,7 +601,7 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = 0
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([out.getvalue(), err.getvalue(), code, "numpy" in sys.modules]))
+print(json.dumps([out.getvalue(), err.getvalue(), code, sorted({"numpy", "dataclasses"} & set(sys.modules))]))
 """
 
 
@@ -611,14 +617,15 @@ def _child(*args: str) -> str:
 
 @pytest.mark.parametrize("argv", ARRAY_FREE, ids=" ".join)
 def test_array_free_commands_run_without_numpy(argv, capsys):
-    out, err, code, numpy_loaded = json.loads(_child(RUN_MODULE, json.dumps(argv)))
-    assert not numpy_loaded
+    out, err, code, loaded = json.loads(_child(RUN_MODULE, json.dumps(argv)))
+    assert loaded == []
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
 
 
 def test_importing_the_package_and_the_cli_loads_no_numpy():
-    probe = "import sys, sierham, sierham.cli; print(sorted({'numpy', 'json', 'fractions'} & set(sys.modules)))"
+    heavy = "{'numpy', 'json', 'fractions', 'dataclasses', 'inspect'}"
+    probe = f"import sys, sierham, sierham.cli; print(sorted({heavy} & set(sys.modules)))"
     assert _child(probe) == "[]\n"
 
 
@@ -658,9 +665,11 @@ def test_the_process_entry_answers_as_main(argv, code, capsys):
 
 # Each array function a handler calls, with one argv whose handler calls it.
 CALLED_BY_ATTRIBUTE = [
-    ("graphs", "build_sierpinski", ["gen", "sierpinski", "--n", "2", "--m", "3"]),
-    ("graphs", "build_hamming", ["gen", "hamming", "--n", "2", "--m", "3"]),
-    ("graphs", "build_single_twist", ["gen", "single-twist", "--n", "2", "--m", "3"]),
+    # graphs just above exact.SMALL_TABLE edges (4995, 4374 and 4620), which the
+    # array builders build
+    ("graphs", "build_sierpinski", ["gen", "sierpinski", "--n", "3", "--m", "10"]),
+    ("graphs", "build_hamming", ["gen", "hamming", "--n", "6", "--m", "3"]),
+    ("graphs", "build_single_twist", ["gen", "single-twist", "--n", "2", "--m", "21"]),
     ("maps", "verify_coordinatization", ["verify", "single-twist", "--n", "2", "--m", "3"]),
     # tables just above exact.SMALL_TABLE rows, which the array functions build
     ("hanoi", "classic_solution", ["hanoi", "classic", "--n", "13"]),

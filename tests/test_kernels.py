@@ -1,10 +1,11 @@
-"""The numpy kernels emit the rows of their loop forms in tests/oracles.py, in canonical order."""
+"""The numpy kernels emit the rows of their loop forms in tests/oracles.py, in canonical order,
+and so does the integer layer's exact.graph_edges."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from sierham import kernels
+from sierham import exact, kernels
 from sierham.graphs import code_to_vertex, hamming_edge_count, sierpinski_edge_count
 
 import oracles
@@ -33,6 +34,25 @@ def test_backends_agree(n, m):
         assert ca.shape[0] == count(n, m)  # no duplicate rows hidden by unique
         assert np.array_equal(ca, oracles.canonical_rows(b))
         assert np.array_equal(a, oracles.canonical_rows(b))  # canonical order, row for row
+
+
+# every (n, m) with m <= 12 and m^n <= 10^4
+SMALL_GRAPHS = [(n, m) for m in range(2, 13) for n in range(1, 14) if m**n <= 10**4]
+
+
+@pytest.mark.parametrize("n,m", SMALL_GRAPHS)
+def test_graph_edges_are_the_kernel_rows(n, m):
+    for kind, (kernel, loop, count) in zip(("sierpinski", "hamming", "single-twist"), KERNEL_ORACLES):
+        edges = exact.graph_edges(kind, n, m)
+        assert edges == list(map(tuple, kernel(n, m).tolist()))
+        assert len(edges) == count(n, m)
+        assert edges == sorted(loop(n, m))  # the loop rows are already smaller endpoint first
+        assert all(type(c) is int for pair in edges for c in pair)
+
+
+def test_graph_edges_refuse_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown graph kind 'moebius'"):
+        exact.graph_edges("moebius", 2, 3)
 
 
 def diff_by_tuples(x: int, y: int, n: int, m: int) -> int:

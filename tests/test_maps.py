@@ -1,8 +1,10 @@
 """Recoordinatization maps: phi, tau, twist families, matrices, verifiers."""
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 import re
 from itertools import islice, product
@@ -704,6 +706,33 @@ def test_twist_scales():
     assert tw.scales() is tw.scales()
     assert tw == TwistFamily(7, (10, 5, 2)) and hash(tw) == hash(TwistFamily(7, (10, 5, 2)))
     assert repr(tw) == "TwistFamily(m=7, multipliers=(3, 5, 2))"
+
+
+@pytest.mark.parametrize(
+    "value,fields",
+    [
+        (TwistFamily(7, (3, 5, 2)), {"m": 7, "multipliers": (3, 5, 2)}),
+        (LinearMap(5, ((1, 0), (7, 3))), {"m": 5, "rows": ((1, 0), (2, 3))}),
+    ],
+    ids=["TwistFamily", "LinearMap"],
+)
+def test_maps_are_immutable_values(value, fields):
+    cls = type(value)
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert {name: getattr(value, name) for name in fields} == fields
+    same = cls(**fields)
+    assert value == same and hash(value) == hash(same) and not value != same
+    assert value != (*fields.values(),) and value != TwistFamily(5, (1, 1))
+    if cls is LinearMap:
+        assert value != LinearMap(5, ((1, 0), (2, 1)))
+        assert repr(value) == "LinearMap(m=5, rows=((1, 0), (2, 3)))"
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is cls
+    assert not hasattr(value, "__dict__")
 
 
 def test_epsilon_all_ones_is_phi():

@@ -345,6 +345,15 @@ def test_table_writers_print_lists_as_they_print_arrays(table):
             assert serialize.write(table, fmt, *listed) == serialize.write(table, fmt, *args), (table, fmt)
 
 
+def test_graph_writers_print_edge_lists_as_they_print_graphs():
+    inputs = BLOCKED_INPUTS["graph"] + [WRITER_INPUTS["graph"]]
+    inputs += [(graphs.build_single_twist(3, 4),), (build_hamming(1, 2),), (build_sierpinski(1, 11),)]
+    for (g,) in inputs:
+        small = exact.EdgeList(g.n, g.m, g.kind, exact.graph_edges(g.kind, g.n, g.m))
+        for fmt in [fmt for name, fmt in WRITERS if name == "graph"]:
+            assert serialize.write("graph", fmt, small) == serialize.write("graph", fmt, g), (g, fmt)
+
+
 # ---------------------------------------------------------------- one output seam
 
 WRITER_INPUTS = {

@@ -1,20 +1,25 @@
-"""The two paths of every CLI table: rows from the integer formulas, or arrays.
+"""The two paths of every CLI table and graph: integer formulas, or arrays.
 
 A table of at most exact.SMALL_TABLE rows is built as tuples of Python ints
-from the paper's row formulas, without numpy; a larger one as digit arrays.
-Each argv here runs through main on both paths, forced by setting the
-threshold, and must print the same bytes, to stdout or to --out, with the
-same exit code and the same stderr. Refusals must be the same on both.
+from the paper's row formulas, and a gen graph of at most SMALL_TABLE edges
+as a list of code pairs from the closed-form edge sets, without numpy; a
+larger one as digit or edge arrays. Each argv here runs through main on
+both paths, forced by setting the threshold, and must print the same bytes,
+to stdout or to --out, with the same exit code and the same stderr.
+Refusals must be the same on both.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from sierham import codes, exact, graphs, hanoi
+from sierham import codes, exact, graphs, hanoi, serialize
 from sierham.cli import main
+from sierham.exact import embedding_matrix, parse_vertex
 
 SMALL = exact.SMALL_TABLE
 FORMATS = ("text", "csv", "json")
+GRAPH_FORMATS = ("text", "csv", "json", "dot", "edgelist")
 
 TABLES = [
     *(
@@ -43,6 +48,12 @@ TABLES = [
         for fmt in FORMATS
     ),
     *(["gray", "--n", "4", "--format", fmt] for fmt in ("bits", "int", "both")),
+    *(
+        ["gen", kind, "--n", n, "--m", m, "--format", fmt]
+        for kind in ("sierpinski", "hamming", "single-twist")
+        for n, m in (("1", "2"), ("3", "4"), ("2", "12"))
+        for fmt in GRAPH_FORMATS
+    ),
 ]
 
 # tables of SMALL / 2, SMALL and 2 SMALL rows (or one row fewer and more)
@@ -64,6 +75,17 @@ BOUNDARY = [
     ["hanoi", "solve", "--coords", "S", "--from", "111111111111", "--format", "json"],
     ["hanoi", "solve", "--coords", "S", "--from", "1000000000000"],
     ["hanoi", "solve", "--from", "1" * 12],
+    # graphs of 2304 to 4095 edges, and of 4186 to 8191
+    ["gen", "sierpinski", "--n", "12", "--m", "2"],
+    ["gen", "sierpinski", "--n", "13", "--m", "2", "--format", "csv"],
+    ["gen", "sierpinski", "--n", "1", "--m", "91", "--format", "dot"],
+    ["gen", "sierpinski", "--n", "1", "--m", "92", "--format", "edgelist"],
+    ["gen", "hamming", "--n", "1", "--m", "91", "--format", "json"],
+    ["gen", "hamming", "--n", "6", "--m", "3"],
+    ["gen", "hamming", "--n", "9", "--m", "2", "--format", "dot"],
+    ["gen", "hamming", "--n", "10", "--m", "2", "--format", "csv"],
+    ["gen", "single-twist", "--n", "2", "--m", "20", "--format", "json"],
+    ["gen", "single-twist", "--n", "2", "--m", "21"],
 ]
 
 REFUSALS = [
@@ -85,6 +107,15 @@ REFUSALS = [
     ["embed", "phi", "--n", "2", "--m", "3", "--c", "2"],
     # one step, but the tau matrix of 3164 x 3164 entries is refused on both paths
     ["hanoi", "solve", "--coords", "S", "--from", "0" * 3163 + "1"],
+    ["gen", "sierpinski", "--n", "0", "--m", "3"],
+    ["gen", "hamming", "--n", "-1", "--m", "3"],
+    ["gen", "single-twist", "--n", "2", "--m", "1"],
+    ["gen", "hamming", "--n", "3", "--m", "1"],
+    # 3^15 and 2^24 vertices; 5 * 10^7 and 9.6 * 10^7 edges
+    ["gen", "hamming", "--n", "15", "--m", "3"],
+    ["gen", "single-twist", "--n", "24", "--m", "2"],
+    ["gen", "sierpinski", "--n", "1", "--m", "10000"],
+    ["gen", "hamming", "--n", "23", "--m", "2"],
 ]
 
 
@@ -121,7 +152,13 @@ def test_gray_n0_is_refused_on_both_paths(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["hanoi", "classic", "--n", "5", "--format", "json"], ["gray", "--n", "12"]], ids=" ".join
+    "argv",
+    [
+        ["hanoi", "classic", "--n", "5", "--format", "json"],
+        ["gray", "--n", "12"],
+        ["gen", "single-twist", "--n", "3", "--m", "5", "--format", "dot"],
+    ],
+    ids=" ".join,
 )
 def test_both_paths_write_the_same_file(argv, tmp_path, monkeypatch, capsys):
     files = []
@@ -131,8 +168,8 @@ def test_both_paths_write_the_same_file(argv, tmp_path, monkeypatch, capsys):
     assert files[0].read_bytes() == files[1].read_bytes()
 
 
-# for each table: an argv of SMALL rows, one of more, and the array functions
-# the larger one calls
+# for each table: an argv of SMALL rows (or edges, at most), one of more, and
+# the array functions the larger one calls
 SELECTION = [
     (["hanoi", "classic", "--n", "12"], ["hanoi", "classic", "--n", "13"], [(hanoi, "classic_solution")]),
     (["diplomats", "--n", "12"], ["diplomats", "--n", "13"], [(hanoi, "classic_solution")]),
@@ -147,6 +184,12 @@ SELECTION = [
         ["embed", "phi", "--n", "1", "--m", "4097"],
         [(graphs, "digit_cube"), (exact.LinearMap, "cube_image")],
     ),
+    (["gen", "sierpinski", "--n", "12", "--m", "2"], ["gen", "sierpinski", "--n", "3", "--m", "10"],
+     [(graphs, "build_sierpinski")]),
+    (["gen", "hamming", "--n", "1", "--m", "91"], ["gen", "hamming", "--n", "6", "--m", "3"],
+     [(graphs, "build_hamming")]),
+    (["gen", "single-twist", "--n", "2", "--m", "20"], ["gen", "single-twist", "--n", "2", "--m", "21"],
+     [(graphs, "build_single_twist")]),
 ]
 
 
@@ -162,3 +205,32 @@ def test_the_row_count_selects_the_path(small, large, functions, monkeypatch, ca
     assert main(small) == 0 and calls == []
     assert main(large) == 0 and sorted(calls) == sorted(name for _, name in functions)
     capsys.readouterr()
+
+
+def test_small_embed_rows_take_the_family_recurrence(monkeypatch, capsys):
+    # O(n) per row by epsilon_forward; only --invert has no family and applies its rows
+    calls = []
+    apply = exact.LinearMap.apply
+    monkeypatch.setattr(exact.LinearMap, "apply", lambda lm, v: calls.append(v) or apply(lm, v))
+    assert main(["embed", "epsilon", "--n", "3", "--m", "7", "--c", "3"]) == 0 and calls == []
+    assert main(["embed", "tau", "--n", "3", "--m", "5", "--invert"]) == 0 and len(calls) == 125
+    capsys.readouterr()
+
+@pytest.mark.parametrize(
+    "m,start",
+    [
+        (3, "0" * 40 + "1" * 13),
+        (5, "0" * 7 + "4" * 12 + "3"),
+        (9, "0" * 3 + "8" + "0" * 11 + "5"),
+        (13, " ".join(["0"] * 5 + ["12"] + ["7"] * 12)),
+    ],
+    ids=["m3", "m5", "m9", "m13"],
+)
+def test_a_long_solve_maps_only_the_digits_that_move(m, start, capsys):
+    # past SMALL steps, tau of the last digits alone equals the full n x n product
+    s = hanoi.shortest_path_to_zero(parse_vertex(start, m), m).positions
+    assert len(s) > SMALL
+    t = embedding_matrix("tau", s.shape[1], m).image(s)
+    expected = serialize.write("hanoi_table", "text", np.arange(len(s) - 1, -1, -1), s, t, m)
+    assert main(["hanoi", "solve", "--coords", "S", "--m", str(m), "--from", start]) == 0
+    assert capsys.readouterr() == (expected, "")
