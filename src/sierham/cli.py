@@ -17,21 +17,14 @@ sierham script run entry, which calls main and then freezes the heap
 
 Importing this module loads the integer layer (exact) and no numpy, json,
 fractions or dataclasses. Each handler runs its library guards first, every
-one the array path would meet, in that order. A table of at most
-exact.SMALL_TABLE rows (m^n for embed, 2^n for hanoi classic, diplomats and
-gray, d + 1 for hanoi solve) is then built from the paper's row formulas as
-tuples of Python ints: epsilon_forward of each digit tuple under the map's
-twist family (LinearMap.apply with --invert), tau_forward or phi_forward of
-binary ell, and exact.geodesic_to_zero. A gen graph of at most SMALL_TABLE
-edges (the closed-form count) is exact.graph_edges in an exact.EdgeList. A
-larger table or graph imports the array modules it calls (graphs, hanoi,
-codes) and reads their functions as attributes at call time, so a tracer's
-wrapper on them sees every call; hanoi solve maps only the last
-bit_length(d) digits of each step, since the others stay 0. So every
-refusal, a matrix, a density, a verdict that the matrix rows decide, the
-single twist's verdict for n >= 3, the corner search, the small tables and
-graphs and the fixture check run without numpy; the larger tables and
-graphs and the verdicts that need a graph load it.
+one its table would meet, in that order. A table handler then makes one
+exact.table call with its row function, which builds at most
+exact.SMALL_TABLE rows as Python ints and a larger table as an array. A gen
+graph of at most SMALL_TABLE edges is exact.graph_edges; a larger one is
+built by the graphs builder, read as an attribute at call time so that a
+tracer's wrapper sees the call. So refusals, matrices, densities, the corner
+search, verdicts the matrix rows or the degree formula decide, the small
+tables and graphs and the fixture check run without numpy.
 """
 from __future__ import annotations
 
@@ -40,7 +33,6 @@ import functools
 import gc
 import sys
 from importlib import resources
-from itertools import product
 from pathlib import Path
 
 from . import exact
@@ -52,7 +44,6 @@ from .exact import (
     _check_gray,
     _check_matrix,
     _check_modulus,
-    _check_params,
     _check_play,
     _check_scale,
     _inverse_of_two,
@@ -61,14 +52,9 @@ from .exact import (
     constant_corner_search,
     edge_density,
     embedding_matrix,
-    epsilon_forward,
     format_vertex,
-    geodesic_to_zero,
     graph_edges,
-    invert_linear_map,
     parse_vertex,
-    phi_forward,
-    tau_forward,
     tau_inverse,
     twist_family,
     verify_embedding,
@@ -127,23 +113,17 @@ def cmd_embed(args: argparse.Namespace) -> tuple[str, int]:
     if not args.matrix:
         _check_scale(n, m)  # names m^n before the matrix refuses its n^2 entries
     family = _family_for(args)
-    lm = embedding_matrix(family)
-    if args.invert:
-        lm = invert_linear_map(lm)
     if args.matrix:
+        lm = embedding_matrix(family, invert=args.invert)
         # serialize re-exports the matrix writers, and a tracer wraps them there by
         # name: read them from serialize once it is loaded, and never load it for them
         writers = sys.modules.get(f"{__package__}.serialize", exact)
         return getattr(writers, f"matrix_to_{args.fmt}")(lm), 0
     from . import serialize
 
-    if m**n <= exact.SMALL_TABLE:  # row v is A v mod m, for a family its O(n) recurrence
-        v = list(product(range(m), repeat=n))
-        w = list(map(lm.apply, v)) if args.invert else [epsilon_forward(x, family) for x in v]
-        return serialize.write("map_table", args.fmt, v, w, m), 0
-    from . import graphs
-
-    return serialize.write("map_table", args.fmt, graphs.digit_cube(n, m), lm.cube_image(m), m), 0
+    # row v is v's digits and their image, O(n) by the family's recurrence
+    v, w = exact.table(lambda x: exact.map_row(x, family, m, args.invert), m**n, m)
+    return serialize.write("map_table", args.fmt, v, w, m), 0
 
 
 def _violation_line(item: dict, m: int) -> str:
@@ -188,69 +168,39 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
     n, m = args.n, args.m
-    _check_play(n)  # an oversize n is refused before numpy loads, and before 2^n steps exist
-    _check_params(n, m)  # then the tau matrix's checks, in embedding_matrix's order
-    _inverse_of_two(m)
+    _check_play(n)  # an oversize n is refused before 2^n steps exist
+    family = twist_family("tau", n, m)  # then n, m and tau's odd m
     from . import serialize
 
-    if 2**n <= exact.SMALL_TABLE:  # step ell is tau of binary ell
-        bits = list(product((0, 1), repeat=n))
-        play = [tau_forward(b, m) for b in bits]
-        return serialize.write("hanoi_table", args.fmt, range(2**n), bits, play, m), 0
-    import numpy as np
-
-    from . import graphs, hanoi
-
-    play = hanoi.classic_solution(n, m).positions
-    bits = graphs.digit_cube(n, 2)
-    return serialize.write("hanoi_table", args.fmt, np.arange(2**n), bits, play, m), 0
+    # step ell is binary ell and its tau image
+    bits, play = exact.table(lambda ell: exact.map_row(ell, family, 2), 2**n, m)
+    return serialize.write("hanoi_table", args.fmt, range(2**n), bits, play, m), 0
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     m = args.m
-    _check_modulus(m)  # m, then the tau matrix's modulus check, then the digits and the size
+    _check_modulus(m)  # m, then tau's odd m, then the digits and the size
     _inverse_of_two(m)
     start = parse_vertex(args.position, m)
     v = tau_inverse(start, m) if args.coords == "T" else start
     d = _check_geodesic(v)
-    _check_matrix(len(start))  # the tau matrix's guard, which the array path meets next
+    family = twist_family("tau", len(start), m)  # with the n x n matrix guard
     from . import serialize
 
-    if d + 1 <= exact.SMALL_TABLE:  # step k is tau of the geodesic's step k
-        s = geodesic_to_zero(v)
-        t = [tau_forward(x, m) for x in s]
-        return serialize.write("hanoi_table", args.fmt, range(d, -1, -1), s, t, m), 0
-    import numpy as np
-
-    from . import hanoi
-
-    s = hanoi.shortest_path_to_zero(v, m).positions
-    # only the last r digits of a step can be nonzero (digit i carries bit
-    # 2^(n-1-i) of d), so tau maps the first k = n - r to 0 and the last r to
-    # 2^(-k) tau_r of themselves: O(d r^2), not O(d n^2)
-    r = max(d.bit_length(), 1)
-    k = len(start) - r
-    tail = embedding_matrix("tau", r, m).image(s[:, k:])
-    tail *= pow(2, -k, m)
-    tail %= m
-    t = np.zeros(s.shape, tail.dtype)
-    t[:, k:] = tail
-    # each step of the geodesic is one closer to 0^n
-    return serialize.write("hanoi_table", args.fmt, np.arange(len(s) - 1, -1, -1), s, t, m), 0
+    # step k is the geodesic's step k and its tau image; each is one closer to 0^n
+    s, t = exact.table(lambda k: exact.solve_row(k, v, d, family), d + 1, m)
+    return serialize.write("hanoi_table", args.fmt, range(d, -1, -1), s, t, m), 0
 
 
 def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
     n = args.n
     _check_gray(n)
-    _check_params(n, 2)  # then the phi matrix's checks, which the array path meets next
+    family = twist_family("phi", n, 2)  # then n
     from . import serialize
 
-    if 2**n <= exact.SMALL_TABLE:  # word ell is phi of binary ell
-        words = [phi_forward(b, 2) for b in product((0, 1), repeat=n)]
-        return serialize.write("gray", args.fmt, words), 0
-    from . import codes
-
-    return serialize.write("gray", args.fmt, codes.gray_sequence(n)), 0
+    # word ell is the phi image of binary ell
+    (words,) = exact.table(lambda ell: exact.map_row(ell, family, 2)[1:], 2**n, 2)
+    return serialize.write("gray", args.fmt, words), 0
 
 
 def cmd_density(args: argparse.Namespace) -> tuple[str, int]:

@@ -5,7 +5,7 @@ reflected binary Gray code; eta is the natural base-2 value of a bit tuple
 and gamma the position of a codeword in the Gray order. eta and eta_inverse
 are the graphs codec at m = 2, gamma is eta of the prefix parities: exact
 integers, so n can exceed the machine word size. gray_sequence is phi of
-all 2^n binary rows, as one (2^n, n) array from LinearMap.cube_image.
+all 2^n binary rows, one (2^n, n) array from exact.table_array.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import Vertex, _check_gray, _check_params, embedding_matrix
+from .exact import Vertex, _check_gray, _check_params, map_row, table_array, twist_family
 from .graphs import code_to_vertex, vertex_to_code
 
 
@@ -57,4 +57,5 @@ def gray_sequence(n: int) -> np.ndarray:
     MAX_VERTICES rows before building any of them.
     """
     _check_gray(n)
-    return embedding_matrix("phi", n, 2).cube_image(2)
+    family = twist_family("phi", n, 2)
+    return table_array(lambda ell: map_row(ell, family, 2)[1:], 2**n, 2)[:, 0].astype(np.int64)

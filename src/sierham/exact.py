@@ -1,31 +1,23 @@
 """The integer layer: the array-free code a command needs before numpy loads.
 
-It holds the size guards (the geodesic's too) and closed-form counts, the
-scalar maps phi, tau and epsilon, path_length_to_zero and the geodesic's
-per-step closed form (geodesic_to_zero), TwistFamily (twist_family names
-phi's and tau's), LinearMap's rows and its exact apply, embedding_matrix,
-invert_linear_map, the row rule of verify_embedding, the single twist's
-degree formula (verify_single_twist), constant_corner_search, the edge
-sets of the three gen graphs (graph_edges, held in an EdgeList), the
-vertex text format (_separators, format_vertex, parse_vertex,
-vertex_to_code), and the matrix writers with the two output primitives
-_lines and _json. All of it is exact Python integer arithmetic, and this
-module imports no numpy, no dataclasses (TwistFamily and LinearMap are
-__slots__ values), and json and fractions only when used: a command that
-builds no array (a matrix, a refusal, a verdict the rows or the degree
-formula decide, the corner search) runs without loading it. So does a CLI
-table of at most SMALL_TABLE rows, and a gen graph of at most SMALL_TABLE
-edges, which the cli builds from these formulas as Python ints: row v of
-a map table is epsilon_forward(v) of its twist family (LinearMap.apply
-of the inverse with --invert), step ell of the classic play is
-tau_forward of binary ell, Gray word ell is phi_forward of binary ell, a
-solved play is tau_forward of each geodesic_to_zero step, and a graph's
-edges are graph_edges. graphs, hanoi, maps and serialize re-export these
-names and import numpy themselves. LinearMap.image and cube_image import
-the array code when called, and verify_embedding and verify_single_twist
-import maps only when the rows or the formula do not decide. graphs,
-hanoi and codes keep the pure-integer helpers that no command reaches
-without an array (code_to_vertex, the move rules, eta).
+It holds the size guards and closed-form counts, the maps phi, tau and
+epsilon with their inverses and matrices (TwistFamily, twist_family,
+LinearMap, embedding_matrix, invert_linear_map), the row rule of
+verify_embedding, the single twist's degree formula, constant_corner_search,
+the gen graphs' edge sets (graph_edges, in an EdgeList), the vertex text
+format (_separators, format_vertex, parse_vertex, vertex_to_code), and the
+matrix writers with the two output primitives _lines and _json.
+
+Each table has one row function, integer arithmetic on a row index that is
+a Python int or an index array: map_row (the digits of v and their image;
+the classic play and the Gray sequence are map_row of binary ell) and
+solve_row (geodesic_step and its tau image). table builds at most
+SMALL_TABLE rows as Python int tuples, and more as table_array's array,
+which hanoi and codes return too. This module imports no numpy (only
+table_array and LinearMap.image load it), no dataclasses (TwistFamily and
+LinearMap are __slots__ values), and json and fractions only when used;
+graphs, hanoi, maps and serialize re-export its names, and the verifiers
+import maps only when the rows or the formula do not decide.
 
 The row rule: an S(n,m) edge at position h between digits i and j has
 u - v = (0^h, d, (-d)^(n-h-1)) with d = i - j, so a lower-triangular map A
@@ -39,7 +31,7 @@ twist family whose scales are the diagonal.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import accumulate, product, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -51,10 +43,10 @@ VertexMap = Callable[[Vertex], Vertex]
 
 MAX_VERTICES = 10**7
 MAX_EDGES = 3 * 10**7
-# A CLI table of at most this many rows, or a gen graph of at most this many
-# edges, is built from the formulas here as Python ints, without numpy:
-# importing numpy costs about as much as formatting this many rows one at a time.
+# CLI tables and gen graphs of at most this many rows or edges are built as Python
+# ints: importing numpy costs about as much as formatting this many rows.
 SMALL_TABLE = 2**12
+MAX_CELLS = 23 * 2**23  # digits in the largest classic play the row guard admits
 
 
 def vertex_to_code(v: Sequence[int], m: int) -> int:
@@ -98,11 +90,11 @@ def _check_scale(n: int, m: int) -> None:
         )
 
 
-def _check_rows(n: int, what: str, base: int = 2) -> None:
-    """Refuse a table of base^n rows, more than MAX_VERTICES, before computing it."""
-    if n >= MAX_VERTICES.bit_length() or base**n > MAX_VERTICES:
+def _check_rows(n: int, what: str) -> None:
+    """Refuse a table of 2^n rows, more than MAX_VERTICES, before computing it."""
+    if n >= MAX_VERTICES.bit_length() or 2**n > MAX_VERTICES:
         raise ValueError(
-            f"refusing to build {_power_text(base, n)} rows of {what} (limit {MAX_VERTICES})"
+            f"refusing to build {_power_text(2, n)} rows of {what} (limit {MAX_VERTICES})"
         )
 
 
@@ -242,23 +234,20 @@ def phi_forward(v: Sequence[int], m: int) -> Vertex:
     return tuple(out)
 
 
-def _unscale_and_subtract(w: Sequence[int], m: int, ratio: int) -> Vertex:
-    """Shared inverse of phi (ratio 1) and tau (ratio 2), p_i = ratio^(i-1):
-    v_i = (p_i w_i - sum_{j<i} p_j w_j) mod m."""
+def _unscale_and_subtract(w: Sequence[int], m: int, unscales: Iterable[int]) -> Vertex:
+    """epsilon_inverse of the family whose s_i^(-1) are unscales: phi's are 1, tau's 2^(i-1)."""
     out = []
-    s = 0  # sum_{j<i} p_j w_j mod m
-    p = 1  # p_i mod m
-    for d in w:
+    s = 0  # sum_{j<i} s_j^(-1) w_j mod m
+    for p, d in zip(unscales, w):
         x = p * d
         out.append((x - s) % m)
         s = (s + x) % m
-        p = p * ratio % m
     return tuple(out)
 
 
 def phi_inverse(w: Sequence[int], m: int) -> Vertex:
     """Inverse of phi_forward: v_i = (w_i - sum_{j<i} w_j) mod m."""
-    return _unscale_and_subtract(w, m, 1)
+    return _unscale_and_subtract(w, m, repeat(1))
 
 
 def tau_forward(v: Sequence[int], m: int) -> Vertex:
@@ -280,7 +269,7 @@ def tau_forward(v: Sequence[int], m: int) -> Vertex:
 def tau_inverse(t: Sequence[int], m: int) -> Vertex:
     """Inverse of tau_forward: v_i = (2^(i-1) t_i - sum_{j<i} 2^(j-1) t_j) mod m."""
     _inverse_of_two(m)  # reject even m up front
-    return _unscale_and_subtract(t, m, 2)
+    return _unscale_and_subtract(t, m, accumulate(repeat(2), lambda p, two: p * two % m, initial=1))
 
 
 def path_length_to_zero(v: Sequence[int]) -> int:
@@ -292,37 +281,44 @@ def path_length_to_zero(v: Sequence[int]) -> int:
 
 
 def _check_geodesic(v: Sequence[int]) -> int:
-    """Refuse the geodesic from v to 0^n past MAX_VERTICES positions, else return its length."""
+    """Refuse the geodesic from v to 0^n past MAX_VERTICES positions or MAX_CELLS digits."""
     d = path_length_to_zero(v)
     if d >= MAX_VERTICES:  # d + 1 positions; 2^k <= d < 2^(k+1)
         count = d + 1 if d < 2**60 else f"more than 2^{d.bit_length() - 1}"
         what = f"a geodesic of {count} positions from a {len(v)}-disc start"
         raise ValueError(f"refusing to build {what} (limit {MAX_VERTICES})")
+    if (d + 1) * len(v) > MAX_CELLS:
+        what = f"a geodesic of {d + 1} positions of {len(v)} digits"
+        raise ValueError(f"refusing to build {what} (limit {MAX_CELLS} digits)")
     return d
 
 
-def geodesic_to_zero(v: Sequence[int]) -> list[Vertex]:
-    """The unique geodesic from v to 0^n in S(n,m), as its d + 1 digit tuples.
+def geodesic_step(k, v: Sequence[int], d: int) -> list:
+    """The digits of step k of the geodesic from v to 0^n, d = path_length_to_zero(v).
 
-    The closed form of hanoi.shortest_path_to_zero, one step at a time: digit
-    i carries bit 2^(n-1-i) of d = path_length_to_zero(v). Step k has r = d - k
-    moves left; h is the first digit whose bit is set in d and clear in r.
-    Step k keeps v before h, has 0 at h, and has v_h at each later digit
-    whose bit is set in r; step 0, with no such h, is v. Refused as the
-    geodesic guard refuses it.
+    Digit i carries bit 2^(n-1-i) of d. With r = d - k moves left and h the
+    first digit whose bit is set in d and clear in r, step k keeps v before
+    h, has 0 at h, and v_h at each later digit whose bit is set in r: digit
+    i is bit i of r times w_i, which is v_i while d and r agree above digit
+    i (i <= h), else w_(i-1). Digits above d's top bit stay Python int 0s.
     """
+    n, top = len(v), d.bit_length()
+    r = d - k
+    apart = d ^ r  # below 2^top, and its top bit is digit h's
+    ones = (1 << top) - 1
+    digits, w = [0] * (n - top), 0
+    for i in range(n - top, n):
+        s = n - 1 - i
+        agree = 1 - ((apart >> (s + 1)) + ones >> top)  # 1 when apart >> (s + 1) is 0
+        w = agree * v[i] + (1 - agree) * w
+        digits.append((r >> s & 1) * w)
+    return digits
+
+
+def geodesic_to_zero(v: Sequence[int]) -> list[Vertex]:
+    """The d + 1 steps of the geodesic from v to 0^n in S(n,m), as geodesic_step tuples."""
     d = _check_geodesic(v)
-    n, v = len(v), tuple(v)
-    steps = []
-    for r in range(d, -1, -1):
-        lost = d & ~r
-        if not lost:
-            steps.append(v)
-            continue
-        h = n - lost.bit_length()
-        tail = (v[h] if r >> (n - 1 - i) & 1 else 0 for i in range(h + 1, n))
-        steps.append((*v[:h], 0, *tail))
-    return steps
+    return [tuple(geodesic_step(k, v, d)) for k in range(d + 1)]
 
 
 class _Value:
@@ -371,7 +367,7 @@ class TwistFamily(_Value):
     multiplier tuples give distinct maps.
     """
 
-    __slots__ = ("m", "multipliers", "_scales")
+    __slots__ = ("m", "multipliers", "_scales", "_inverse")
     _fields = ("m", "multipliers")
     m: int
     multipliers: tuple[int, ...]
@@ -392,9 +388,13 @@ class TwistFamily(_Value):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "multipliers", cs)
         object.__setattr__(self, "_scales", tuple(scales))
+        object.__setattr__(self, "_inverse", tuple(pow(s, -1, m) for s in scales))
 
     def scales(self) -> tuple[int, ...]:
         return self._scales
+
+    def inverse_scales(self) -> tuple[int, ...]:
+        return self._inverse
 
 
 def epsilon_forward(v: Sequence[int], tw: TwistFamily) -> Vertex:
@@ -410,6 +410,15 @@ def epsilon_forward(v: Sequence[int], tw: TwistFamily) -> Vertex:
         out.append(c * (d + s) % m)
         s = (2 * s + d) % m
     return tuple(out)
+
+
+def epsilon_inverse(w: Sequence[int], tw: TwistFamily) -> Vertex:
+    """Inverse of epsilon_forward: v_i = (s_i^(-1) w_i - sum_{j<i} s_j^(-1) w_j) mod m."""
+    if len(w) != len(tw.multipliers):
+        raise ValueError(
+            f"vertex has {len(w)} digits, twist family has {len(tw.multipliers)} levels"
+        )
+    return _unscale_and_subtract(w, tw.m, tw.inverse_scales())
 
 
 class LinearMap(_Value):
@@ -456,23 +465,6 @@ class LinearMap(_Value):
         out %= self.m
         return out
 
-    def cube_image(self, base: int, out=None):
-        """The images of all base^n digit rows in code order, 2 <= base <= m.
-
-        Equals image(digit_rows(np.arange(base**n), n, base)), built by the
-        paper's recursion on the leading digit: the rows whose digit k is d
-        are those whose digit k is 0, plus d * A[:, k] mod m. That costs
-        O(base^n n), against O(base^n n^2) for image, and allocates no
-        input rows. int64 while 2m < 2^63, exact Python integers beyond it;
-        refuses more than MAX_VERTICES rows. out, if given, is a zeroed
-        (base^n, n) array to fill.
-        """
-        from .graphs import _cube
-
-        if not 2 <= base <= self.m:
-            raise ValueError(f"base {base} is outside 2..{self.m}")
-        return _cube(self.n, base, self.m, self.rows, out)
-
     def apply(self, v: Sequence[int]) -> Vertex:
         """The image of one vertex, A v mod m, in exact Python integers."""
         check_vertex(v, self.n, self.m)
@@ -493,12 +485,14 @@ def twist_family(kind: str, n: int, m: int) -> TwistFamily:
     return TwistFamily(m, (c,) * n)
 
 
-def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | None = None) -> LinearMap:
-    """Coefficient matrix of phi, tau, or a twist family, as a LinearMap.
+def embedding_matrix(
+    kind: str | TwistFamily, n: int | None = None, m: int | None = None, invert: bool = False
+) -> LinearMap:
+    """The matrix of phi, tau or a twist family, or with invert its inverse's, as a LinearMap.
 
-    A named kind is its twist_family; column j is epsilon_forward of the
-    j-th unit vector. A family is passed alone. Refuses more than
-    MAX_VERTICES entries before building a row.
+    A named kind is its twist_family; a family is passed alone. Row i has s_i
+    2^(i-1-j) mod m at j < i and s_i on the diagonal, or -s_j^(-1) mod m and
+    s_i^(-1). Refuses more than MAX_VERTICES entries before building a row.
     """
     if isinstance(kind, TwistFamily):
         _check_matrix(len(kind.multipliers))
@@ -508,9 +502,15 @@ def embedding_matrix(kind: str | TwistFamily, n: int | None = None, m: int | Non
         if n is None or m is None:
             raise ValueError("n and m are required for named map kinds")
         kind = twist_family(kind, n, m)
-    n = len(kind.multipliers)
-    columns = [epsilon_forward((0,) * j + (1,) + (0,) * (n - 1 - j), kind) for j in range(n)]
-    return LinearMap(kind.m, tuple(zip(*columns)))
+    n, m = len(kind.multipliers), kind.m
+    if invert:
+        diagonal = kind.inverse_scales()
+        left = [-u % m for u in diagonal]
+        rows = [left[:i] + [u] for i, u in enumerate(diagonal)]
+    else:
+        powers = [pow(2, k, m) for k in range(n - 1, -1, -1)]
+        rows = [[c * p % m for p in powers[n - i :]] + [c] for i, c in enumerate(kind.scales())]
+    return LinearMap(m, [row + [0] * (n - 1 - i) for i, row in enumerate(rows)])
 
 
 def invert_linear_map(lm: LinearMap) -> LinearMap:
@@ -530,6 +530,61 @@ def invert_linear_map(lm: LinearMap) -> LinearMap:
             s = (1 if i == c else 0) - sum(a[i][k] * x[k][c] for k in range(c, i))
             x[i][c] = s * inv_diag[i] % m
     return LinearMap(m, tuple(tuple(row) for row in x))
+
+
+def _digits(x, n: int, base: int) -> list:
+    """The n base-`base` digits of x, most significant first: q_k - base q_(k+1), q = x // base^k."""
+    out, high = [], 0
+    for k in range(n - 1, -1, -1):
+        q = x // base**k
+        out.append(q - high * base)
+        high = q
+    return out
+
+
+def map_row(v, family: TwistFamily, base: int, invert: bool = False) -> tuple[list, Vertex]:
+    """Row v of a map table: v's base-`base` digits and their image under family or its inverse."""
+    x = _digits(v, len(family.multipliers), base)
+    return x, (epsilon_inverse if invert else epsilon_forward)(x, family)
+
+
+def solve_row(k, v: Sequence[int], d: int, family: TwistFamily) -> tuple[list, Vertex]:
+    """Step k of the play solved from v: the geodesic's step and its image under family (tau's)."""
+    s = geodesic_step(k, v, d)
+    return s, epsilon_forward(s, family)
+
+
+def table(row: Callable, count: int, m: int) -> list:
+    """The rows row(x), x < count, with digits below m, one entry per group of columns:
+    lists of digit tuples up to SMALL_TABLE rows, without numpy, else table_array's."""
+    if count <= SMALL_TABLE:
+        return [list(map(tuple, group)) for group in zip(*map(row, range(count)))]
+    return list(table_array(row, count, m).swapaxes(0, 1))
+
+
+def table_array(row: Callable, count: int, m: int):
+    """The rows row(x), x < count, with digits below m, as a (count, groups, n) array.
+
+    row returns groups of n digit columns, arrays or (if constant) Python ints,
+    for a graphs.row_blocks block of indices, a ModIndex of the narrowest dtype
+    that holds every value the row functions reach (below 4 count and 2 m^2),
+    else object. The digits go column by column into the narrowest dtype for m.
+    """
+    import numpy as np
+
+    from .graphs import ModIndex, row_blocks
+
+    bound = max(4 * count, 2 * m * m)
+    index = next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), object)
+    first = row(0)
+    out = np.empty((count, len(first), len(first[0])), np.min_scalar_type(-m), order="F")
+    for block in row_blocks(range(count)):
+        rows = out[block.start : block.stop]
+        x = np.arange(block.start, block.stop, dtype=index).view(ModIndex)
+        for g, group in enumerate(row(x)):
+            for i, column in enumerate(group):
+                rows[:, g, i] = column
+    return out
 
 
 def _edge_differences(lm: LinearMap, n: int, m: int) -> list[list[int]]:

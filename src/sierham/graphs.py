@@ -9,15 +9,11 @@ graph replaces the crossed tails with a shared tail k = (i+j) mod m.
 Graphs store edges as an (E, 2) array of integer vertex codes,
 code(v) = sum(v_i * m**(n-i)), canonically sorted and frozen. Constructors
 refuse instances over 10**7 vertices or, by the closed-form counts, 3 * 10**7
-edges. Those guards, _check_rows (which refuses the 2^n-row tables of hanoi
-and codes past 10**7 rows) and the counting and density formulas, exact at
-any size, live in the integer layer (exact), which imports no numpy; this
-module re-exports them. In bulk, vertices are rows of a (k, n) digit array:
-digit_rows decodes any codes, and digit_cube builds the whole cube
-{0..b-1}^n in code order by the doubling that also maps it (_cube, which
-refuses an oversize cube before it builds even the identity). Passes that
-turn whole tables into Python objects slice them by row_blocks, as
-iter_rows does to yield a table's rows as tuples.
+edges. Those guards and the counting and density formulas, exact at any
+size, live in the integer layer (exact), which imports no numpy; this
+module re-exports them. In bulk, vertices are rows of a (k, n) digit array
+(digit_rows decodes codes). Whole-table passes go a row_blocks slice at a
+time, as iter_rows does to yield a table's rows as tuples.
 """
 from __future__ import annotations
 
@@ -35,7 +31,6 @@ from .exact import (  # re-exported: the guards, counts and vertex codes live in
     _check_edges,
     _check_graph,
     _check_params,
-    _check_rows,
     _check_scale,
     _check_sierpinski,
     check_vertex,
@@ -67,49 +62,17 @@ def digit_rows(codes: np.ndarray, n: int, m: int) -> np.ndarray:
     return rows
 
 
-def _cube(n: int, base: int, m: int, matrix: Sequence | None, out: np.ndarray | None) -> np.ndarray:
-    """x @ A.T mod m for every x in {0..base-1}^n, in code order, by doubling.
-
-    matrix holds the rows of the lower-triangular n x n matrix A, entries
-    in [0, m), or is None for the identity; either is read after the row
-    check. The block of rows whose digit k is d equals the block whose
-    digit k is 0 plus d * A[:, k] mod m, and the digits before k are 0 in
-    both, so only columns k on are written; one numpy call writes the
-    base - 1 blocks of a level. Entries stay below m and sums below 2m:
-    int64 while 2m < 2^63, exact Python integers (an object array) beyond
-    it. out, if given, is a zeroed (base^n, n) array.
-    """
-    _check_rows(n, f"the digit cube {{0..{base - 1}}}^{n}", base)
-    if out is None:
-        out = np.zeros((base**n, n), np.int64 if 2 * m < 2**63 else object)
-    exact = np.int64 if (base - 1) * (m - 1) < 2**63 else object  # for d * A[i, k]
-    columns = np.eye(n, dtype=exact) if matrix is None else np.array(matrix, exact).T
-    steps = np.arange(1, base, dtype=exact)[:, None, None] * columns % m
-    steps = steps.astype(out.dtype)  # steps[d - 1, k] = d * A[:, k] mod m
-    size = 1  # out[:size] holds the rows whose digits 0..k are 0
-    for k in range(n - 1, -1, -1):
-        blocks = out[size : base * size].reshape(base - 1, size, n)[:, :, k:]
-        np.add(out[:size, k:], steps[:, None, k, k:], out=blocks)
-        if steps[:, k, k + 1 :].any():  # column k of out[:size] is 0: only later sums pass m
-            blocks[:, :, 1:] %= m
-        size *= base
-    return out
-
-
-def digit_cube(n: int, base: int, out: np.ndarray | None = None) -> np.ndarray:
-    """All base^n digit rows in code order, as digit_rows(np.arange(base**n), n, base).
-
-    The doubling of _cube with the identity matrix; refuses more than
-    MAX_VERTICES rows. out, if given, is a zeroed (base^n, n) int64 array.
-    """
-    _check_params(n, base)
-    return _cube(n, base, base, None, out)
-
-
 def row_codes(rows: np.ndarray, m: int) -> np.ndarray:
     """Inverse of digit_rows: the int64 code of every row of a (k, n) digit array."""
     rows = np.asarray(rows, np.int64)
     return rows @ (m ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+class ModIndex(np.ndarray):
+    """An index array whose % by a scalar is x - x // m * m: numpy vectorises // but not %."""
+
+    def __mod__(self, m):
+        return self - self // m * m
 
 
 def row_blocks(a: np.ndarray | range) -> Iterator:

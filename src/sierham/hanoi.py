@@ -6,11 +6,9 @@ numbers discs the other way around). For odd m, the halved map tau turns
 puzzle positions into S(n,m) coordinates where shortest plays become
 graph geodesics: solve by pulling a position back through tau, reading
 off the unique geodesic to the all-zero corner in closed form, and
-pushing each step forward again. The classic play and the diplomats
-schedule are one LinearMap.cube_image call of the tau matrix on the whole
-binary cube, a solved play one LinearMap.image call on its geodesic, and
-every table stays a digit array up to serialize's writers
-(diplomats_table is one (2^n, 2, n) array).
+pushing each step forward again. Every table is exact.table_array of
+its row function, exact.map_row or exact.solve_row, and stays a digit
+array up to serialize's writers (diplomats_table is one (2^n, 2, n) array).
 
 A single move of disc d from peg i to peg j is legal when every smaller
 disc sits on peg (i+j)/2 mod m; for m = 3 that is the familiar physical
@@ -26,9 +24,10 @@ import numpy as np
 from .codes import eta_inverse
 from .exact import (  # re-exported: the corner search and the geodesic guard need no array
     Vertex, _check_geodesic, _check_params, _check_play, _inverse_of_two, check_vertex,
-    constant_corner_search, embedding_matrix, path_length_to_zero, phi_forward, tau_inverse,
+    constant_corner_search, geodesic_step, map_row, path_length_to_zero, phi_forward,
+    solve_row, table_array, tau_inverse, twist_family,
 )
-from .graphs import check_pair, digit_cube
+from .graphs import check_pair
 
 HanoiPosition = Vertex
 
@@ -71,45 +70,34 @@ class MovePath:
 
 
 def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
-    """The unique geodesic from v to 0^n in S(n,m), every step in closed form.
-
-    Digit i carries bit 2^(n-1-i) of d = path_length_to_zero(v). Step k has
-    r = d - k moves left; h is the first digit whose bit is set in d and
-    clear in r. Step k keeps v before h, has 0 at h, and has v_h at each
-    later digit whose bit is set in r; step 0, with no such h, is v.
-    exact.geodesic_to_zero builds the same steps as tuples of Python ints.
-    """
+    """The unique geodesic from v to 0^n in S(n,m), by exact.geodesic_step (as geodesic_to_zero)."""
     n = len(v)
     _check_params(n, m)
     check_vertex(v, n, m)
     d = _check_geodesic(v)
-    shift = np.minimum(np.arange(n - 1, -1, -1), 63)  # r < 2^63 reads 0 past bit 63
-    r_bits = ((np.arange(d, -1, -1)[:, None] >> shift) & 1).astype(bool)
-    lost = r_bits < np.array([x != 0 for x in v])  # set in d, clear in r
-    h = np.where(lost.any(axis=1), lost.argmax(axis=1), n)[:, None]
-    index = np.where(r_bits, h, n)  # into (*v, 0): v_h where r keeps the bit, else 0
-    np.copyto(index, np.arange(n), where=np.arange(n) < h)
-    digits = np.array((*v, 0), np.int64 if m <= 2**63 else object)  # exact past int64
-    return MovePath("S", m, digits[index])
+    return MovePath("S", m, table_array(lambda k: (geodesic_step(k, v, d),), d + 1, m)[:, 0])
 
 
 def solve_from_position(t: Sequence[int], m: int) -> MovePath:
-    """Optimal play from an arbitrary position to all-discs-on-peg-0 (odd m)."""
+    """Optimal play from t to all discs on peg 0 (odd m): exact.solve_row's tau images."""
     check_vertex(t, len(t), m)
-    spath = shortest_path_to_zero(tau_inverse(t, m), m)
-    return MovePath("T", m, embedding_matrix("tau", len(t), m).image(spath.positions))
+    v = tau_inverse(t, m)
+    d = _check_geodesic(v)
+    family = twist_family("tau", len(t), m)
+    return MovePath("T", m, table_array(lambda k: solve_row(k, v, d, family)[1:], d + 1, m)[:, 0])
 
 
 def classic_solution(n: int, m: int = 3) -> MovePath:
     """The 2^n - 1 move play carrying all n discs from peg 0 to peg 1 (odd m).
 
     Position number ell is tau applied to the n-bit binary expansion of
-    ell; the untransformed expansions walk the S(n,m) geodesic between the
-    two corners in increasing lexicographic order. Refuses more than
-    MAX_VERTICES positions before building any of them.
+    ell (exact.map_row); the untransformed expansions walk the S(n,m)
+    geodesic between the two corners in increasing lexicographic order.
+    Refuses more than MAX_VERTICES positions before building any of them.
     """
     _check_play(n)
-    return MovePath("T", m, embedding_matrix("tau", n, m).cube_image(2))
+    family = twist_family("tau", n, m)
+    return MovePath("T", m, table_array(lambda ell: map_row(ell, family, 2)[1:], 2**n, m)[:, 0])
 
 
 def _check_step(ell: int, i: int, n: int) -> None:
@@ -180,10 +168,7 @@ def is_legal_move_physical(a: Sequence[int], b: Sequence[int]) -> bool:
 def diplomats_table(n: int) -> np.ndarray:
     """The five-peg transport schedule, an int64 (2^n, 2, n) digit array:
     [ell, 0] is binary ell and [ell, 1] is step ell of the five-peg classic
-    play, its halved-map image over m = 5. Both columns are filled in place."""
+    play, its halved-map image over m = 5 (exact.map_row)."""
     _check_play(n)
-    tau = embedding_matrix("tau", n, 5)
-    table = np.zeros((2**n, 2, n), np.int64)
-    digit_cube(n, 2, out=table[:, 0])
-    tau.cube_image(2, out=table[:, 1])
-    return table
+    family = twist_family("tau", n, 5)
+    return table_array(lambda ell: map_row(ell, family, 2), 2**n, 5).astype(np.int64)

@@ -9,17 +9,13 @@ Three families, all lower-triangular linear maps mod m:
   coordinate, parameterized by one multiplier per recursion level.
 
 phi and tau are the twist families with every multiplier 1 and 2^(-1).
-The scalar maps, TwistFamily, LinearMap, embedding_matrix,
-invert_linear_map and verify_embedding live in the integer layer (exact),
-which imports no numpy, and are re-exported here. embedding_matrix reads
-column j of any family's LinearMap off epsilon_forward of the j-th unit
-vector. LinearMap.cube_image maps the whole cube {0..b-1}^n by the paper's
-level-by-level doubling, and every full table (embed, the classic and
-diplomats plays, the Gray sequence) comes from it; LinearMap.image maps
-any other (k, n) digit array. phi_forward and tau_forward keep the
-paper's per-vertex formulas as independent forms. phi_recursive rebuilds
-phi by the level-by-level recursion instead of the closed form; the two
-must agree pointwise.
+The scalar maps, TwistFamily, LinearMap (whose image maps a (k, n) digit
+array), embedding_matrix (a family's matrix or its inverse's, in closed
+form), invert_linear_map and verify_embedding live in the integer layer
+(exact), which imports no numpy, and are re-exported here. phi_forward and
+tau_forward keep the paper's per-vertex formulas as independent forms.
+phi_recursive rebuilds phi by the level-by-level recursion instead of the
+closed form; the two must agree pointwise.
 
 verify_embedding checks that a vertex map (a LinearMap, a callable or a
 mapping) is a bijection sending every S(n,m) edge to a Hamming-distance-1

@@ -42,6 +42,31 @@ def twist_matrix_closed_form(tw: TwistFamily) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def twist_inverse_closed_form(tw: TwistFamily) -> tuple[tuple[int, ...], ...]:
+    """Rows of the inverse of a twist family's matrix, entry by entry: -s_j^(-1)
+    mod m below the diagonal, s_i^(-1) on it, 0 above (0-based i, j)."""
+    n, m, scales = len(tw.multipliers), tw.m, tw.scales()
+    return tuple(
+        tuple(-pow(scales[j], -1, m) % m if j < i else pow(scales[i], -1, m) if j == i else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def digit_cube(n: int, base: int) -> np.ndarray:
+    """All base^n digit rows in code order, as an int64 (base^n, n) array."""
+    return np.array(list(product(range(base), repeat=n)), np.int64).reshape(base**n, n)
+
+
+def cube_image(lm: LinearMap, base: int) -> np.ndarray:
+    """A v mod m for every digit row v of digit_cube(n, base), one plain product per
+    row: int64 while m <= 2^63, else an object array of Python ints."""
+    rows = [
+        tuple(sum(a * x for a, x in zip(row, v)) % lm.m for row in lm.rows)
+        for v in product(range(base), repeat=lm.n)
+    ]
+    return np.array(rows, np.int64 if lm.m <= 2**63 else object).reshape(len(rows), lm.n)
+
+
 def epsilon_two_pass(v, tw: TwistFamily) -> Vertex:
     """A twist family applied as phi followed by a second pass of per-coordinate scales."""
     return tuple(s * d % tw.m for s, d in zip(tw.scales(), phi_forward(v, tw.m)))

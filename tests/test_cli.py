@@ -671,14 +671,23 @@ CALLED_BY_ATTRIBUTE = [
     ("graphs", "build_hamming", ["gen", "hamming", "--n", "6", "--m", "3"]),
     ("graphs", "build_single_twist", ["gen", "single-twist", "--n", "2", "--m", "21"]),
     ("maps", "verify_coordinatization", ["verify", "single-twist", "--n", "2", "--m", "3"]),
-    # tables just above exact.SMALL_TABLE rows, which the array functions build
-    ("hanoi", "classic_solution", ["hanoi", "classic", "--n", "13"]),
-    ("hanoi", "shortest_path_to_zero", ["hanoi", "solve", "--from", "1" * 13]),
-    ("codes", "gray_sequence", ["gray", "--n", "13"]),
+    # each table handler's one exact.table call, and the array it builds just
+    # above exact.SMALL_TABLE rows
+    ("exact", "table", ["embed", "tau", "--n", "3", "--m", "5", "--invert"]),
+    ("exact", "table", ["hanoi", "classic", "--n", "4"]),
+    ("exact", "table", ["hanoi", "solve", "--from", "1020"]),
+    ("exact", "table", ["gray", "--n", "4"]),
+    ("exact", "table_array", ["hanoi", "classic", "--n", "13"]),
+    ("exact", "table_array", ["hanoi", "solve", "--from", "1" * 13]),
+    ("exact", "table_array", ["gray", "--n", "13"]),
 ]
 
 
-@pytest.mark.parametrize("module,name,argv", CALLED_BY_ATTRIBUTE, ids=[c[1] for c in CALLED_BY_ATTRIBUTE])
+@pytest.mark.parametrize(
+    "module,name,argv",
+    CALLED_BY_ATTRIBUTE,
+    ids=[c[1] if c[0] != "exact" else f"{c[1]}: {' '.join(c[2][:2])}" for c in CALLED_BY_ATTRIBUTE],
+)
 def test_handlers_call_array_functions_through_their_modules(module, name, argv, monkeypatch):
     # a wrapper put on the defining module sees the call: no handler binds the
     # function when cli is imported

@@ -24,7 +24,6 @@ from sierham.graphs import (
     check_vertex,
     code_to_vertex,
     corners,
-    digit_cube,
     digit_rows,
     edge_density,
     from_edge_list,
@@ -44,7 +43,7 @@ from sierham.hanoi import (
     solve_from_position,
 )
 from sierham.maps import (
-    LinearMap, compose_linear_maps, embedding_matrix, invert_linear_map, phi_recursive,
+    compose_linear_maps, embedding_matrix, invert_linear_map, phi_recursive,
 )
 
 import oracles
@@ -203,34 +202,10 @@ def test_iter_rows_zips_python_ints_across_uneven_blocks(monkeypatch):
     assert list(iter_rows(np.zeros((2, 0), np.int64))) == []
 
 
-@pytest.mark.parametrize("n,base", [(1, 2), (3, 4), (4, 5), (2, 12), (5, 2), (6, 3), (1, 257)])
-def test_digit_cube_equals_the_digit_rows_of_every_code(n, base):
-    cube = digit_cube(n, base)
-    assert cube.dtype == np.int64 and cube.flags.c_contiguous
-    assert np.array_equal(cube, digit_rows(np.arange(base**n), n, base))
-
-
-def test_digit_cube_fills_a_zeroed_view_in_place():
-    table = np.zeros((2**4, 2, 4), np.int64)
-    assert digit_cube(4, 2, out=table[:, 1]).base is table
-    assert not table[:, 0].any()
-    assert np.array_equal(table[:, 1], digit_rows(np.arange(16), 4, 2))
-
-
-def test_digit_cube_refuses_more_than_max_vertices_rows():
-    message = f"3^15 = {3**15} rows of the digit cube {{0..2}}^15 (limit {MAX_VERTICES})"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        digit_cube(15, 3)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        digit_cube(0, 2)
-
-
 # Each builder, handed an input past its guard, and a factory for its arguments,
 # which are the caller's objects and are made before tracing starts. n = 3000
 # keeps even a build quadratic in n to tens of megabytes, should a guard run late.
 OVERSIZE_CALLS = {
-    "digit_cube": (digit_cube, lambda: (3000, 2)),
-    "cube_image": (LinearMap.cube_image, lambda: (embedding_matrix("tau", 30, 3), 3)),
     "classic_solution": (classic_solution, lambda: (3000,)),
     "diplomats_table": (diplomats_table, lambda: (3000,)),
     "gray_sequence": (gray_sequence, lambda: (3000,)),
@@ -246,6 +221,9 @@ OVERSIZE_CALLS = {
     ),
     "shortest_path_to_zero": (shortest_path_to_zero, lambda: ((1,) * 3000, 3)),
     "solve_from_position": (solve_from_position, lambda: ((1,) * 3000, 3)),
+    # 2^23 positions, but of 3023 digits: more digits than the largest classic play's
+    "shortest_path_to_zero-digits": (shortest_path_to_zero, lambda: ((0,) * 3000 + (1,) * 23, 3)),
+    "solve_from_position-digits": (solve_from_position, lambda: ((0,) * 3000 + (1,) * 23, 3)),
     "Graph": (Graph, lambda: (3000, 3, "x", [])),
 }
 

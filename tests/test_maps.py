@@ -394,47 +394,63 @@ def all_ones_below(n, m):
     return LinearMap(m, tuple(tuple(1 if j <= i else 0 for j in range(n)) for i in range(n)))
 
 
-def cube_maps(n, m):
-    """phi, tau (odd m), a seeded family, the all-ones matrix, and the inverse of each."""
-    lms = [embedding_matrix("phi", n, m), embedding_matrix(some_twist(n, m)), all_ones_below(n, m)]
+def table_maps(n, m):
+    """phi, tau (odd m) and a seeded family, each forward and inverted, as (family, invert)."""
+    families = [exact.twist_family("phi", n, m), some_twist(n, m)]
     if m % 2:
-        lms.append(embedding_matrix("tau", n, m))
-    return lms + [invert_linear_map(lm) for lm in lms]
+        families.append(exact.twist_family("tau", n, m))
+    return [(tw, invert) for tw in families for invert in (False, True)]
 
 
-CUBE_SIZES = [(1, 2), (1, 3), (5, 2), (3, 3), (4, 3), (6, 3), (3, 4), (2, 5), (3, 7), (2, 12), (2, 257)]
+def map_table(tw, base, invert):
+    return exact.table_array(lambda v: exact.map_row(v, tw, base, invert), base ** len(tw.multipliers), tw.m)
 
 
-@pytest.mark.parametrize("n,m", CUBE_SIZES)
-def test_cube_image_equals_the_image_of_every_digit_row(n, m):
-    for lm in cube_maps(n, m):
+TABLE_SIZES = [(1, 2), (1, 3), (5, 2), (3, 3), (4, 3), (6, 3), (3, 4), (2, 5), (3, 7), (2, 12), (2, 257)]
+
+
+@pytest.mark.parametrize("n,m", TABLE_SIZES)
+def test_map_rows_are_every_digit_row_and_its_image(n, m, monkeypatch):
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 7)  # blocks that split the table unevenly
+    for tw, invert in table_maps(n, m):
+        lm = embedding_matrix(tw, invert=invert)
         for base in sorted({2, m}):
-            cube = lm.cube_image(base)
-            assert cube.dtype == np.int64 and cube.flags.c_contiguous
-            assert np.array_equal(cube, lm.image(digit_rows(np.arange(base**n), n, base)))
+            table = map_table(tw, base, invert)
+            assert table.shape == (base**n, 2, n)
+            assert table[:, 0].tolist() == oracles.digit_cube(n, base).tolist()
+            assert table[:, 1].tolist() == oracles.cube_image(lm, base).tolist()
 
 
-# int64 holds the cube while 2m < 2^63; 2^62 - 1 is the largest odd such m
-@pytest.mark.parametrize("n,m", [(4, 10**10 + 19), (3, 2**62 - 1), (4, 2**62 + 1), (3, 10**29 + 1)])
-def test_cube_image_is_exact_past_int64(n, m):
-    for lm in cube_maps(n, m):
+# int64 holds the digits while m <= 2^63; 10^29 + 1 needs Python ints, and
+# every m here needs them for the row functions' products
+@pytest.mark.parametrize(
+    "n,m", [(4, 10**10 + 19), (3, 2**62 - 1), (4, 2**62 + 1), (2, 2**63), (2, 2**63 + 1), (3, 10**29 + 1)]
+)
+def test_map_rows_are_exact_past_int64(n, m):
+    for tw, invert in table_maps(n, m):
         for base in (2, 3):
-            cube = lm.cube_image(base)
-            assert cube.dtype == (np.int64 if 2 * m < 2**63 else object)
-            assert cube.tolist() == lm.image(digit_rows(np.arange(base**n), n, base)).tolist()
+            table = map_table(tw, base, invert)
+            assert table.dtype == (np.int64 if m <= 2**63 else object)
+            assert table[:, 1].tolist() == oracles.cube_image(embedding_matrix(tw, invert=invert), base).tolist()
 
 
-def test_cube_image_checks_its_base_and_size():
-    lm = embedding_matrix("tau", 3, 5)
-    for base in (1, 6):
-        with pytest.raises(ValueError, match=f"base {base} is outside 2..5"):
-            lm.cube_image(base)
-    message = f"3^15 = {3**15} rows of the digit cube {{0..2}}^15 (limit {MAX_VERTICES})"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        embedding_matrix("phi", 15, 3).cube_image(3)
-    table = np.zeros((8, 2, 3), np.int64)
-    assert lm.cube_image(2, out=table[:, 1]).base is table
-    assert np.array_equal(table[:, 1], lm.cube_image(2)) and not table[:, 0].any()
+def test_family_matrices_and_inverses_are_their_closed_forms():
+    # 300 seeded families, m up to 101 with even m among them
+    rng = random.Random(26)
+    for _ in range(300):
+        n, m = rng.randint(1, 9), rng.randint(2, 101)
+        tw = TwistFamily(m, [rng.choice(list(units(m))) for _ in range(n)])
+        forward, inverse = embedding_matrix(tw), embedding_matrix(tw, invert=True)
+        assert forward.rows == oracles.twist_matrix_closed_form(tw)
+        assert inverse.rows == oracles.twist_inverse_closed_form(tw)
+        assert inverse == invert_linear_map(forward)
+        v = tuple(rng.randrange(m) for _ in range(n))
+        assert exact.epsilon_inverse(epsilon_forward(v, tw), tw) == v == inverse.apply(forward.apply(v))
+
+
+def test_epsilon_inverse_checks_the_levels():
+    with pytest.raises(ValueError, match="vertex has 2 digits, twist family has 3 levels"):
+        exact.epsilon_inverse((1, 2), TwistFamily(5, (1, 2, 3)))
 
 
 VERIFY_SIZES = [(3, 3), (4, 5), (3, 7), (3, 12)]

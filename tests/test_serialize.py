@@ -10,7 +10,7 @@ import pytest
 import oracles
 from sierham import cli, exact, graphs, serialize
 from sierham.codes import gray_sequence
-from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex, digit_cube, digit_rows
+from sierham.graphs import build_hamming, build_sierpinski, code_to_vertex, digit_rows
 from sierham.hanoi import classic_solution, shortest_path_to_zero
 from sierham.maps import embedding_matrix
 from sierham.serialize import (
@@ -232,7 +232,7 @@ def test_vertex_labels_of_no_rows():
 
 def classic_table(n, m):
     """The columns hanoi classic prints: step, binary count, classic play."""
-    return np.arange(2**n), digit_cube(n, 2), classic_solution(n, m).positions, m
+    return np.arange(2**n), oracles.digit_cube(n, 2), classic_solution(n, m).positions, m
 
 
 def solve_table(v, m):
@@ -289,7 +289,7 @@ BLOCKED_INPUTS = {
     "graph": [(g,) for g in (build_sierpinski(3, 3), build_hamming(2, 3), build_sierpinski(2, 12))],
     "matrix": [(embedding_matrix("tau", 3, 5),), (embedding_matrix("phi", 2, 12),)],
     "map_table": [
-        (digit_cube(n, m), embedding_matrix(kind, n, m).cube_image(m), m)
+        (oracles.digit_cube(n, m), oracles.cube_image(embedding_matrix(kind, n, m), m), m)
         for kind, n, m in [("phi", 3, 3), ("phi", 2, 12), ("tau", 2, 13)]
     ],
     "hanoi_table": [
@@ -331,7 +331,7 @@ def _listed(arg):
 def test_table_writers_print_lists_as_they_print_arrays(table):
     inputs = BLOCKED_INPUTS[table] + [WRITER_INPUTS[table]]
     inputs += {
-        "map_table": [(digit_cube(1, 4096), embedding_matrix("phi", 1, 4096).cube_image(4096), 4096)],
+        "map_table": [(oracles.digit_cube(1, 4096), oracles.cube_image(embedding_matrix("phi", 1, 4096), 4096), 4096)],
         "hanoi_table": [
             (np.array([14, 13]), *(c[:2] for c in HANOI_TABLES["solve-m13-0"][1:3]), 13),  # a list of steps
             classic_table(10, 3),
@@ -359,7 +359,7 @@ def test_graph_writers_print_edge_lists_as_they_print_graphs():
 WRITER_INPUTS = {
     "graph": (build_sierpinski(2, 3),),
     "matrix": (embedding_matrix("tau", 3, 5),),
-    "map_table": (digit_cube(2, 3), embedding_matrix("phi", 2, 3).cube_image(3), 3),
+    "map_table": (oracles.digit_cube(2, 3), oracles.cube_image(embedding_matrix("phi", 2, 3), 3), 3),
     "hanoi_table": classic_table(3, 3),
     "gray": (gray_sequence(3),),
 }

@@ -1,19 +1,20 @@
 """The two paths of every CLI table and graph: integer formulas, or arrays.
 
-A table of at most exact.SMALL_TABLE rows is built as tuples of Python ints
-from the paper's row formulas, and a gen graph of at most SMALL_TABLE edges
-as a list of code pairs from the closed-form edge sets, without numpy; a
-larger one as digit or edge arrays. Each argv here runs through main on
-both paths, forced by setting the threshold, and must print the same bytes,
-to stdout or to --out, with the same exit code and the same stderr.
-Refusals must be the same on both.
+A table of at most exact.SMALL_TABLE rows is built by exact.table as tuples
+of Python ints from its row function, and a gen graph of at most SMALL_TABLE
+edges as a list of code pairs from the closed-form edge sets, without numpy;
+a larger one as digit or edge arrays, a table by exact.table_array from the
+same row function. Each argv here runs through main on both paths, forced
+by setting the threshold, and must print the same bytes, to stdout or to
+--out, with the same exit code and the same stderr. Refusals must be the
+same on both.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from sierham import codes, exact, graphs, hanoi, serialize
+from sierham import exact, graphs, hanoi, serialize
 from sierham.cli import main
 from sierham.exact import embedding_matrix, parse_vertex
 
@@ -107,6 +108,8 @@ REFUSALS = [
     ["embed", "phi", "--n", "2", "--m", "3", "--c", "2"],
     # one step, but the tau matrix of 3164 x 3164 entries is refused on both paths
     ["hanoi", "solve", "--coords", "S", "--from", "0" * 3163 + "1"],
+    # 2^23 steps of 3023 digits: more digits than the largest classic play's table
+    ["hanoi", "solve", "--coords", "S", "--from", "0" * 3000 + "1" * 23],
     ["gen", "sierpinski", "--n", "0", "--m", "3"],
     ["gen", "hamming", "--n", "-1", "--m", "3"],
     ["gen", "single-twist", "--n", "2", "--m", "1"],
@@ -169,20 +172,20 @@ def test_both_paths_write_the_same_file(argv, tmp_path, monkeypatch, capsys):
 
 
 # for each table: an argv of SMALL rows (or edges, at most), one of more, and
-# the array functions the larger one calls
+# the array functions the larger one calls; every table's is exact.table_array
 SELECTION = [
-    (["hanoi", "classic", "--n", "12"], ["hanoi", "classic", "--n", "13"], [(hanoi, "classic_solution")]),
-    (["diplomats", "--n", "12"], ["diplomats", "--n", "13"], [(hanoi, "classic_solution")]),
+    (["hanoi", "classic", "--n", "12"], ["hanoi", "classic", "--n", "13"], [(exact, "table_array")]),
+    (["diplomats", "--n", "12"], ["diplomats", "--n", "13"], [(exact, "table_array")]),
     (
         ["hanoi", "solve", "--coords", "S", "--from", "1" * 12],
         ["hanoi", "solve", "--coords", "S", "--from", "1" * 13],
-        [(hanoi, "shortest_path_to_zero")],
+        [(exact, "table_array")],
     ),
-    (["gray", "--n", "12"], ["gray", "--n", "13"], [(codes, "gray_sequence")]),
+    (["gray", "--n", "12"], ["gray", "--n", "13"], [(exact, "table_array")]),
     (
-        ["embed", "phi", "--n", "6", "--m", "4"],
-        ["embed", "phi", "--n", "1", "--m", "4097"],
-        [(graphs, "digit_cube"), (exact.LinearMap, "cube_image")],
+        ["embed", "phi", "--n", "6", "--m", "4", "--invert"],
+        ["embed", "phi", "--n", "1", "--m", "4097", "--invert"],
+        [(exact, "table_array")],
     ),
     (["gen", "sierpinski", "--n", "12", "--m", "2"], ["gen", "sierpinski", "--n", "3", "--m", "10"],
      [(graphs, "build_sierpinski")]),
@@ -208,12 +211,14 @@ def test_the_row_count_selects_the_path(small, large, functions, monkeypatch, ca
 
 
 def test_small_embed_rows_take_the_family_recurrence(monkeypatch, capsys):
-    # O(n) per row by epsilon_forward; only --invert has no family and applies its rows
+    # O(n) per row by epsilon_forward, or epsilon_inverse with --invert: no matrix is applied or inverted
     calls = []
     apply = exact.LinearMap.apply
     monkeypatch.setattr(exact.LinearMap, "apply", lambda lm, v: calls.append(v) or apply(lm, v))
+    monkeypatch.setattr(exact, "invert_linear_map", lambda lm: calls.append(lm))
     assert main(["embed", "epsilon", "--n", "3", "--m", "7", "--c", "3"]) == 0 and calls == []
-    assert main(["embed", "tau", "--n", "3", "--m", "5", "--invert"]) == 0 and len(calls) == 125
+    assert main(["embed", "tau", "--n", "3", "--m", "5", "--invert"]) == 0 and calls == []
+    assert main(["embed", "tau", "--n", "4", "--m", "5", "--matrix", "--invert"]) == 0 and calls == []
     capsys.readouterr()
 
 @pytest.mark.parametrize(
@@ -227,10 +232,34 @@ def test_small_embed_rows_take_the_family_recurrence(monkeypatch, capsys):
     ids=["m3", "m5", "m9", "m13"],
 )
 def test_a_long_solve_maps_only_the_digits_that_move(m, start, capsys):
-    # past SMALL steps, tau of the last digits alone equals the full n x n product
+    # past SMALL steps, the row function's tau image equals the full n x n product
     s = hanoi.shortest_path_to_zero(parse_vertex(start, m), m).positions
     assert len(s) > SMALL
     t = embedding_matrix("tau", s.shape[1], m).image(s)
     expected = serialize.write("hanoi_table", "text", np.arange(len(s) - 1, -1, -1), s, t, m)
     assert main(["hanoi", "solve", "--coords", "S", "--m", str(m), "--from", start]) == 0
     assert capsys.readouterr() == (expected, "")
+
+
+# one argv of each table kind, map, inverse map, classic, diplomats, gray and
+# solve in both coordinates, with leading zeros and digits past one character
+BLOCKED = [
+    ["embed", "tau", "--n", "3", "--m", "5", "--invert"],
+    ["embed", "epsilon", "--n", "2", "--m", "12", "--c-list", "5,7", "--format", "json"],
+    ["hanoi", "classic", "--n", "6", "--m", "13", "--format", "csv"],
+    ["diplomats", "--n", "5"],
+    ["gray", "--n", "6", "--format", "both"],
+    ["hanoi", "solve", "--from", "0" * 5 + "21012"],
+    ["hanoi", "solve", "--coords", "S", "--m", "13", "--from", "0,0,12,0,7,3", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", BLOCKED, ids=" ".join)
+def test_tables_filled_in_blocks_of_seven_print_the_int_path_bytes(argv, monkeypatch, capsys):
+    small = answer(argv, 2**64, monkeypatch, capsys)
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 7)  # the last block is short
+    calls = []
+    table_array = exact.table_array
+    monkeypatch.setattr(exact, "table_array", lambda *a: calls.append(a[1]) or table_array(*a))
+    assert answer(argv, 0, monkeypatch, capsys) == small and small[0] == 0
+    assert len(calls) == 1 and calls[0] % 7
