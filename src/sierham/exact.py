@@ -566,13 +566,14 @@ def table_array(row: Callable, count: int, m: int):
     """The rows row(x), x < count, with digits below m, as a (count, groups, n) array.
 
     row returns groups of n digit columns, arrays or (if constant) Python ints,
-    for a graphs.row_blocks block of indices, a ModIndex of the narrowest dtype
-    that holds every value the row functions reach (below 4 count and 2 m^2),
-    else object. The digits go column by column into the narrowest dtype for m.
+    for a graphs.row_blocks block of indices of the narrowest dtype that holds
+    every value the row functions reach (below 4 count and 2 m^2), else
+    object; a block of at least graphs.MOD_ROWS rows comes as a ModIndex. The
+    digits go column by column into the narrowest dtype for m.
     """
     import numpy as np
 
-    from .graphs import ModIndex, row_blocks
+    from .graphs import MOD_ROWS, ModIndex, row_blocks
 
     bound = max(4 * count, 2 * m * m)
     index = next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), object)
@@ -580,7 +581,9 @@ def table_array(row: Callable, count: int, m: int):
     out = np.empty((count, len(first), len(first[0])), np.min_scalar_type(-m), order="F")
     for block in row_blocks(range(count)):
         rows = out[block.start : block.stop]
-        x = np.arange(block.start, block.stop, dtype=index).view(ModIndex)
+        x = np.arange(block.start, block.stop, dtype=index)
+        if len(x) >= MOD_ROWS:
+            x = x.view(ModIndex)
         for g, group in enumerate(row(x)):
             for i, column in enumerate(group):
                 rows[:, g, i] = column

@@ -41,6 +41,7 @@ from .exact import (  # re-exported: the guards, counts and vertex codes live in
 )
 
 ROW_BLOCK = 1 << 16  # rows per row_blocks slice, where a whole-table pass would hold copies
+MOD_ROWS = 1 << 11  # index rows from which a ModIndex's % pays for its ufunc wrapping
 
 
 def code_to_vertex(code: int, n: int, m: int) -> Vertex:
@@ -69,10 +70,18 @@ def row_codes(rows: np.ndarray, m: int) -> np.ndarray:
 
 
 class ModIndex(np.ndarray):
-    """An index array whose % by a scalar is x - x // m * m: numpy vectorises // but not %."""
+    """An index array whose % by a scalar is x - x // m * m: numpy vectorises // but not %.
+
+    The three steps run on a plain view, so only the result pays the subclass's
+    ufunc wrapping. That wrapping costs every operation on a ModIndex about a
+    microsecond, so below MOD_ROWS rows numpy's own % on a plain array is
+    cheaper: the row functions of the tables ran 1.8-1.9x faster on plain
+    arrays of 256 rows, alike at 2048 and 1.1-1.4x slower at 4096.
+    """
 
     def __mod__(self, m):
-        return self - self // m * m
+        x = self.view(np.ndarray)
+        return (x - x // m * m).view(ModIndex)
 
 
 def row_blocks(a: np.ndarray | range) -> Iterator:
@@ -125,6 +134,10 @@ def edge_keys(u: np.ndarray, v: np.ndarray, num_vertices: int) -> np.ndarray:
     return key if fresh.all() else key[fresh]
 
 
+class _Fresh(np.ndarray):
+    """Kernel rows a builder hands to Graph: held by nothing else, so Graph need not copy them."""
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable graph on {0,...,m-1}^n with a canonical edge array."""
@@ -138,6 +151,7 @@ class Graph:
     def __post_init__(self) -> None:
         _check_scale(self.n, self.m)
         size = self.m**self.n
+        fresh = isinstance(self.edges, _Fresh)
         e = np.asarray(self.edges, np.int64)
         if e.size and (e.ndim != 2 or e.shape[1] != 2):
             raise ValueError(f"edges must be an (E, 2) array, got shape {e.shape}")
@@ -149,7 +163,7 @@ class Graph:
         keys = u * size
         keys += v
         if (u < v).all() and (keys[1:] > keys[:-1]).all():
-            edges = e.copy()  # canonical already, as every kernel emits it
+            edges = e if fresh else e.copy()  # canonical already, as every kernel emits it
         else:
             if (u == v).any():
                 raise ValueError("self-loop in edge list")
@@ -190,19 +204,24 @@ class Graph:
         )
 
 
+def _adopt(n: int, m: int, kind: str, rows: np.ndarray) -> Graph:
+    """A Graph on a kernel's fresh rows: the same checks, without the copy."""
+    return Graph(n, m, kind, rows.view(_Fresh))
+
+
 def build_sierpinski(n: int, m: int) -> Graph:
     _check_sierpinski(n, m)
-    return Graph(n, m, "sierpinski", kernels.sierpinski_edges(n, m))
+    return _adopt(n, m, "sierpinski", kernels.sierpinski_edges(n, m))
 
 
 def build_hamming(n: int, m: int) -> Graph:
     _check_graph("hamming", n, m)
-    return Graph(n, m, "hamming", kernels.hamming_edges(n, m))
+    return _adopt(n, m, "hamming", kernels.hamming_edges(n, m))
 
 
 def build_single_twist(n: int, m: int) -> Graph:
     _check_sierpinski(n, m)
-    return Graph(n, m, "single-twist", kernels.single_twist_edges(n, m))
+    return _adopt(n, m, "single-twist", kernels.single_twist_edges(n, m))
 
 
 def from_edge_list(n: int, m: int, kind: str, pairs: Iterable[tuple[Vertex, Vertex]]) -> Graph:

@@ -5,14 +5,62 @@ tests/oracles.py as references. The edge kernels emit their rows in
 canonical order: smaller endpoint first, rows sorted by (smaller, larger)
 endpoint with no repeats, so Graph only checks that order.
 
+A build's fixed cost is a few numpy calls per level of S(n,m) (one np.add
+per run of copy rows, one put of the bridges) or per block of K_m^n's
+candidates; the bridge order and the digit weights are made once per
+(m, shared) or (n, m). Per call, medians on a 2-vCPU Xeon (Python 3.11.7,
+numpy 2.4.6): S(6,3), 1092 rows, 45 us; S(12,3), 797160 rows, 2.2 ms,
+about 2.7 ns a row; K_3^6, 4374 rows, 76 us; K_3^12, 6.4 million rows,
+115 ms, about 18 ns a row (BENCH_small_builds.json has every size).
+
 Vertices are encoded as integers: code(v) = sum(v_i * m**(n-i)), digit v_1
 most significant, so integer order equals lexicographic order on tuples.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import count
+from typing import Iterator
+
 import numpy as np
 
 _CANDIDATE_BLOCK = 1 << 16  # candidate partners per step of hamming_edges
+
+
+def _cuts(m: int, shared: bool) -> Iterator[list[int]]:
+    """For k = 0, 1, ...: cut[t], the k digit graph's rows whose smaller endpoint is at most t^k.
+
+    The k+1 digit rows up to t^(k+1) are the blocks below t, each a copy
+    and its bridges, then block t's copy rows up to t^k and its bridges
+    that leave below t^(k+1): all of them at k = 0 (they leave t), later
+    none for crossed tails (their tails are above t) and min(t, m - 1 - t)
+    for shared ones (those with (t + b) mod m < t).
+    """
+    below = [0] * m  # bridges of the blocks below t: sum of m - 1 - c over c < t
+    for t in range(1, m):
+        below[t] = below[t - 1] + m - t
+    first = [m - 1 - t for t in range(m)]
+    later = [min(t, m - 1 - t) if shared else 0 for t in range(m)]
+    cut, size = [0] * m, 0  # size: rows of the k digit graph
+    for k in count():
+        yield cut
+        extra = later if k else first
+        cut = [t * size + below[t] + cut[t] + extra[t] for t in range(m)]
+        size = m * size + m * (m - 1) // 2
+
+
+@lru_cache(maxsize=64)
+def _bridges(m: int, shared: bool) -> tuple:
+    """(tail after a, tail after b, b) for each bridge of each block a, in row order.
+
+    First by b, the order at level 0, where every bridge of block a leaves
+    the vertex a; then by the tail after a, the order from level 1 on.
+    """
+    bridges = tuple(
+        tuple(((a + b) % m, (a + b) % m, b) if shared else (b, a, b) for b in range(a + 1, m))
+        for a in range(m)
+    )
+    return bridges, tuple(tuple(sorted(row)) for row in bridges)
 
 
 def _level_edges(n: int, m: int, shared: bool) -> np.ndarray:
@@ -21,42 +69,41 @@ def _level_edges(n: int, m: int, shared: bool) -> np.ndarray:
     After position h the side of digit i carries a constant run of j and
     the side of j one of i (crossed tails), or both carry (i + j) mod m
     when shared; (m^(n+1) - m) / 2 rows. The k+1 digit graph is m copies of
-    the k digit one, one per leading digit, plus one bridge per digit pair
-    i < j. Each copy is in canonical order, and a bridge leaves block i
-    from a corner of it for a later block, so it sorts right after the
-    copy rows of its smaller endpoint. Two buffers take turns holding the
-    last level and the next.
+    the k digit one, one per leading digit a, plus one bridge per digit
+    pair a < b. Each copy is in canonical order, and a bridge leaves block a
+    from a t^k, t the tail after a, so it sorts right after the copy rows
+    whose smaller endpoint is at most t^k: cut[t] of them, the same in every
+    block. The bridges and cuts are Python ints; each run of copy rows
+    between two bridges is one np.add into the buffer of the next level.
+    Two buffers take turns holding the last level and the next, the
+    smaller one every level but the last.
     """
     total = (m ** (n + 1) - m) // 2
-    prev = np.empty((total, 2), np.int64)
-    out = np.empty((total, 2), np.int64)
+    big = np.empty((total, 2), np.int64)
+    small = np.empty(((m**n - m) // 2, 2), np.int64)
+    prev, out = (small, big) if n % 2 else (big, small)
+    bridges, by_tail = _bridges(m, shared)
     size = 0  # rows of the k digit graph, held in prev[:size]
-    i, j = np.triu_indices(m, 1)  # one bridge per digit pair, from block i to block j
-    ti, tj = ((i + j) % m,) * 2 if shared else (j, i)  # tail digits after i and after j
-    for k in range(n):
+    for k, cut in zip(range(n), _cuts(m, shared)):
         span = m**k  # weight of the new leading digit
         rep = (span - 1) // (m - 1)  # code of a length-k run of 1s
-        near = i * span + ti * rep  # smaller endpoint: a corner of block i
-        far = j * span + tj * rep
-        order = np.argsort(near * (m * span) + far)
-        near, far, block = near[order], far[order], i[order]
-        # a bridge follows the copy rows whose smaller endpoint is <= its own
-        cuts = np.searchsorted(prev[:size, 0], near - block * span, side="right")
-        at = block * size + cuts + np.arange(cuts.size)  # rows of the bridges
-        out[at, 0] = near
-        out[at, 1] = far
-        if size:  # at k = 0 the blocks are single vertices with no rows to copy
-            w = t = 0
-            for a in range(m):
-                s = 0  # copy rows of block a written
-                for c in cuts[t : t + m - 1 - a].tolist():
-                    np.add(prev[s:c], a * span, out=out[w : w + c - s])
-                    w += c - s + 1  # and the bridge at row w + c - s
-                    s = c
-                np.add(prev[s:size], a * span, out=out[w : w + size - s])
+        at, cells = [], []  # flat positions and values of the bridge rows
+        w = 0  # rows of out written
+        for a, row in enumerate(by_tail if k else bridges):
+            base, s = a * span, 0  # s: copy rows of block a written
+            for ti, tj, b in row:
+                if cut[ti] > s:
+                    np.add(prev[s : cut[ti]], base, out[w : w + cut[ti] - s])
+                    w += cut[ti] - s
+                    s = cut[ti]
+                at += (2 * w, 2 * w + 1)
+                cells += (base + ti * rep, b * span + tj * rep)
+                w += 1
+            if size > s:
+                np.add(prev[s:size], base, out[w : w + size - s])
                 w += size - s
-                t += m - 1 - a
-        prev, out, size = out, prev, m * size + i.size
+        out.put(at, cells)
+        prev, out, size = out, prev, w
     return prev
 
 
@@ -73,30 +120,50 @@ def single_twist_edges(n: int, m: int) -> np.ndarray:
     return _level_edges(n, m, shared=True)
 
 
+@lru_cache(maxsize=64)
+def _hamming_steps(n: int, m: int) -> tuple:
+    """hamming_edges' fixed arrays for K_m^n, made once per (n, m) and read-only.
+
+    The digit dtype holds every vertex code and its quotients; weights are
+    m^pos, least significant first, and m^n; lifts are s * m^pos by (pos, s);
+    u + s * m^pos changes only digit u_pos iff u_pos is below m - s.
+    """
+    digit = np.int32 if m**n < 2**31 else np.int64
+    weights = np.array([m**pos for pos in range(n + 1)], digit)[:, None]
+    lifts = np.array([s * m**pos for pos in range(n) for s in range(1, m)])
+    below = np.arange(m - 1, 0, -1)[:, None]
+    for a in (weights, lifts, below):
+        a.setflags(write=False)
+    return digit, weights, lifts, below
+
+
 def hamming_edges(n: int, m: int) -> np.ndarray:
     """Edge codes of K_m^n in canonical order, one row per edge.
 
     Vertex u's larger partners are u + s * m^pos with s = 1..m-1-u_pos;
     taken least significant position first and s ascending, they ascend,
-    since (m-1-u_pos) * m^pos < m^(pos+1). So the masked (u, pos, s)
-    candidate array, read row-major, lists the rows in canonical order.
+    since (m-1-u_pos) * m^pos < m^(pos+1). So the kept (u, pos, s) cells,
+    read row-major, list the rows in canonical order. Over a block of
+    vertices the mask has one row per (pos, s), compared digit by digit,
+    and is read transposed.
     """
     size = m**n
     out = np.empty((n * (m - 1) * size // 2, 2), np.int64)
-    weights = m ** np.arange(n, dtype=np.int64)  # least significant first
-    steps = np.arange(1, m, dtype=np.int64)
-    lifts = (weights[:, None] * steps).ravel()  # s * m^pos, by (pos, s)
-    block = max(1, _CANDIDATE_BLOCK // lifts.size)
+    digit, weights, lifts, below = _hamming_steps(n, m)
+    width = lifts.size
+    block = max(1, _CANDIDATE_BLOCK // width)
     w = 0
     for start in range(0, size, block):
-        u = np.arange(start, min(start + block, size), dtype=np.int64)
-        keep = (u[:, None] // weights % m)[:, :, None] + steps < m  # (b, n, m-1)
-        lo, col = np.divmod(np.flatnonzero(keep), lifts.size)
+        q = np.arange(start, min(start + block, size), dtype=digit) // weights
+        q[:-1] -= m * q[1:]  # the digits u_pos
+        keep = (q[:-1, None] < below).reshape(width, -1)  # one row per (pos, s)
+        cells = keep.T.ravel().nonzero()[0]  # u * width + (pos, s), ascending
+        lo, hi = out[w : w + cells.size].T
+        np.floor_divide(cells, width, out=lo)
+        cells -= lo * width
         lo += start
-        dest = out[w : w + lo.size]
-        dest[:, 0] = lo
-        np.add(lo, lifts[col], out=dest[:, 1])
-        w += lo.size
+        np.add(lo, lifts[cells], out=hi)
+        w += cells.size
     return out
 
 

@@ -402,6 +402,52 @@ def test_graph_owns_its_edges(rows):
     assert not g._keys.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "build,kernel",
+    [
+        (build_sierpinski, "sierpinski_edges"),
+        (build_hamming, "hamming_edges"),
+        (build_single_twist, "single_twist_edges"),
+    ],
+)
+def test_builders_keep_the_kernel_rows(build, kernel, monkeypatch):
+    # a builder's fresh kernel array becomes the graph's edges without a copy
+    made = []
+    original = getattr(kernels, kernel)
+
+    def kept(n, m):
+        made.append(original(n, m))
+        return made[-1]
+
+    monkeypatch.setattr(kernels, kernel, kept)
+    g = build(3, 3)
+    assert np.shares_memory(g.edges, made[0])
+    assert type(g.edges) is np.ndarray and not g.edges.flags.writeable
+    assert np.array_equal(g.edges, original(3, 3))
+    assert np.array_equal(g._keys, g.edges[:, 0] * 27 + g.edges[:, 1])
+
+
+@pytest.mark.parametrize(
+    "rows,error",
+    [
+        ([[0, 1], [1, 3]], r"^edge endpoint out of vertex range$"),
+        ([[-1, 0], [0, 1]], r"^edge endpoint out of vertex range$"),
+        ([[0, 1], [1, 1], [1, 2]], r"^self-loop in edge list$"),
+        ([[0, 1, 2]], r"^edges must be an \(E, 2\) array, got shape \(1, 3\)$"),
+    ],
+)
+def test_adopted_rows_get_every_check(rows, error):
+    # the builders' path skips only the copy: bad rows fail as in Graph(...)
+    with pytest.raises(ValueError, match=error):
+        graphs._adopt(1, 3, "x", np.array(rows))
+
+
+def test_adopted_rows_out_of_order_are_rebuilt():
+    g = graphs._adopt(1, 3, "x", np.array([[1, 2], [2, 0], [0, 1], [0, 1]]))
+    assert np.array_equal(g.edges, [[0, 1], [0, 2], [1, 2]])
+    assert np.array_equal(g._keys, [1, 2, 5])
+
+
 def test_graph_checks_sorted_input_as_any_other():
     # ascending keys do not excuse an endpoint out of range or a self-loop,
     # and the range check still comes first

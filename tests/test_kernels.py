@@ -22,8 +22,14 @@ KERNEL_ORACLES = [
 ]
 
 
+@pytest.fixture
+def poisoned_empty(monkeypatch):
+    """np.empty filled with -1: a row a kernel never writes cannot pass for a stale right one."""
+    monkeypatch.setattr(np, "empty", lambda shape, dtype=float, order="C": np.full(shape, -1, dtype, order))
+
+
 @pytest.mark.parametrize("n,m", PAIRS)
-def test_backends_agree(n, m):
+def test_backends_agree(n, m, poisoned_empty):
     for kernel, loop, count in KERNEL_ORACLES:
         a = kernel(n, m)
         b = np.array(loop(n, m), np.int64).reshape(-1, 2)
@@ -41,13 +47,40 @@ SMALL_GRAPHS = [(n, m) for m in range(2, 13) for n in range(1, 14) if m**n <= 10
 
 
 @pytest.mark.parametrize("n,m", SMALL_GRAPHS)
-def test_graph_edges_are_the_kernel_rows(n, m):
+def test_graph_edges_are_the_kernel_rows(n, m, poisoned_empty):
     for kind, (kernel, loop, count) in zip(("sierpinski", "hamming", "single-twist"), KERNEL_ORACLES):
         edges = exact.graph_edges(kind, n, m)
         assert edges == list(map(tuple, kernel(n, m).tolist()))
         assert len(edges) == count(n, m)
         assert edges == sorted(loop(n, m))  # the loop rows are already smaller endpoint first
         assert all(type(c) is int for pair in edges for c in pair)
+
+
+@pytest.mark.parametrize("block", [7, 20])
+@pytest.mark.parametrize(
+    "n,m", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 7)]
+)
+def test_hamming_blocks_split_the_vertices(n, m, block, monkeypatch, poisoned_empty):
+    # block // (n (m - 1)) vertices per block, at least one: from a single
+    # block to one vertex a block, and a short last block after full ones
+    # for K_2^2 at 7 and for K_2^3, K_2^4, K_3^2 and K_4^2 at 20
+    monkeypatch.setattr(kernels, "_CANDIDATE_BLOCK", block)
+    rows = kernels.hamming_edges(n, m)
+    assert np.array_equal(rows, sorted(oracles.hamming_edges_loop(n, m)))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_level_cuts_are_the_closed_form(m, shared):
+    # cut[t] of the k digit graph counts its rows whose smaller endpoint is at
+    # most t^k; read it off the kernel's own rows by binary search
+    kernel = kernels.single_twist_edges if shared else kernels.sierpinski_edges
+    cuts = kernels._cuts(m, shared)
+    assert next(cuts) == [0] * m  # the 0 digit graph has no rows
+    for k in range(1, 8 if m <= 4 else 5):
+        rows = kernel(k, m)
+        corners = [t * (m**k - 1) // (m - 1) for t in range(m)]
+        assert next(cuts) == np.searchsorted(rows[:, 0], corners, side="right").tolist()
 
 
 def test_graph_edges_refuse_an_unknown_kind():

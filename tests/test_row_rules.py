@@ -33,7 +33,7 @@ def assert_same_digits(row, x, count, m):
     for dtype in index_dtypes(count, m):
         others = random.Random(x).sample(range(count), min(count, 5))
         index = np.array([*others, x, *others], dtype=dtype)
-        for got in (row(index), row(index.view(graphs.ModIndex))):  # table_array passes the view
+        for got in (row(index), row(index.view(graphs.ModIndex))):  # table_array passes both
             assert len(got) == len(expected)
             for group, want in zip(got, expected):
                 assert len(group) == len(want)
@@ -135,6 +135,24 @@ def test_solves_are_the_walk_in_blocks(v, m, monkeypatch):
     assert oracles.as_tuples(path.positions) == oracles.as_tuples(oracles.geodesic_walk(v, m).positions)
     t = exact.tau_forward(v, m)
     assert oracles.as_tuples(solve_from_position(t, m).positions) == oracles.solve_positions_loop(t, m)
+
+
+@pytest.mark.parametrize("mod_rows", [0, 7], ids=["mod-index", "mixed"])
+def test_library_tables_in_blocks_of_seven_through_mod_index(mod_rows, monkeypatch):
+    # the tests above fill plain blocks, below graphs.MOD_ROWS; here every
+    # block is a ModIndex, or the full blocks are and the short last one is not
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 7)
+    monkeypatch.setattr(graphs, "MOD_ROWS", mod_rows)
+    for n, m in [(3, 3), (6, 3), (3, 13), (2, 2**61 - 1)]:
+        assert oracles.as_tuples(classic_solution(n, m).positions) == oracles.classic_positions_loop(n, m)
+    rows = diplomats_table(6)
+    assert list(zip(oracles.as_tuples(rows[:, 0]), oracles.as_tuples(rows[:, 1]))) == oracles.diplomats_rows_loop(6)
+    assert oracles.as_tuples(gray_sequence(6)) == oracles.gray_sequence_loop(6)
+    for v, m in STARTS:
+        path = shortest_path_to_zero(v, m)
+        assert oracles.as_tuples(path.positions) == oracles.as_tuples(oracles.geodesic_walk(v, m).positions)
+        t = exact.tau_forward(v, m)
+        assert oracles.as_tuples(solve_from_position(t, m).positions) == oracles.solve_positions_loop(t, m)
 
 
 def test_solves_refuse_more_digits_than_the_largest_classic_play():
