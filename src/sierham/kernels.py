@@ -5,13 +5,14 @@ tests/oracles.py as references. The edge kernels emit their rows in
 canonical order: smaller endpoint first, rows sorted by (smaller, larger)
 endpoint with no repeats, so Graph only checks that order.
 
-A build's fixed cost is a few numpy calls per level of S(n,m) (one np.add
-per run of copy rows, one put of the bridges) or per block of K_m^n's
-candidates; the bridge order and the digit weights are made once per
-(m, shared) or (n, m). Per call, medians on a 2-vCPU Xeon (Python 3.11.7,
-numpy 2.4.6): S(6,3), 1092 rows, 45 us; S(12,3), 797160 rows, 2.2 ms,
-about 2.7 ns a row; K_3^6, 4374 rows, 76 us; K_3^12, 6.4 million rows,
-115 ms, about 18 ns a row (BENCH_small_builds.json has every size).
+A build's fixed cost is a few numpy calls per level of S(n,m) (one
+nonzero for K_m, the 1 digit graph; then one np.add per run of copy rows
+and one put of the bridges) or per block of K_m^n's candidates, whose
+digit weights are made once per (n, m). Per call, medians over processes
+on a 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6): S(6,3), 1092 rows, 51 us;
+S(12,3), 797160 rows, 1.7 ms, about 2.2 ns a row; K_3^6, 4374 rows,
+91 us; K_3^12, 6.4 million rows, 107 ms, about 17 ns a row
+(BENCH_small_builds.json has every size).
 
 Vertices are encoded as integers: code(v) = sum(v_i * m**(n-i)), digit v_1
 most significant, so integer order equals lexicographic order on tuples.
@@ -19,7 +20,7 @@ most significant, so integer order equals lexicographic order on tuples.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
+from itertools import count, repeat
 from typing import Iterator
 
 import numpy as np
@@ -49,18 +50,17 @@ def _cuts(m: int, shared: bool) -> Iterator[list[int]]:
         size = m * size + m * (m - 1) // 2
 
 
-@lru_cache(maxsize=64)
-def _bridges(m: int, shared: bool) -> tuple:
-    """(tail after a, tail after b, b) for each bridge of each block a, in row order.
+def _bridges(a: int, m: int, shared: bool) -> Iterator[tuple[int, int, int]]:
+    """(tail after a, tail after b, b) for each bridge of block a, by the tail after a.
 
-    First by b, the order at level 0, where every bridge of block a leaves
-    the vertex a; then by the tail after a, the order from level 1 on.
+    Crossed tails are b and a; the shared tail (a + b) mod m is below a for
+    b >= m - a and above a for b < m - a.
     """
-    bridges = tuple(
-        tuple(((a + b) % m, (a + b) % m, b) if shared else (b, a, b) for b in range(a + 1, m))
-        for a in range(m)
-    )
-    return bridges, tuple(tuple(sorted(row)) for row in bridges)
+    if not shared:
+        return zip(range(a + 1, m), repeat(a), range(a + 1, m))
+    heads = [*range(max(a + 1, m - a), m), *range(a + 1, m - a)]
+    tails = [(a + b) % m for b in heads]
+    return zip(tails, tails, heads)
 
 
 def _level_edges(n: int, m: int, shared: bool) -> np.ndarray:
@@ -73,7 +73,8 @@ def _level_edges(n: int, m: int, shared: bool) -> np.ndarray:
     pair a < b. Each copy is in canonical order, and a bridge leaves block a
     from a t^k, t the tail after a, so it sorts right after the copy rows
     whose smaller endpoint is at most t^k: cut[t] of them, the same in every
-    block. The bridges and cuts are Python ints; each run of copy rows
+    block. The 1 digit graph, K_m, is one numpy pass; from there the
+    bridges and cuts are Python ints, and each run of copy rows
     between two bridges is one np.add into the buffer of the next level.
     Two buffers take turns holding the last level and the next, the
     smaller one every level but the last.
@@ -81,25 +82,29 @@ def _level_edges(n: int, m: int, shared: bool) -> np.ndarray:
     total = (m ** (n + 1) - m) // 2
     big = np.empty((total, 2), np.int64)
     small = np.empty(((m**n - m) // 2, 2), np.int64)
-    prev, out = (small, big) if n % 2 else (big, small)
-    bridges, by_tail = _bridges(m, shared)
-    size = 0  # rows of the k digit graph, held in prev[:size]
-    for k, cut in zip(range(n), _cuts(m, shared)):
+    prev, out = (big, small) if n % 2 else (small, big)
+    digits = np.arange(m)
+    size = m * (m - 1) // 2  # the 1 digit graph is K_m: row (a, b) for each a < b
+    prev[:size, 0], prev[:size, 1] = np.less.outer(digits, digits).nonzero()
+    cuts = _cuts(m, shared)
+    next(cuts)  # skip the 0 digit graph's, all 0
+    for k, cut in zip(range(1, n), cuts):
         span = m**k  # weight of the new leading digit
         rep = (span - 1) // (m - 1)  # code of a length-k run of 1s
         at, cells = [], []  # flat positions and values of the bridge rows
         w = 0  # rows of out written
-        for a, row in enumerate(by_tail if k else bridges):
-            base, s = a * span, 0  # s: copy rows of block a written
-            for ti, tj, b in row:
-                if cut[ti] > s:
-                    np.add(prev[s : cut[ti]], base, out[w : w + cut[ti] - s])
-                    w += cut[ti] - s
-                    s = cut[ti]
+        for a in range(m):
+            # base 0-d: np.add takes it faster than an int; s: copy rows of block a written
+            base, s = np.array(a * span), 0
+            for ti, tj, b in _bridges(a, m, shared):
+                c = cut[ti]  # above s: cut grows with t, and cut[0] > 0 from k = 1
+                np.add(prev[s:c], base, out[w : w + c - s])
+                w += c - s
+                s = c
                 at += (2 * w, 2 * w + 1)
-                cells += (base + ti * rep, b * span + tj * rep)
+                cells += (a * span + ti * rep, b * span + tj * rep)
                 w += 1
-            if size > s:
+            if size > s:  # else block a's last bridge leaves its corner (m-1)^k
                 np.add(prev[s:size], base, out[w : w + size - s])
                 w += size - s
         out.put(at, cells)
@@ -124,17 +129,17 @@ def single_twist_edges(n: int, m: int) -> np.ndarray:
 def _hamming_steps(n: int, m: int) -> tuple:
     """hamming_edges' fixed arrays for K_m^n, made once per (n, m) and read-only.
 
-    The digit dtype holds every vertex code and its quotients; weights are
+    Digits are int32: the builders refuse m^n above exact.MAX_VERTICES =
+    10^7, so every vertex code and its quotients fit. Weights are
     m^pos, least significant first, and m^n; lifts are s * m^pos by (pos, s);
     u + s * m^pos changes only digit u_pos iff u_pos is below m - s.
     """
-    digit = np.int32 if m**n < 2**31 else np.int64
-    weights = np.array([m**pos for pos in range(n + 1)], digit)[:, None]
+    weights = np.array([m**pos for pos in range(n + 1)], np.int32)[:, None]
     lifts = np.array([s * m**pos for pos in range(n) for s in range(1, m)])
     below = np.arange(m - 1, 0, -1)[:, None]
     for a in (weights, lifts, below):
         a.setflags(write=False)
-    return digit, weights, lifts, below
+    return weights, lifts, below
 
 
 def hamming_edges(n: int, m: int) -> np.ndarray:
@@ -149,12 +154,12 @@ def hamming_edges(n: int, m: int) -> np.ndarray:
     """
     size = m**n
     out = np.empty((n * (m - 1) * size // 2, 2), np.int64)
-    digit, weights, lifts, below = _hamming_steps(n, m)
+    weights, lifts, below = _hamming_steps(n, m)
     width = lifts.size
     block = max(1, _CANDIDATE_BLOCK // width)
     w = 0
     for start in range(0, size, block):
-        q = np.arange(start, min(start + block, size), dtype=digit) // weights
+        q = np.arange(start, min(start + block, size), dtype=np.int32) // weights
         q[:-1] -= m * q[1:]  # the digits u_pos
         keep = (q[:-1, None] < below).reshape(width, -1)  # one row per (pos, s)
         cells = keep.T.ravel().nonzero()[0]  # u * width + (pos, s), ascending

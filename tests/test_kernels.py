@@ -83,6 +83,14 @@ def test_level_cuts_are_the_closed_form(m, shared):
         assert next(cuts) == np.searchsorted(rows[:, 0], corners, side="right").tolist()
 
 
+@pytest.mark.parametrize("kernel", [kernels.sierpinski_edges, kernels.single_twist_edges])
+def test_one_digit_graph_is_k_m_at_large_m(kernel):
+    # S(1, m) and its twist are K_m, row (a, b) for each a < b; m = 3000 is
+    # far past the sizes the loop oracles reach
+    rows = kernel(1, 3000)
+    assert np.array_equal(rows, np.column_stack(np.triu_indices(3000, 1)))
+
+
 def test_graph_edges_refuse_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown graph kind 'moebius'"):
         exact.graph_edges("moebius", 2, 3)
