@@ -16,8 +16,11 @@ SMALL_TABLE rows as Python int tuples, and more as table_array's array,
 which hanoi and codes return too. This module imports no numpy (only
 table_array and LinearMap.image load it), no dataclasses (TwistFamily and
 LinearMap are __slots__ values), and json and fractions only when used;
-graphs, hanoi, maps and serialize re-export its names, and the verifiers
-import maps only when the rows or the formula do not decide.
+graphs, hanoi, maps and serialize re-export its names. verify_single_twist
+answers every n from its formula, and verify_embedding imports maps only
+when the rows do not decide. _report builds every verifier's report, here
+and in maps: the checks as bools, verdict (every check holds), violations
+and, when counted, violations_total.
 
 The row rule: an S(n,m) edge at position h between digits i and j has
 u - v = (0^h, d, (-d)^(n-h-1)) with d = i - j, so a lower-triangular map A
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, product, repeat
-from operator import mul
+from operator import index, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -422,7 +425,11 @@ def epsilon_inverse(w: Sequence[int], tw: TwistFamily) -> Vertex:
 
 
 class LinearMap(_Value):
-    """Lower-triangular matrix over Z_m; row i gives output coordinate i."""
+    """Lower-triangular matrix over Z_m; row i gives output coordinate i.
+
+    Entries are integers, stored reduced mod m as Python ints: a NumPy
+    integer is accepted, and a float raises TypeError (operator.index).
+    """
 
     __slots__ = ("m", "rows")
     _fields = ("m", "rows")
@@ -436,7 +443,7 @@ class LinearMap(_Value):
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            row = tuple(x % m for x in row)
+            row = tuple([index(x) % m for x in row])  # a list is built faster than a generator
             if any(row[i + 1 :]):
                 raise ValueError(f"row {i + 1} has a nonzero entry above the diagonal")
             if math.gcd(row[i], m) != 1:
@@ -611,6 +618,17 @@ def _edge_differences(lm: LinearMap, n: int, m: int) -> list[list[int]]:
     return out
 
 
+def _report(checks: Mapping[str, object], violations: list, total: int | None = None) -> dict:
+    """A verifier's report: each check as a bool, in the order given, then verdict
+    (every check holds), violations, and violations_total when total is given."""
+    report = {name: bool(ok) for name, ok in checks.items()}
+    report["verdict"] = all(report.values())
+    report["violations"] = violations
+    if total is not None:
+        report["violations_total"] = int(total)
+    return report
+
+
 def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:
     """Check that vmap relabels S(n,m) onto a subgraph of K_m^n.
 
@@ -631,13 +649,8 @@ def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: i
     if isinstance(vmap, LinearMap):
         c = _edge_differences(vmap, n, m)
         if not any(any(row[:r]) for r, row in enumerate(c)):
-            return {
-                "is_bijection": True,
-                "all_edges_distance_one": True,
-                "edge_count_preserved": True,
-                "verdict": True,
-                "violations": [],
-            }
+            checks = ("is_bijection", "all_edges_distance_one", "edge_count_preserved")
+            return _report(dict.fromkeys(checks, True), [])
     from .maps import _verify_images
 
     return _verify_images(vmap, n, m)
@@ -660,40 +673,45 @@ def _twist_degree(x: Sequence[int], m: int) -> int:
 
 
 def verify_single_twist(n: int, m: int) -> dict:
-    """maps.verify_coordinatization of graphs.build_single_twist(n, m), the same report.
+    """maps.verify_coordinatization's report on graphs.build_single_twist(n, m), from digits.
 
-    For n <= 2 the degrees are those of S(n,m) and the isomorphism
-    certificate decides, so the graph is built. For n >= 3 the report comes
-    from _twist_degree without one: every edge joins digit strings that
-    differ at one place, no two edges coincide, and 1^n has degree
-    m + n - 2 > m, so only the degree and isomorphism gates fail. A degree
-    above m needs k != 0 and, if t = 2, 2 x_(n-3) != k. For each k != 0
-    that is t = n (one vertex), 3 <= t < n (m^(n-3) - 1 vertices in all),
-    or t = 2 (m^(n-3) times the x != k with 2x != k). Summed over k, with
-    g = gcd(2, m) solutions of 2x = 0, there are m^(n-3) (m^2 - 2m + g).
-    The sampled violations are the first 10 such vertices in code order.
+    Every edge of the twist joins digit strings that differ at one place,
+    and no two edges coincide, so only the degree and isomorphism gates can
+    fail. Both hold exactly when violations_total, the number of vertices of
+    degree above m, is 0.
+
+    For n <= 2 it is 0: the twist is S(n,m) relabeled, by the identity for
+    n = 1 and by (x, t) -> (x, t - x mod m) for n = 2. That map permutes
+    each block x, and so keeps its clique, and sends the twist's bridge
+    (i, i + j) -- (j, i + j) to S(2,m)'s bridge (i, j) -- (j, i).
+
+    For n >= 3, 1^n has degree m + n - 2 > m, and _twist_degree counts the
+    rest. A degree above m needs k != 0 and, if t = 2, 2 x_(n-3) != k. For
+    each k != 0 that is t = n (one vertex), 3 <= t < n (m^(n-3) - 1 vertices
+    in all), or t = 2 (m^(n-3) times the x != k with 2x != k). Summed over
+    k, with g = gcd(2, m) solutions of 2x = 0, there are m^(n-3) (m^2 - 2m
+    + g). The sampled violations are the first 10 such vertices in code
+    order.
     """
     _check_sierpinski(n, m)
-    if n <= 2:
-        from . import graphs, maps
-
-        return maps.verify_coordinatization(graphs.build_single_twist(n, m))
+    total = m ** (n - 3) * (m * m - 2 * m + math.gcd(2, m)) if n >= 3 else 0
     violations = []
-    for x in product(range(m), repeat=n):
+    for x in product(range(m), repeat=n) if total else ():
         d = _twist_degree(x, m)
         if d > m:
             violations.append({"kind": "degree", "vertex": x, "degree": d, "allowed": [m - 1, m]})
             if len(violations) == 10:
                 break
-    return {
-        "all_edges_distance_one": True,
-        "edge_count_matches": True,
-        "degree_sequence_matches": False,
-        "isomorphic_to_sierpinski": False,
-        "verdict": False,
-        "violations": violations,
-        "violations_total": m ** (n - 3) * (m * m - 2 * m + math.gcd(2, m)),
-    }
+    return _report(
+        {
+            "all_edges_distance_one": True,
+            "edge_count_matches": True,
+            "degree_sequence_matches": total == 0,
+            "isomorphic_to_sierpinski": total == 0,
+        },
+        violations,
+        total,
+    )
 
 
 def constant_corner_search(m: int, n: int = 2) -> dict:

@@ -27,6 +27,7 @@ sierpinski_isomorphism decides whether a
 graph is a relabeled S(n,m) by reading every vertex's digits off its
 distances to the m corners, and returns the isomorphism as its witness;
 verify_coordinatization adds the gates that place the graph inside K_m^n.
+Both reports come from exact._report, as the integer layer's do.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ from .exact import (  # re-exported: the scalar maps and the matrices live in th
     VertexMap,
     _check_adds,
     _edge_differences,
+    _report,
     embedding_matrix,
     epsilon_forward,
     invert_linear_map,
@@ -169,7 +171,6 @@ def _verify_images(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int
     edges, img, a, b = _edge_images(vmap, n, m)
     counts = np.bincount(img, minlength=m**n)
     hit = np.flatnonzero(counts > 1)
-    is_bijection = hit.shape[0] == 0
     violations: list[dict] = [
         {"kind": "collision", "image": w, "count": c}
         for w, c in zip(_labels(hit[:10], n, m), counts[hit[:10]].tolist())
@@ -187,18 +188,14 @@ def _verify_images(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int
             diffs[bad].tolist(),
         )
     ]
-    all_edges_distance_one = bad.shape[0] == 0
-
-    image_edges = edge_keys(a, b, m**n)
-    edge_count_preserved = image_edges.shape[0] == sierpinski_edge_count(n, m)
-
-    return {
-        "is_bijection": bool(is_bijection),
-        "all_edges_distance_one": bool(all_edges_distance_one),
-        "edge_count_preserved": bool(edge_count_preserved),
-        "verdict": bool(is_bijection and all_edges_distance_one and edge_count_preserved),
-        "violations": violations,
-    }
+    return _report(
+        {
+            "is_bijection": hit.shape[0] == 0,
+            "all_edges_distance_one": bad.shape[0] == 0,
+            "edge_count_preserved": edge_keys(a, b, m**n).shape[0] == sierpinski_edge_count(n, m),
+        },
+        violations,
+    )
 
 
 def _corner_distances(g: Graph, corners: np.ndarray, degrees: np.ndarray) -> np.ndarray | None:
@@ -317,7 +314,6 @@ def verify_coordinatization(candidate: Graph) -> dict:
             diffs[first].tolist(),
         )
     ]
-    all_edges_distance_one = bad.shape[0] == 0
     total = bad.shape[0]
 
     expected_edges = sierpinski_edge_count(n, m)
@@ -352,20 +348,16 @@ def verify_coordinatization(candidate: Graph) -> dict:
             violations.append({"kind": "isomorphism", "detail": reason})
             total += 1
 
-    return {
-        "all_edges_distance_one": bool(all_edges_distance_one),
-        "edge_count_matches": bool(edge_count_matches),
-        "degree_sequence_matches": bool(degree_sequence_matches),
-        "isomorphic_to_sierpinski": bool(isomorphic),
-        "verdict": bool(
-            all_edges_distance_one
-            and edge_count_matches
-            and degree_sequence_matches
-            and isomorphic
-        ),
-        "violations": violations,
-        "violations_total": int(total),
-    }
+    return _report(
+        {
+            "all_edges_distance_one": bad.shape[0] == 0,
+            "edge_count_matches": edge_count_matches,
+            "degree_sequence_matches": degree_sequence_matches,
+            "isomorphic_to_sierpinski": isomorphic,
+        },
+        violations,
+        total,
+    )
 
 
 def layout_metrics(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: int, m: int) -> dict:

@@ -5,21 +5,21 @@ digits ("1020"); beyond, digits are space-separated and fields tab-separated.
 All writers are deterministic: same input, same bytes. Graph writers read
 only n, m, kind and edges, from a Graph or from the exact.EdgeList that the
 cli builds for a small graph. They format each vertex once, into a list of
-labels indexed by vertex code, and read edge codes through _pairs: a list
-of int pairs as it is, an edge array by graphs.iter_rows. Table writers
-take each digit column as a (k, n) digit array or as a list of int tuples,
-and the step column as an array, a range or a list of ints: one writer per
-table and format serves the array path and the small tables the cli
-builds from the row formulas, with the same bytes. Array columns become
-Python objects a graphs.row_blocks block at a time, so no writer holds a
-whole column of them (the text play table keeps its S labels, which size
-their column). This module imports numpy and graphs only when an array
-or a Graph reaches it. Every writer, and the cli's verify and
-corners-search reports, is one _lines or _json call: no other module
-joins output lines or encodes JSON. format_vertex, parse_vertex, _lines,
-_json and the matrix writers need no array, so they live in the integer
-layer (exact) and are re-exported here. write(table, fmt, ...) finds
-<table>_to_<fmt> by name.
+labels indexed by vertex code. Table writers take each digit column as a
+(k, n) digit array or as a list of int tuples, and the step column as an
+array, a range or a list of ints: one writer per table and format serves
+the array path and the small tables the cli builds from the row formulas,
+with the same bytes. Every column, edge codes included, is read through
+_column: a list or a range as it is, an array's entries as Python objects
+a graphs.row_blocks block at a time, so no writer holds a whole column of
+them (the text play table keeps its S labels, which size their column).
+The one other array path is vertex_labels' byte matrix for m <= 10. This
+module imports numpy and graphs only when an array or a Graph reaches it.
+Every writer, and the cli's verify and corners-search reports, is one
+_lines or _json call: no other module joins output lines or encodes JSON.
+format_vertex, parse_vertex, _lines, _json and the matrix writers need no
+array, so they live in the integer layer (exact) and are re-exported here.
+write(table, fmt, ...) finds <table>_to_<fmt> by name.
 """
 from __future__ import annotations
 
@@ -53,52 +53,45 @@ if TYPE_CHECKING:
 def vertex_labels(rows: Rows, m: int) -> Iterator[str]:
     """format_vertex of every row of a list of int tuples, or of a (k, n) digit array.
 
-    A list goes row by row. An array goes a block of rows at a time: for
-    m <= 10 each block becomes one byte matrix (digit + ord("0"), a newline
-    per row), decoded in one call; multi-digit cells go row by row.
+    For m <= 10 an int array goes a block of rows at a time, each block one
+    byte matrix (digit + ord("0"), a newline per row) decoded in one call.
+    Lists, object arrays and multi-digit cells go row by row, through _column.
     """
-    if isinstance(rows, list):
-        return map(format_vertex, rows, repeat(m))
-    return _array_labels(rows, m)
+    if isinstance(rows, list) or _separators(m)[0] or rows.dtype == object:
+        return map(format_vertex, _column(rows), repeat(m))
+    return _digit_labels(rows)
 
 
-def _array_labels(rows: np.ndarray, m: int) -> Iterator[str]:
+def _digit_labels(rows: np.ndarray) -> Iterator[str]:
     import numpy as np
 
-    from .graphs import iter_rows, row_blocks
+    from .graphs import row_blocks
 
-    for block in row_blocks(np.asarray(rows)):
-        if _separators(m)[0] or block.dtype == object:
-            yield from map(format_vertex, iter_rows(block), repeat(m))
-            continue
+    for block in row_blocks(rows):
         text = np.full((len(block), block.shape[1] + 1), ord("\n"), np.uint8)
         np.add(block, ord("0"), out=text[:, :-1], casting="unsafe")
         yield from text.tobytes().decode("ascii").split("\n")[:-1]
 
 
-def _ints(column: Steps) -> Iterator[int]:
-    """The entries of a range or list of ints, or of a 1-D array converted a block at a time."""
-    if isinstance(column, (range, list)):
-        return iter(column)
-    import numpy as np
+def _column(values: Steps | Rows | Edges) -> Iterable:
+    """A list or a range as it is, else an array's entries, converted a graphs.row_blocks
+    block at a time: a 1-D array's as Python ints, a 2-D array's rows as tuples of them."""
+    if isinstance(values, (list, range)):
+        return values
+    from .graphs import iter_rows, row_blocks
 
-    from .graphs import row_blocks
+    if values.ndim == 2:
+        return iter_rows(values)
+    return chain.from_iterable(block.tolist() for block in row_blocks(values))
 
-    return chain.from_iterable(block.tolist() for block in row_blocks(np.asarray(column)))
 
-
-def _codes(rows: Rows, m: int) -> Iterator[int]:
+def _codes(rows: Rows, m: int) -> Iterable[int]:
     """The vertex code of every row of a list of int tuples or of a (k, n) digit array."""
     if isinstance(rows, list):
         return map(_code, rows, repeat(m))
     from .graphs import row_codes
 
-    return _ints(row_codes(rows, m))
-
-
-def _width(rows: Rows) -> int:
-    """Digits per row: an array's second axis, or the length of a list's first tuple."""
-    return len(rows[0]) if isinstance(rows, list) else rows.shape[1]
+    return _column(row_codes(rows, m))
 
 
 def _vertex_labels(n: int, m: int) -> list[str]:
@@ -111,18 +104,9 @@ def _vertex_labels(n: int, m: int) -> list[str]:
     return labels
 
 
-def _pairs(edges: Edges) -> Iterable[tuple[int, int]]:
-    """The code pairs of a list of int pairs, or of an (E, 2) edge array a block at a time."""
-    if isinstance(edges, list):
-        return edges
-    from .graphs import iter_rows
-
-    return iter_rows(edges)
-
-
 def _edge_strings(g: AnyGraph) -> Iterator[tuple[str, str]]:
     labels = _vertex_labels(g.n, g.m)
-    return ((labels[u], labels[v]) for u, v in _pairs(g.edges))
+    return ((labels[u], labels[v]) for u, v in _column(g.edges))
 
 
 def write(table: str, fmt: str, *args) -> str:
@@ -166,7 +150,7 @@ def graph_from_json(text: str) -> Graph:
 def graph_to_dot(g: AnyGraph) -> str:
     # whole lines, no cells, so all are head lines
     vertices = (f'  v{code} [label="{label}"];' for code, label in enumerate(_vertex_labels(g.n, g.m)))
-    edges = (f"  v{u} -- v{v};" for u, v in _pairs(g.edges))
+    edges = (f"  v{u} -- v{v};" for u, v in _column(g.edges))
     return _lines((), chain([f'graph "{g.kind}_{g.n}_{g.m}" {{'], vertices, edges, ["}"]))
 
 
@@ -184,30 +168,30 @@ def map_table_to_csv(v: Rows, w: Rows, m: int) -> str:
 
 def map_table_to_json(v: Rows, w: Rows, m: int) -> str:
     pairs = map(list, zip(vertex_labels(v, m), vertex_labels(w, m)))
-    return _json({"n": _width(v), "m": m, "map": list(pairs)})
+    return _json({"n": len(v[0]), "m": m, "map": list(pairs)})
 
 
 def hanoi_table_to_text(ell: Steps, s: Rows, t: Rows, m: int) -> str:
     """Step index, S and T positions, in columns sized first and padded row by row."""
-    s_head, t_head = (f"{c}({_width(s)},{m})" for c in "ST")
+    s_head, t_head = (f"{c}({len(s[0])},{m})" for c in "ST")
     s_labels = list(vertex_labels(s, m))
     top = max(ell, default=0) if isinstance(ell, (range, list)) else ell.max(initial=0)
     wl = f">{max(3, len(str(top)))}"
     ws = f"<{max(len(s_head), max(map(len, s_labels), default=0))}"
-    steps = map(format, _ints(ell), repeat(wl))
+    steps = map(format, _column(ell), repeat(wl))
     rows = zip(steps, map(format, s_labels, repeat(ws)), vertex_labels(t, m), strict=True)
     del s_labels  # strict runs each column to its end, so no label list outlives the rows
     return _lines(rows, [f"{'ell':{wl}}  {s_head:{ws}}  {t_head}"], "  ")
 
 
 def hanoi_table_to_csv(ell: Steps, s: Rows, t: Rows, m: int) -> str:
-    steps = map(str, _ints(ell))
+    steps = map(str, _column(ell))
     return _lines(zip(steps, vertex_labels(s, m), vertex_labels(t, m)), ["ell,s,t"], ",")
 
 
 def hanoi_table_to_json(ell: Steps, s: Rows, t: Rows, m: int) -> str:
-    rows = zip(_ints(ell), vertex_labels(s, m), vertex_labels(t, m))
-    return _json({"n": _width(s), "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]})
+    rows = zip(_column(ell), vertex_labels(s, m), vertex_labels(t, m))
+    return _json({"n": len(s[0]), "m": m, "rows": [{"ell": e, "s": a, "t": b} for e, a, b in rows]})
 
 
 def gray_to_bits(seq: Rows) -> str:

@@ -223,10 +223,13 @@ def test_verify_single_twist_depth_two_passes():
     assert text.splitlines()[-1] == "PASS"
 
 
-# Every single twist of depth 3 to 8 over 2 to 7 digits with at most 10^6
-# vertices: the two larger ones, S(8,6) and S(8,7), take 0.4 and 1.3 GB to
-# build and verify.
-TWIST_SIZES = [(n, m) for n in range(3, 9) for m in range(2, 8) if m**n <= 10**6]
+# Every single twist of depth 1 and 2 over 2 to 40 digits, whose report passes
+# every check without a graph, and of depth 3 to 8 over 2 to 7 digits with at
+# most 10^6 vertices: the two larger ones, S(8,6) and S(8,7), take 0.4 and
+# 1.3 GB to build and verify.
+TWIST_SIZES = [(n, m) for n in (1, 2) for m in range(2, 41)] + [
+    (n, m) for n in range(3, 9) for m in range(2, 8) if m**n <= 10**6
+]
 
 
 @pytest.mark.parametrize("n,m", TWIST_SIZES)
@@ -557,37 +560,49 @@ def test_corners_search_answers_large_even_m_in_time(m, best, required):
 
 # ---------------------------------------------------------------- numpy on demand
 
-# Commands that build no array: two matrices, seven refusals, two verdicts the
-# rows decide, the single twist's verdict from its degree formula, the corner
-# search, and the small tables and graphs that cli-export runs (at most
-# exact.SMALL_TABLE rows or edges, built from the closed forms) with the fixture
-# check. With them, every command of a cli-export round is here.
+# Commands that build no array, each with its exit code: two matrices, seven
+# refusals, three verdicts the rows decide, the single twist's verdicts from its
+# formula, the corner search, the small tables and graphs that cli-export runs
+# (at most exact.SMALL_TABLE rows or edges, built from the closed forms) with
+# the fixture check, and each list-path table writer. With them, every command
+# of a cli-export round is here; this is the one list of numpy-free commands.
 ARRAY_FREE = [
-    ["embed", "phi", "--n", "6", "--m", "5", "--matrix"],
-    ["embed", "tau", "--n", "6", "--m", "7", "--matrix", "--invert"],
-    ["gen", "hamming", "--n", "15", "--m", "3"],
-    ["embed", "tau", "--n", "4", "--m", "4"],
-    ["hanoi", "classic", "--n", "30"],
-    ["verify", "phi", "--n", "5", "--m", "3"],
-    ["verify", "epsilon", "--n", "4", "--m", "5", "--c-list", "1,2,3,4"],
-    ["corners-search", "--m", "4"],
-    ["verify", "single-twist", "--n", "4", "--m", "3"],
-    ["hanoi", "solve", "--from", "1" * 28],
-    ["hanoi", "solve", "--coords", "S", "--m", "4", "--from", "1020"],
-    ["hanoi", "solve", "--from", "12", "--m", "1"],
-    ["hanoi", "classic", "--n", "3", "--m", "4"],
-    ["embed", "tau", "--n", "5", "--m", "3"],
-    ["embed", "epsilon", "--n", "4", "--m", "5", "--c-list", "1,2,3,4"],
-    ["hanoi", "classic", "--n", "10", "--m", "5"],
-    ["hanoi", "solve", "--from", "121012101"],
-    ["diplomats", "--n", "9"],
-    ["gray", "--n", "10"],
-    ["--check-fixtures"],
-    ["gen", "sierpinski", "--n", "6", "--m", "3", "--format", "text"],
-    ["gen", "single-twist", "--n", "5", "--m", "3", "--format", "csv"],
-    ["gen", "hamming", "--n", "4", "--m", "4", "--format", "json"],
-    ["gen", "sierpinski", "--n", "4", "--m", "5", "--format", "dot"],
-    ["gen", "single-twist", "--n", "4", "--m", "4", "--format", "edgelist"],
+    (["embed", "phi", "--n", "6", "--m", "5", "--matrix"], 0),
+    (["embed", "tau", "--n", "6", "--m", "7", "--matrix", "--invert"], 0),
+    (["gen", "hamming", "--n", "15", "--m", "3"], 2),
+    (["embed", "tau", "--n", "4", "--m", "4"], 2),
+    (["hanoi", "classic", "--n", "30"], 2),
+    (["verify", "phi", "--n", "5", "--m", "3"], 0),
+    (["verify", "epsilon", "--n", "4", "--m", "5", "--c-list", "1,2,3,4"], 0),
+    (["verify", "epsilon", "--n", "4", "--m", "5", "--c-list", "3,1,4,2"], 0),
+    (["corners-search", "--m", "4"], 0),
+    (["verify", "single-twist", "--n", "4", "--m", "3"], 1),
+    (["verify", "single-twist", "--n", "1", "--m", "4"], 0),
+    (["verify", "single-twist", "--n", "2", "--m", "5"], 0),
+    (["hanoi", "solve", "--from", "1" * 28], 2),
+    (["hanoi", "solve", "--coords", "S", "--m", "4", "--from", "1020"], 2),
+    (["hanoi", "solve", "--from", "12", "--m", "1"], 2),
+    (["hanoi", "classic", "--n", "3", "--m", "4"], 2),
+    (["embed", "tau", "--n", "5", "--m", "3"], 0),
+    (["embed", "tau", "--n", "3", "--m", "5", "--invert"], 0),
+    (["embed", "tau", "--n", "3", "--m", "5", "--format", "csv"], 0),
+    (["embed", "epsilon", "--n", "4", "--m", "5", "--c-list", "1,2,3,4"], 0),
+    (["embed", "epsilon", "--n", "4", "--m", "5", "--c-list", "3,1,4,2"], 0),
+    (["hanoi", "classic", "--n", "5", "--format", "json"], 0),
+    (["hanoi", "classic", "--n", "10", "--m", "5"], 0),
+    (["hanoi", "classic", "--n", "12"], 0),
+    (["hanoi", "solve", "--from", "1020"], 0),
+    (["hanoi", "solve", "--from", "121012101"], 0),
+    (["diplomats", "--n", "9"], 0),
+    (["gray", "--n", "10"], 0),
+    (["gray", "--n", "10", "--format", "int"], 0),
+    (["gray", "--n", "10", "--format", "both"], 0),
+    (["--check-fixtures"], 0),
+    (["gen", "sierpinski", "--n", "6", "--m", "3", "--format", "text"], 0),
+    (["gen", "single-twist", "--n", "5", "--m", "3", "--format", "csv"], 0),
+    (["gen", "hamming", "--n", "4", "--m", "4", "--format", "json"], 0),
+    (["gen", "sierpinski", "--n", "4", "--m", "5", "--format", "dot"], 0),
+    (["gen", "single-twist", "--n", "4", "--m", "4", "--format", "edgelist"], 0),
 ]
 # Run a command as `python -m sierham.cli` runs it, and report what it printed
 # and which of numpy and dataclasses (and through it inspect) it imported.
@@ -615,10 +630,11 @@ def _child(*args: str) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("argv", ARRAY_FREE, ids=" ".join)
-def test_array_free_commands_run_without_numpy(argv, capsys):
-    out, err, code, loaded = json.loads(_child(RUN_MODULE, json.dumps(argv)))
+@pytest.mark.parametrize("argv,code", ARRAY_FREE, ids=[" ".join(a) for a, _ in ARRAY_FREE])
+def test_array_free_commands_run_without_numpy(argv, code, capsys):
+    out, err, exit_code, loaded = json.loads(_child(RUN_MODULE, json.dumps(argv)))
     assert loaded == []
+    assert exit_code == code
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
 
@@ -670,7 +686,6 @@ CALLED_BY_ATTRIBUTE = [
     ("graphs", "build_sierpinski", ["gen", "sierpinski", "--n", "3", "--m", "10"]),
     ("graphs", "build_hamming", ["gen", "hamming", "--n", "6", "--m", "3"]),
     ("graphs", "build_single_twist", ["gen", "single-twist", "--n", "2", "--m", "21"]),
-    ("maps", "verify_coordinatization", ["verify", "single-twist", "--n", "2", "--m", "3"]),
     # each table handler's one exact.table call, and the array it builds just
     # above exact.SMALL_TABLE rows
     ("exact", "table", ["embed", "tau", "--n", "3", "--m", "5", "--invert"]),

@@ -86,11 +86,13 @@ GOLDEN: dict[str, list[str]] = {
     },
     "corners_search_m4.json.txt": ["corners-search", "--m", "4", "--format", "json"],
     "verify_phi_n3_m3.json.txt": ["verify", "phi", "--n", "3", "--m", "3", "--format", "json"],
-    # the verifier lists five violations and counts the other seven
+    # at depth 4 the verifier lists five violations and counts the other seven;
+    # at depth 1 and 2 the twist is a relabeled S(n,m) and every check holds
     **{
-        f"verify_single_twist_n4_m3.{suffix}txt": [
-            "verify", "single-twist", "--n", "4", "--m", "3", "--format", fmt,
+        f"verify_single_twist_n{n}_m{m}.{suffix}txt": [
+            "verify", "single-twist", "--n", str(n), "--m", str(m), "--format", fmt,
         ]
+        for n, m in ((4, 3), (1, 4), (2, 5))
         for fmt, suffix in (("text", ""), ("json", "json."))
     },
     # the S column (seven digits) is wider than its S(7,3) header

@@ -234,6 +234,22 @@ def test_linear_map_validation():
         compose_linear_maps(identity_map(2, 3), identity_map(3, 3))
 
 
+@pytest.mark.parametrize("entry", [2.5, 2.0])
+def test_linear_map_rejects_non_integer_entries(entry):
+    # a float would be truncated by image, kept by apply and refused only by layout_metrics' gcd
+    with pytest.raises(TypeError):
+        LinearMap(3, [[1, 0], [entry, 1]])
+
+
+def test_linear_map_stores_numpy_integers_as_python_ints():
+    lm = LinearMap(3, [[np.int64(4), np.int64(0)], [np.int64(-1), np.int64(2)]])
+    plain = LinearMap(3, ((1, 0), (2, 2)))
+    assert lm == plain and lm.rows == ((1, 0), (2, 2))
+    assert {type(x) for row in lm.rows for x in row} == {int}
+    assert lm.apply((1, 1)) == (1, 1)
+    assert maps.layout_metrics(lm, 2, 3) == maps.layout_metrics(plain, 2, 3)
+
+
 def test_linear_map_rejects_small_parameters():
     with pytest.raises(ValueError, match=r"^m must be >= 2, got 1$"):
         LinearMap(1, ((0,),))
