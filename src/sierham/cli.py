@@ -17,14 +17,15 @@ sierham script run entry, which calls main and then freezes the heap
 
 Importing this module loads the integer layer (exact) and no numpy, json,
 fractions or dataclasses. Each handler runs its library guards first, every
-one its table would meet, in that order. A table handler then makes one
-exact.table call with its row function, which builds at most
-exact.SMALL_TABLE rows as Python ints and a larger table as an array. A gen
-graph of at most SMALL_TABLE edges is exact.graph_edges; a larger one is
-built by the graphs builder, read as an attribute at call time so that a
-tracer's wrapper sees the call. So refusals, matrices, densities, the corner
-search, verdicts the matrix rows or the degree formula decide, the small
-tables and graphs and the fixture check run without numpy.
+one its table would meet, in that order. The Hanoi and Gray handlers take
+their table's guards, row function and row count from the definition in
+exact that the library tables use too (classic_table, solve_table,
+gray_table), and embed takes the family's map_row over m^n rows. Each then
+makes one exact.table call, which builds a small table as Python ints and a
+larger one as an array. gen makes one exact.graph call, which forks the same
+way on the edge count. So refusals, matrices, densities, the corner search,
+verdicts the matrix rows or the degree formula decide, the small tables and
+graphs and the fixture check run without numpy.
 """
 from __future__ import annotations
 
@@ -37,14 +38,9 @@ from pathlib import Path
 
 from . import exact
 from .exact import (
-    EdgeList,
     TwistFamily,
-    _check_geodesic,
-    _check_graph,
-    _check_gray,
     _check_matrix,
     _check_modulus,
-    _check_play,
     _check_scale,
     _inverse_of_two,
     _json,
@@ -53,9 +49,7 @@ from .exact import (
     edge_density,
     embedding_matrix,
     format_vertex,
-    graph_edges,
     parse_vertex,
-    tau_inverse,
     twist_family,
     verify_embedding,
     verify_single_twist,
@@ -95,16 +89,9 @@ def _family_for(args: argparse.Namespace) -> TwistFamily:
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
-    n, m, kind = args.n, args.m, args.kind
-    edges = _check_graph(kind, n, m)  # every guard the array builder meets
+    g = exact.graph(args.kind, args.n, args.m)
     from . import serialize
 
-    if edges <= exact.SMALL_TABLE:
-        g = EdgeList(n, m, kind, graph_edges(kind, n, m))
-    else:
-        from . import graphs
-
-        g = getattr(graphs, f"build_{kind.replace('-', '_')}")(n, m)
     return serialize.render_graph(g, args.fmt), 0
 
 
@@ -167,39 +154,31 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_classic(args: argparse.Namespace) -> tuple[str, int]:
-    n, m = args.n, args.m
-    _check_play(n)  # an oversize n is refused before 2^n steps exist
-    family = twist_family("tau", n, m)  # then n, m and tau's odd m
+    row, count = exact.classic_table(args.n, args.m)
     from . import serialize
 
-    # step ell is binary ell and its tau image
-    bits, play = exact.table(lambda ell: exact.map_row(ell, family, 2), 2**n, m)
-    return serialize.write("hanoi_table", args.fmt, range(2**n), bits, play, m), 0
+    bits, play = exact.table(row, count, args.m)
+    return serialize.write("hanoi_table", args.fmt, range(count), bits, play, args.m), 0
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[str, int]:
     m = args.m
-    _check_modulus(m)  # m, then tau's odd m, then the digits and the size
+    # parse_vertex checks the digits, so m (at least 2, then odd) is checked before
+    # it here, in solve_table's order
+    _check_modulus(m)
     _inverse_of_two(m)
-    start = parse_vertex(args.position, m)
-    v = tau_inverse(start, m) if args.coords == "T" else start
-    d = _check_geodesic(v)
-    family = twist_family("tau", len(start), m)  # with the n x n matrix guard
+    row, count = exact.solve_table(parse_vertex(args.position, m), m, args.coords)
     from . import serialize
 
-    # step k is the geodesic's step k and its tau image; each is one closer to 0^n
-    s, t = exact.table(lambda k: exact.solve_row(k, v, d, family), d + 1, m)
-    return serialize.write("hanoi_table", args.fmt, range(d, -1, -1), s, t, m), 0
+    s, t = exact.table(row, count, m)  # each step is one closer to 0^n
+    return serialize.write("hanoi_table", args.fmt, range(count - 1, -1, -1), s, t, m), 0
 
 
 def cmd_gray(args: argparse.Namespace) -> tuple[str, int]:
-    n = args.n
-    _check_gray(n)
-    family = twist_family("phi", n, 2)  # then n
+    row, count = exact.gray_table(args.n)
     from . import serialize
 
-    # word ell is the phi image of binary ell
-    (words,) = exact.table(lambda ell: exact.map_row(ell, family, 2)[1:], 2**n, 2)
+    (words,) = exact.table(row, count, 2)
     return serialize.write("gray", args.fmt, words), 0
 
 

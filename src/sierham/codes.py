@@ -5,7 +5,8 @@ reflected binary Gray code; eta is the natural base-2 value of a bit tuple
 and gamma the position of a codeword in the Gray order. eta and eta_inverse
 are the graphs codec at m = 2, gamma is eta of the prefix parities: exact
 integers, so n can exceed the machine word size. gray_sequence is phi of
-all 2^n binary rows, one (2^n, n) array from exact.table_array.
+all 2^n binary rows, one (2^n, n) array from exact.table_array of
+exact.gray_table, the guards and row the gray command uses too.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import Vertex, _check_gray, _check_params, map_row, table_array, twist_family
+from .exact import Vertex, _check_params, gray_table, table_array
 from .graphs import code_to_vertex, vertex_to_code
 
 
@@ -56,6 +57,4 @@ def gray_sequence(n: int) -> np.ndarray:
     the classic reflect-and-prefix construction. Refuses more than
     MAX_VERTICES rows before building any of them.
     """
-    _check_gray(n)
-    family = twist_family("phi", n, 2)
-    return table_array(lambda ell: map_row(ell, family, 2)[1:], 2**n, 2)[:, 0].astype(np.int64)
+    return table_array(*gray_table(n), 2)[:, 0].astype(np.int64)

@@ -11,16 +11,18 @@ matrix writers with the two output primitives _lines and _json.
 Each table has one row function, integer arithmetic on a row index that is
 a Python int or an index array: map_row (the digits of v and their image;
 the classic play and the Gray sequence are map_row of binary ell) and
-solve_row (geodesic_step and its tau image). table builds at most
-SMALL_TABLE rows as Python int tuples, and more as table_array's array,
-which hanoi and codes return too. This module imports no numpy (only
-table_array and LinearMap.image load it), no dataclasses (TwistFamily and
-LinearMap are __slots__ values), and json and fractions only when used;
-graphs, hanoi, maps and serialize re-export its names. verify_single_twist
-answers every n from its formula, and verify_embedding imports maps only
-when the rows do not decide. _report builds every verifier's report, here
-and in maps: the checks as bools, verdict (every check holds), violations
-and, when counted, violations_total.
+solve_row (geodesic_step and its tau image). classic_table, gray_table and
+solve_table define those tables once, for the CLI's table and the library's
+table_array: the guards in order, then (row function, row count). table
+builds at most SMALL_TABLE rows as Python int tuples, and more as
+table_array's array; graph forks gen's graph at SMALL_TABLE edges alike.
+This module imports no numpy (only table_array, graph and LinearMap.image
+load it), no dataclasses (TwistFamily and LinearMap are __slots__ values),
+and json and fractions only when used; graphs, hanoi, maps and serialize
+re-export its names. verify_single_twist answers every n from its formula,
+and verify_embedding imports maps only when the rows do not decide. _report
+builds every verifier's report, here and in maps: the checks as bools,
+verdict (every check holds), violations and, when counted, violations_total.
 
 The row rule: an S(n,m) edge at position h between digits i and j has
 u - v = (0^h, d, (-d)^(n-h-1)) with d = i - j, so a lower-triangular map A
@@ -101,16 +103,6 @@ def _check_rows(n: int, what: str) -> None:
         )
 
 
-def _check_play(n: int) -> None:
-    """The row guard of the classic play (and so of the diplomats table)."""
-    _check_rows(n, f"the classic solution for n={n}")
-
-
-def _check_gray(n: int) -> None:
-    """The row guard of the Gray sequence."""
-    _check_rows(n, f"the Gray sequence for n={n}")
-
-
 def _check_matrix(n: int) -> None:
     """Refuse an n x n matrix of more than MAX_VERTICES entries before building a row."""
     if n * n > MAX_VERTICES:
@@ -180,7 +172,7 @@ def graph_edges(kind: str, n: int, m: int) -> list[tuple[int, int]]:
     and a tail of i, for i < j; the single twist gives both tails
     (i + j) mod m. A K_m^n vertex u's larger partners are u + s * m^pos,
     s = 1..m-1-u_pos, which ascend taken least significant position first.
-    Runs no guard: gen runs _check_graph before it calls this.
+    Runs no guard: graph runs _check_graph before it calls this.
     """
     if kind == "hamming":
         weights = [m**pos for pos in range(n)]  # least significant first
@@ -316,12 +308,6 @@ def geodesic_step(k, v: Sequence[int], d: int) -> list:
         w = agree * v[i] + (1 - agree) * w
         digits.append((r >> s & 1) * w)
     return digits
-
-
-def geodesic_to_zero(v: Sequence[int]) -> list[Vertex]:
-    """The d + 1 steps of the geodesic from v to 0^n in S(n,m), as geodesic_step tuples."""
-    d = _check_geodesic(v)
-    return [tuple(geodesic_step(k, v, d)) for k in range(d + 1)]
 
 
 class _Value:
@@ -559,6 +545,41 @@ def solve_row(k, v: Sequence[int], d: int, family: TwistFamily) -> tuple[list, V
     """Step k of the play solved from v: the geodesic's step and its image under family (tau's)."""
     s = geodesic_step(k, v, d)
     return s, epsilon_forward(s, family)
+
+
+def classic_table(n: int, m: int) -> tuple[Callable, int]:
+    """The classic play's guards, then its row (binary ell, its tau image) and row count."""
+    _check_rows(n, f"the classic solution for n={n}")  # before 2^n steps exist
+    family = twist_family("tau", n, m)  # then n, m and tau's odd m
+    return lambda ell: map_row(ell, family, 2), 2**n
+
+
+def gray_table(n: int) -> tuple[Callable, int]:
+    """The Gray sequence's guards, then its row (phi of binary ell) and row count."""
+    _check_rows(n, f"the Gray sequence for n={n}")
+    family = twist_family("phi", n, 2)  # then n
+    return lambda ell: map_row(ell, family, 2)[1:], 2**n
+
+
+def solve_table(t: Sequence[int], m: int, coords: str = "T") -> tuple[Callable, int]:
+    """The play solved from t (coords T, or S for S(n,m)): its guards, then its row and count."""
+    _check_modulus(m)  # m, then tau's odd m, then the digits and the size
+    _inverse_of_two(m)
+    check_vertex(t, len(t), m)
+    v = tau_inverse(t, m) if coords == "T" else t
+    d = _check_geodesic(v)
+    family = twist_family("tau", len(t), m)  # with the n x n matrix guard
+    return lambda k: solve_row(k, v, d, family), d + 1
+
+
+def graph(kind: str, n: int, m: int):
+    """gen's graph after its guards: graph_edges up to SMALL_TABLE edges, else the graphs
+    builder's, read as an attribute at call time so that a tracer's wrapper sees the call."""
+    if _check_graph(kind, n, m) <= SMALL_TABLE:
+        return EdgeList(n, m, kind, graph_edges(kind, n, m))
+    from . import graphs
+
+    return getattr(graphs, f"build_{kind.replace('-', '_')}")(n, m)
 
 
 def table(row: Callable, count: int, m: int) -> list:

@@ -6,9 +6,10 @@ numbers discs the other way around). For odd m, the halved map tau turns
 puzzle positions into S(n,m) coordinates where shortest plays become
 graph geodesics: solve by pulling a position back through tau, reading
 off the unique geodesic to the all-zero corner in closed form, and
-pushing each step forward again. Every table is exact.table_array of
-its row function, exact.map_row or exact.solve_row, and stays a digit
-array up to serialize's writers (diplomats_table is one (2^n, 2, n) array).
+pushing each step forward again. Every table is one exact.table_array
+call, of its definition in exact (classic_table, solve_table) or of
+exact.geodesic_step, and stays a digit array up to serialize's writers
+(diplomats_table is one (2^n, 2, n) array).
 
 A single move of disc d from peg i to peg j is legal when every smaller
 disc sits on peg (i+j)/2 mod m; for m = 3 that is the familiar physical
@@ -23,9 +24,9 @@ import numpy as np
 
 from .codes import eta_inverse
 from .exact import (  # re-exported: the corner search and the geodesic guard need no array
-    Vertex, _check_geodesic, _check_params, _check_play, _inverse_of_two, check_vertex,
-    constant_corner_search, geodesic_step, map_row, path_length_to_zero, phi_forward,
-    solve_row, table_array, tau_inverse, twist_family,
+    Vertex, _check_geodesic, _check_params, _inverse_of_two, check_vertex, classic_table,
+    constant_corner_search, geodesic_step, path_length_to_zero, phi_forward, solve_table,
+    table_array,
 )
 from .graphs import check_pair
 
@@ -70,7 +71,7 @@ class MovePath:
 
 
 def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
-    """The unique geodesic from v to 0^n in S(n,m), by exact.geodesic_step (as geodesic_to_zero)."""
+    """The unique geodesic from v to 0^n in S(n,m), by exact.geodesic_step."""
     n = len(v)
     _check_params(n, m)
     check_vertex(v, n, m)
@@ -79,12 +80,9 @@ def shortest_path_to_zero(v: Sequence[int], m: int) -> MovePath:
 
 
 def solve_from_position(t: Sequence[int], m: int) -> MovePath:
-    """Optimal play from t to all discs on peg 0 (odd m): exact.solve_row's tau images."""
-    check_vertex(t, len(t), m)
-    v = tau_inverse(t, m)
-    d = _check_geodesic(v)
-    family = twist_family("tau", len(t), m)
-    return MovePath("T", m, table_array(lambda k: solve_row(k, v, d, family)[1:], d + 1, m)[:, 0])
+    """Optimal play from t to all discs on peg 0 (odd m): exact.solve_table's tau images."""
+    row, count = solve_table(t, m)
+    return MovePath("T", m, table_array(lambda k: row(k)[1:], count, m)[:, 0])
 
 
 def classic_solution(n: int, m: int = 3) -> MovePath:
@@ -95,9 +93,8 @@ def classic_solution(n: int, m: int = 3) -> MovePath:
     geodesic between the two corners in increasing lexicographic order.
     Refuses more than MAX_VERTICES positions before building any of them.
     """
-    _check_play(n)
-    family = twist_family("tau", n, m)
-    return MovePath("T", m, table_array(lambda ell: map_row(ell, family, 2)[1:], 2**n, m)[:, 0])
+    row, count = classic_table(n, m)
+    return MovePath("T", m, table_array(lambda ell: row(ell)[1:], count, m)[:, 0])
 
 
 def _check_step(ell: int, i: int, n: int) -> None:
@@ -169,6 +166,4 @@ def diplomats_table(n: int) -> np.ndarray:
     """The five-peg transport schedule, an int64 (2^n, 2, n) digit array:
     [ell, 0] is binary ell and [ell, 1] is step ell of the five-peg classic
     play, its halved-map image over m = 5 (exact.map_row)."""
-    _check_play(n)
-    family = twist_family("tau", n, 5)
-    return table_array(lambda ell: map_row(ell, family, 2), 2**n, 5).astype(np.int64)
+    return table_array(*classic_table(n, 5), 5).astype(np.int64)

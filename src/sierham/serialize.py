@@ -175,7 +175,7 @@ def hanoi_table_to_text(ell: Steps, s: Rows, t: Rows, m: int) -> str:
     """Step index, S and T positions, in columns sized first and padded row by row."""
     s_head, t_head = (f"{c}({len(s[0])},{m})" for c in "ST")
     s_labels = list(vertex_labels(s, m))
-    top = max(ell, default=0) if isinstance(ell, (range, list)) else ell.max(initial=0)
+    top = max(_column(ell), default=0)
     wl = f">{max(3, len(str(top)))}"
     ws = f"<{max(len(s_head), max(map(len, s_labels), default=0))}"
     steps = map(format, _column(ell), repeat(wl))

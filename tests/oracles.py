@@ -365,6 +365,15 @@ def geodesic_walk(v, m: int):
     return MovePath("S", m, positions)
 
 
+def geodesic_to_zero(v) -> list[Vertex]:
+    """The d + 1 steps of the geodesic from v to 0^n in S(n,m), as tuples of Python
+    ints: exact.geodesic_step on each int k, after exact._check_geodesic's guard."""
+    from sierham.exact import _check_geodesic, geodesic_step
+
+    d = _check_geodesic(v)
+    return [tuple(geodesic_step(k, v, d)) for k in range(d + 1)]
+
+
 def solve_positions_loop(t, m: int) -> list[Vertex]:
     from sierham.maps import tau_forward, tau_inverse
 

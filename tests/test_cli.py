@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sierham import cli, exact, hanoi, kernels
+from sierham import cli, codes, exact, hanoi, kernels
 from sierham.cli import FIXTURES, main, run_command
 from sierham.graphs import MAX_VERTICES, build_sierpinski, sierpinski_edge_count
 from sierham.serialize import graph_from_json
@@ -384,6 +384,35 @@ def test_solve_refuses_an_even_modulus_before_building_the_geodesic(coords, monk
     monkeypatch.setattr(hanoi, "shortest_path_to_zero", refuse)
     assert main(["hanoi", "solve", "--coords", coords, "--m", "4", "--from", "1" * 18]) == 2
     assert capsys.readouterr() == ("", "error: no multiplicative inverse of 2 mod 4\n")
+
+
+# each command beside the library call that builds the same table
+REFUSAL_PAIRS = [
+    (["hanoi", "classic", "--n", "0"], lambda: hanoi.classic_solution(0)),
+    (["hanoi", "classic", "--n", "2", "--m", "1"], lambda: hanoi.classic_solution(2, 1)),
+    (["hanoi", "classic", "--n", "3", "--m", "4"], lambda: hanoi.classic_solution(3, 4)),
+    (["hanoi", "classic", "--n", "30"], lambda: hanoi.classic_solution(30)),
+    (["diplomats", "--n", "0"], lambda: hanoi.diplomats_table(0)),
+    (["diplomats", "--n", "24"], lambda: hanoi.diplomats_table(24)),
+    (["gray", "--n", "0"], lambda: codes.gray_sequence(0)),
+    (["gray", "--n", "-1"], lambda: codes.gray_sequence(-1)),
+    (["gray", "--n", "24"], lambda: codes.gray_sequence(24)),
+    (["hanoi", "solve", "--from", "12", "--m", "1"], lambda: hanoi.solve_from_position((1, 2), 1)),
+    (["hanoi", "solve", "--from", "1020", "--m", "4"], lambda: hanoi.solve_from_position((1, 0, 2, 0), 4)),
+    (["hanoi", "solve", "--from", "15", "--m", "4"], lambda: hanoi.solve_from_position((1, 5), 4)),
+    (["hanoi", "solve", "--from", "1930"], lambda: hanoi.solve_from_position((1, 9, 3, 0), 3)),
+    (["hanoi", "solve", "--from", "1" * 28], lambda: hanoi.solve_from_position((1,) * 28, 3)),
+    (["hanoi", "solve", "--m", "13", "--from", "1 13 0"], lambda: hanoi.solve_from_position((1, 13, 0), 13)),
+]
+
+
+@pytest.mark.parametrize("argv,build", REFUSAL_PAIRS, ids=[" ".join(a) for a, _ in REFUSAL_PAIRS])
+def test_library_tables_refuse_as_their_commands_do(argv, build, capsys):
+    # the same guards in the same order: the first refusal reads the same
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {refused.value}\n")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from sierham import codes
+from sierham import codes, exact
 from sierham.codes import eta, eta_inverse, gamma, gray_sequence
 from sierham.graphs import MAX_VERTICES, build_sierpinski, code_to_vertex
 from sierham.maps import phi_forward, phi_inverse
@@ -72,7 +72,7 @@ def test_gray_sequence_refuses_more_than_max_vertices_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Gray sequence was built past the row guard")
 
-    monkeypatch.setattr(codes, "twist_family", refuse)
+    monkeypatch.setattr(exact, "twist_family", refuse)
     monkeypatch.setattr(codes, "table_array", refuse)
     message = f"2^24 = {2**24} rows of the Gray sequence for n=24 (limit {MAX_VERTICES})"
     with pytest.raises(ValueError, match=re.escape(message)):

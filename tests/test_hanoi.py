@@ -126,7 +126,7 @@ def test_geodesic_matches_the_walk(n, m):
         walked = oracles.geodesic_walk(v, m).positions
         assert closed.dtype == walked.dtype
         assert oracles.as_tuples(closed) == oracles.as_tuples(walked)
-        assert exact.geodesic_to_zero(v) == oracles.as_tuples(walked)  # the scalar closed form
+        assert oracles.geodesic_to_zero(v) == oracles.as_tuples(walked)  # the scalar closed form
 
 
 @pytest.mark.parametrize(
@@ -141,7 +141,7 @@ def test_geodesic_matches_the_walk_past_int64(v, m):
     walked = oracles.geodesic_walk(v, m).positions
     assert closed.dtype == walked.dtype
     assert oracles.as_tuples(closed) == oracles.as_tuples(walked)
-    assert exact.geodesic_to_zero(v) == oracles.as_tuples(walked)
+    assert oracles.geodesic_to_zero(v) == oracles.as_tuples(walked)
 
 
 @pytest.mark.parametrize(
@@ -159,7 +159,7 @@ def test_geodesic_refuses_empty_and_oversize_starts(v, message):
         shortest_path_to_zero(v, 3)
     if v:  # the scalar form runs the geodesic guard; n >= 1 is its caller's check
         with pytest.raises(ValueError, match="^" + re.escape(message)):
-            exact.geodesic_to_zero(v)
+            oracles.geodesic_to_zero(v)
 
 
 # ---------------------------------------------------------------- solving
@@ -463,7 +463,7 @@ def test_tables_refuse_more_than_max_vertices_rows_before_building_one(build, mo
     def refuse(*args):
         raise AssertionError("a table was built past the row guard")
 
-    monkeypatch.setattr(hanoi, "twist_family", refuse)
+    monkeypatch.setattr(exact, "twist_family", refuse)
     monkeypatch.setattr(hanoi, "table_array", refuse)
     # 2^24 rows is the first power of two above MAX_VERTICES
     message = f"rows of the classic solution for n=24 (limit {MAX_VERTICES})"
