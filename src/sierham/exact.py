@@ -565,6 +565,8 @@ def solve_table(t: Sequence[int], m: int, coords: str = "T") -> tuple[Callable, 
     """The play solved from t (coords T, or S for S(n,m)): its guards, then its row and count."""
     _check_modulus(m)  # m, then tau's odd m, then the digits and the size
     _inverse_of_two(m)
+    if not t:
+        raise ValueError("empty vertex string")  # as parse_vertex refuses --from ""
     check_vertex(t, len(t), m)
     v = tau_inverse(t, m) if coords == "T" else t
     d = _check_geodesic(v)

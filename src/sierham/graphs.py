@@ -147,6 +147,7 @@ class Graph:
     kind: str
     edges: np.ndarray = field(repr=False)
     _keys: np.ndarray = field(init=False, repr=False)  # edge_keys of edges
+    _built: bool = field(init=False, default=False, repr=False)  # made by _adopt from a builder's rows
 
     def __post_init__(self) -> None:
         _check_scale(self.n, self.m)
@@ -183,6 +184,14 @@ class Graph:
         return int(self.edges.shape[0])
 
     def degrees(self) -> np.ndarray:
+        """The degree of every vertex, by code, as a fresh int64 array.
+
+        A builder's graph takes them from its kind's closed form
+        (kernels.vertex_degrees); any other graph, whatever its kind,
+        counts the endpoints of its edges.
+        """
+        if self._built:
+            return kernels.vertex_degrees(self.kind, self.n, self.m)
         return np.bincount(self.edges.ravel(), minlength=self.num_vertices)
 
     def has_edge(self, u: Sequence[int], v: Sequence[int]) -> bool:
@@ -205,8 +214,11 @@ class Graph:
 
 
 def _adopt(n: int, m: int, kind: str, rows: np.ndarray) -> Graph:
-    """A Graph on a kernel's fresh rows: the same checks, without the copy."""
-    return Graph(n, m, kind, rows.view(_Fresh))
+    """A builder's Graph on its kernel's fresh rows: the same checks, without the
+    copy, and degrees from kind's closed form."""
+    g = Graph(n, m, kind, rows.view(_Fresh))
+    object.__setattr__(g, "_built", True)
+    return g
 
 
 def build_sierpinski(n: int, m: int) -> Graph:

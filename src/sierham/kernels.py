@@ -1,9 +1,11 @@
-"""Array kernels for bulk edge generation and digit comparisons.
+"""Array kernels for bulk edge generation, vertex degrees and digit comparisons.
 
 Each kernel is a closed form in numpy; the loop forms it replaces live in
 tests/oracles.py as references. The edge kernels emit their rows in
 canonical order: smaller endpoint first, rows sorted by (smaller, larger)
-endpoint with no repeats, so Graph only checks that order.
+endpoint with no repeats, so Graph only checks that order. vertex_degrees
+gives a built graph's degrees from the same closed forms, without reading
+its rows.
 
 A build's fixed cost is a few numpy calls per level of S(n,m) (one
 nonzero for K_m, the 1 digit graph; then one np.add per run of copy rows
@@ -169,6 +171,43 @@ def hamming_edges(n: int, m: int) -> np.ndarray:
         lo += start
         np.add(lo, lifts[cells], out=hi)
         w += cells.size
+    return out
+
+
+def vertex_degrees(kind: str, n: int, m: int) -> np.ndarray:
+    """Degree of every vertex of the builders' graph of kind, by code, as a fresh int64 array.
+
+    K_m^n is n(m-1)-regular. S(n,m) has degree m except at its m corners
+    i^n, codes c (m^n - 1)/(m - 1), which have m - 1. In the single twist,
+    x has m - 1 neighbours differing at its last digit k = x_(n-1), and
+    one more at each h < n-1 whose later digits are all k, unless
+    2 x_h = k mod m (exact._twist_degree sums the same terms):
+    deg(x) = m - 1 + sum_h [x_(h+1..n-1) = k^(n-1-h)] [2 x_h != k mod m].
+    The sum grows one leading digit a at a time: the j-digit degrees, one
+    row per a, gain the m x m table [2a != k mod m] at the columns k^j,
+    codes k (m^j - 1)/(m - 1), a basic slice.
+    """
+    size = m**n
+    if kind == "hamming":
+        return np.full(size, n * (m - 1), np.int64)
+    if kind == "sierpinski":
+        out = np.full(size, m, np.int64)
+        out[:: (size - 1) // (m - 1)] = m - 1
+        return out
+    if kind != "single-twist":
+        raise ValueError(f"no degree formula for graph kind {kind!r}")
+    out = np.empty(size, np.int64)
+    out[:m] = m - 1  # the 1 digit degrees, K_m's
+    if n > 1:
+        a = np.arange(m)
+        step = np.not_equal.outer(2 * a % m, a)  # [2a != k mod m] at [a, k]
+        span, rep = m, 1  # m^j and the code of a length-j run of 1s
+        while span < size:
+            level = out[: m * span].reshape(m, span)
+            level[1:] = out[:span]
+            level[:, ::rep] += step
+            rep += span
+            span *= m
     return out
 
 

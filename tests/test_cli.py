@@ -403,6 +403,7 @@ REFUSAL_PAIRS = [
     (["hanoi", "solve", "--from", "1930"], lambda: hanoi.solve_from_position((1, 9, 3, 0), 3)),
     (["hanoi", "solve", "--from", "1" * 28], lambda: hanoi.solve_from_position((1,) * 28, 3)),
     (["hanoi", "solve", "--m", "13", "--from", "1 13 0"], lambda: hanoi.solve_from_position((1, 13, 0), 13)),
+    (["hanoi", "solve", "--from", ""], lambda: hanoi.solve_from_position((), 3)),
 ]
 
 

@@ -555,6 +555,106 @@ def test_from_edge_list_validates():
         from_edge_list(2, 3, "x", [((0, 1), (0, 3))])
 
 
+# ---------------------------------------------------------------- degrees
+
+BUILDERS = {"sierpinski": build_sierpinski, "single-twist": build_single_twist, "hamming": build_hamming}
+# every (n, m) with m^n <= 2 * 10^4 and m <= 141, the largest m with n = 2; then
+# n = 1 at m = 3000, K_3000 with 4.5 million edges
+DEGREE_SIZES = [(n, m) for n in range(1, 15) for m in range(2, 142) if m**n <= 2 * 10**4]
+DEGREE_SIZES.append((1, 3000))
+
+
+def counted_degrees(g):
+    return np.bincount(g.edges.ravel(), minlength=g.num_vertices)
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_built_graphs_take_their_degrees_from_the_closed_form(kind, monkeypatch):
+    from sierham import exact
+
+    calls = []
+    closed_form = kernels.vertex_degrees
+    monkeypatch.setattr(kernels, "vertex_degrees", lambda *args: calls.append(args) or closed_form(*args))
+    for n, m in DEGREE_SIZES:
+        g = BUILDERS[kind](n, m)
+        degrees = g.degrees()
+        assert calls.pop() == (kind, n, m)
+        assert degrees.dtype == np.int64
+        assert np.array_equal(degrees, counted_degrees(g)), (n, m)
+        again = g.degrees()
+        assert again is not degrees and np.array_equal(again, degrees)
+        degrees[:] = -1  # a fresh array: the next call does not see the write
+        assert np.array_equal(g.degrees(), again)
+        if kind == "single-twist" and m**n <= 3000:
+            assert again.tolist() == [exact._twist_degree(x, m) for x in oracles.all_vertices(n, m)]
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_graphs_not_made_by_a_builder_count_their_edges(kind, monkeypatch):
+    from sierham import serialize
+
+    def closed_form(*args):
+        raise AssertionError("a graph from outside input took a closed form")
+
+    rng = np.random.default_rng(3)
+    for n, m in [(1, 2), (1, 5), (2, 3), (3, 3), (3, 4), (4, 3), (5, 2)]:
+        built = BUILDERS[kind](n, m)
+        perm = rng.permutation(built.num_vertices)
+        monkeypatch.setattr(kernels, "vertex_degrees", closed_form)
+        subgraph = built.edges[: built.num_edges // 2]
+        pairs = [(code_to_vertex(a, n, m), code_to_vertex(b, n, m)) for a, b in subgraph.tolist()]
+        relabeled = Graph(n, m, kind, perm[build_sierpinski(n, m).edges])
+        outside = [
+            Graph(n, m, kind, built.edges),
+            Graph(n, m, kind, subgraph),
+            from_edge_list(n, m, kind, pairs),
+            serialize.graph_from_json(serialize.graph_to_json(relabeled)),
+        ]
+        for g in outside:
+            assert g.kind == kind
+            assert np.array_equal(g.degrees(), counted_degrees(g))
+        monkeypatch.undo()
+        assert np.array_equal(outside[0].degrees(), built.degrees())
+
+
+def _typed(report):
+    return [(key, type(value), repr(value)) for key, value in report.items()]
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 4), (3, 3), (3, 4), (4, 3), (5, 2), (5, 3)])
+def test_coordinatization_reports_read_the_same_from_either_degree_path(n, m):
+    from sierham.maps import verify_coordinatization
+
+    # the built twist's closed-form degrees against its rows given as outside input
+    twist = build_single_twist(n, m)
+    counted = verify_coordinatization(Graph(n, m, twist.kind, twist.edges))
+    assert _typed(verify_coordinatization(twist)) == _typed(counted)
+    # a relabeled S(n,m) counts its degrees, and its report keeps the built one's layout
+    s = build_sierpinski(n, m)
+    relabeled = Graph(n, m, "sierpinski", np.random.default_rng(n * m).permutation(s.num_vertices)[s.edges])
+    moved = verify_coordinatization(relabeled)
+    built = verify_coordinatization(s)
+    assert [(k, type(v)) for k, v in moved.items()] == [(k, type(v)) for k, v in built.items()]
+    assert moved["degree_sequence_matches"] and moved["isomorphic_to_sierpinski"]
+
+
+def test_single_twist_degrees_at_one_digit_build_no_digit_table():
+    # the m x m table [2a != k mod m] serves only n >= 2: at (1, 3000) it would be 9 MB
+    tracemalloc.start()
+    try:
+        degrees = kernels.vertex_degrees("single-twist", 1, 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced {peak} bytes"
+    assert np.array_equal(degrees, np.full(3000, 2999))
+
+
+def test_closed_form_degrees_refuse_a_kind_without_one():
+    with pytest.raises(ValueError, match="^no degree formula for graph kind 'x'$"):
+        kernels.vertex_degrees("x", 2, 3)
+
+
 # ---------------------------------------------------------------- symmetry
 
 
