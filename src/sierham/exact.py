@@ -3,10 +3,13 @@
 It holds the size guards and closed-form counts, the maps phi, tau and
 epsilon with their inverses and matrices (TwistFamily, twist_family,
 LinearMap, embedding_matrix, invert_linear_map), the row rule of
-verify_embedding, the single twist's degree formula, constant_corner_search,
-the gen graphs' edge sets (graph_edges, in an EdgeList), the vertex text
-format (_separators, format_vertex, parse_vertex, vertex_to_code), and the
-matrix writers with the two output primitives _lines and _json.
+verify_embedding, verify_single_twist, constant_corner_search, the one
+edge rule of the three graphs (_neighbors, a vertex's neighbour codes:
+graph_edges lists them in code order for gen, in an EdgeList,
+verify_single_twist counts them, graphs.is_sierpinski_edge looks one up),
+the vertex text format (_separators, format_vertex, parse_vertex,
+vertex_to_code), and the matrix writers with the two output primitives
+_lines and _json.
 
 Each table has one row function, integer arithmetic on a row index that is
 a Python int or an index array: map_row (the digits of v and their image;
@@ -61,7 +64,8 @@ def vertex_to_code(v: Sequence[int], m: int) -> int:
     return c
 
 
-def check_vertex(v: Sequence[int], n: int, m: int) -> None:
+def _check_digits(v: Sequence, n: int, m: int) -> None:
+    """n digits in [0, m), compared as they are: vertex-map outputs, read as their int64 values."""
     if len(v) != n:
         raise ValueError(f"expected {n} digits, got {len(v)}")
     for d in v:
@@ -69,13 +73,18 @@ def check_vertex(v: Sequence[int], n: int, m: int) -> None:
             raise ValueError(f"digit {d} out of range for alphabet {{0..{m - 1}}}")
 
 
+def check_vertex(v: Sequence[int], n: int, m: int) -> None:
+    """n integer digits in [0, m): a float digit raises TypeError (operator.index), as in LinearMap."""
+    _check_digits(list(map(index, v)), n, m)
+
+
 def _check_modulus(m: int) -> None:
-    if m < 2:
+    if index(m) < 2:
         raise ValueError(f"m must be >= 2, got {m}")
 
 
 def _check_params(n: int, m: int) -> None:
-    if n < 1:
+    if index(n) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_modulus(m)
 
@@ -163,40 +172,38 @@ class EdgeList(NamedTuple):
     edges: list[tuple[int, int]]
 
 
-def graph_edges(kind: str, n: int, m: int) -> list[tuple[int, int]]:
-    """The edge codes of S(n,m), K_m^n or the single twist, as the kernels emit them.
+def _neighbors(kind: str, x: Sequence[int], m: int) -> list[int]:
+    """The codes of vertex x's neighbours in S(n,m), the single twist or K_m^n, ascending.
 
-    Pairs of Python ints in canonical order (smaller endpoint first, sorted),
-    from the closed forms of the edge kernels. An S(n,m) edge at digit h
-    joins prefix p, digit i and a constant tail of j to prefix p, digit j
-    and a tail of i, for i < j; the single twist gives both tails
-    (i + j) mod m. A K_m^n vertex u's larger partners are u + s * m^pos,
-    s = 1..m-1-u_pos, which ascend taken least significant position first.
-    Runs no guard: graph runs _check_graph before it calls this.
+    K_m^n changes one digit. S(n,m) and the twist change the last digit k,
+    and join x = p i k^r to p j t^r when j != i, where j = k and t = i in
+    S(n,m), j = k - i mod m and t = k in the twist: S(n,m) at the end of x's
+    trailing run of k alone, the twist for each r while the digit before
+    the run still equals k.
     """
-    if kind == "hamming":
-        weights = [m**pos for pos in range(n)]  # least significant first
-        edges = []
-        for u in range(m**n):
-            x = u
-            for w in weights:
-                x, d = divmod(x, m)
-                edges += [(u, u + s * w) for s in range(1, m - d)]
-        return edges
-    if kind not in ("sierpinski", "single-twist"):
+    if kind not in ("sierpinski", "single-twist", "hamming"):
         raise ValueError(f"unknown graph kind {kind!r}")
-    edges = []
-    for h in range(n):
-        span = m ** (n - 1 - h)  # weight of digit h
-        rep = (span - 1) // (m - 1)  # code of a run of 1s after digit h
-        prefixes = range(0, m**n, m * span)
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                ti, tj = ((i + j) % m,) * 2 if kind == "single-twist" else (j, i)
-                near, far = i * span + ti * rep, j * span + tj * rep
-                edges += [(p + near, p + far) for p in prefixes]
-    edges.sort()
-    return edges
+    c, k = vertex_to_code(x, m), x[-1]
+    out, w = [c + s - k for s in range(m) if s != k], 1
+    for i in reversed(x[:-1]):
+        w *= m  # m^r
+        if kind == "hamming":
+            out += [c + (s - i) * w for s in range(m) if s != i]
+            continue
+        j, t = (k, i) if kind == "sierpinski" else ((k - i) % m, k)
+        if j != i:
+            out.append(c + (j - i) * w + (t - k) * ((w - 1) // (m - 1)))
+        if i != k:
+            break
+    return sorted(out)
+
+
+def graph_edges(kind: str, n: int, m: int) -> list[tuple[int, int]]:
+    """The edge codes of S(n,m), K_m^n or the single twist, as the kernels emit them:
+    each vertex u in code order with its larger _neighbors. Runs no guard: graph
+    runs _check_graph before it calls this."""
+    vertices = enumerate(product(range(m), repeat=n))
+    return [(u, w) for u, x in vertices for w in _neighbors(kind, x, m) if w > u]
 
 
 def edge_density(n: int, m: int) -> Fraction:
@@ -662,7 +669,7 @@ def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: i
     maps, which maps every vertex a row_blocks block at a time: a
     LinearMap by LinearMap.image on digit rows, a callable or a mapping
     once per vertex tuple, with each block of outputs checked at once and
-    check_vertex's error for the first bad one.
+    _check_digits' error for the first bad one.
 
     Report: is_bijection, all_edges_distance_one, edge_count_preserved,
     verdict, violations (at most 10 collisions, every distance violation).
@@ -679,22 +686,6 @@ def verify_embedding(vmap: LinearMap | VertexMap | Mapping[Vertex, Vertex], n: i
     return _verify_images(vmap, n, m)
 
 
-def _twist_degree(x: Sequence[int], m: int) -> int:
-    """Degree of vertex x in the single twist, from its digits alone.
-
-    The twist joins x to the vertex that differs from it only at h when the
-    digits after h are one constant k, and the other digit at h is
-    k - x_h != x_h mod m; with no digits after h (h = n-1) every other digit
-    qualifies. So if x ends in exactly t copies of k, then deg(x) = (m-1)
-    + (t-1) [k != 0] + [t < n] [2 x_(n-1-t) != k mod m], 0-based.
-    """
-    n, k = len(x), x[-1]
-    t = 1
-    while t < n and x[n - 1 - t] == k:
-        t += 1
-    return m - 1 + (t - 1) * (k != 0) + (t < n and (2 * x[n - 1 - t] - k) % m != 0)
-
-
 def verify_single_twist(n: int, m: int) -> dict:
     """maps.verify_coordinatization's report on graphs.build_single_twist(n, m), from digits.
 
@@ -708,19 +699,22 @@ def verify_single_twist(n: int, m: int) -> dict:
     each block x, and so keeps its clique, and sends the twist's bridge
     (i, i + j) -- (j, i + j) to S(2,m)'s bridge (i, j) -- (j, i).
 
-    For n >= 3, 1^n has degree m + n - 2 > m, and _twist_degree counts the
-    rest. A degree above m needs k != 0 and, if t = 2, 2 x_(n-3) != k. For
-    each k != 0 that is t = n (one vertex), 3 <= t < n (m^(n-3) - 1 vertices
-    in all), or t = 2 (m^(n-3) times the x != k with 2x != k). Summed over
-    k, with g = gcd(2, m) solutions of 2x = 0, there are m^(n-3) (m^2 - 2m
-    + g). The sampled violations are the first 10 such vertices in code
-    order.
+    For n >= 3, count _neighbors. If x ends in exactly t copies of k, its
+    partners are one for each r < t when k != 0 (there i = k, and 2k != k)
+    and one for r = t < n when 2 x_(n-1-t) != k mod m, 0-based, so deg(x) =
+    (m-1) + (t-1) [k != 0] + [t < n] [2 x_(n-1-t) != k]. 1^n has degree
+    m + n - 2 > m. A degree above m needs k != 0 and, if t = 2, 2 x_(n-3)
+    != k. For each k != 0 that is t = n (one vertex), 3 <= t < n (m^(n-3)
+    - 1 vertices in all), or t = 2 (m^(n-3) times the x != k with 2x !=
+    k). Summed over k, with g = gcd(2, m) solutions of 2x = 0, there are
+    m^(n-3) (m^2 - 2m + g). The sampled violations are the first 10 such
+    vertices in code order.
     """
     _check_sierpinski(n, m)
     total = m ** (n - 3) * (m * m - 2 * m + math.gcd(2, m)) if n >= 3 else 0
     violations = []
     for x in product(range(m), repeat=n) if total else ():
-        d = _twist_degree(x, m)
+        d = len(_neighbors("single-twist", x, m))
         if d > m:
             violations.append({"kind": "degree", "vertex": x, "degree": d, "allowed": [m - 1, m]})
             if len(violations) == 10:

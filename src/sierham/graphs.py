@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, product
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .exact import (  # re-exported: the guards, counts and vertex codes live in
     _check_params,
     _check_scale,
     _check_sierpinski,
+    _neighbors,
     check_vertex,
     edge_density,
     hamming_edge_count,
@@ -147,16 +149,18 @@ class Graph:
     kind: str
     edges: np.ndarray = field(repr=False)
     _keys: np.ndarray = field(init=False, repr=False)  # edge_keys of edges
-    _built: bool = field(init=False, default=False, repr=False)  # made by _adopt from a builder's rows
+    _built: bool = field(init=False, repr=False)  # edges came as a builder's _Fresh rows
 
     def __post_init__(self) -> None:
         _check_scale(self.n, self.m)
         size = self.m**self.n
         fresh = isinstance(self.edges, _Fresh)
-        e = np.asarray(self.edges, np.int64)
+        e = np.asarray(self.edges)
+        if e.size and e.dtype.kind not in "iu":  # refused, not truncated by the cast below
+            raise TypeError(f"edge endpoints must be integers, got dtype {e.dtype}")
         if e.size and (e.ndim != 2 or e.shape[1] != 2):
             raise ValueError(f"edges must be an (E, 2) array, got shape {e.shape}")
-        e = e.reshape(-1, 2)
+        e = e.astype(np.int64, copy=False).reshape(-1, 2)
         # range first: a negative endpoint could alias the key of a real edge
         if e.size and not (0 <= e.min() and e.max() < size):
             raise ValueError("edge endpoint out of vertex range")
@@ -174,6 +178,7 @@ class Graph:
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_built", fresh)
 
     @property
     def num_vertices(self) -> int:
@@ -216,9 +221,7 @@ class Graph:
 def _adopt(n: int, m: int, kind: str, rows: np.ndarray) -> Graph:
     """A builder's Graph on its kernel's fresh rows: the same checks, without the
     copy, and degrees from kind's closed form."""
-    g = Graph(n, m, kind, rows.view(_Fresh))
-    object.__setattr__(g, "_built", True)
-    return g
+    return Graph(n, m, kind, rows.view(_Fresh))
 
 
 def build_sierpinski(n: int, m: int) -> Graph:
@@ -252,15 +255,14 @@ def is_sierpinski_edge(u: Sequence[int], v: Sequence[int], m: int) -> bool:
     """Edge rule of S(n,m): equal prefix, one differing digit, crossed tails.
 
     True iff some position h has u_i = v_i for i < h, u_h != v_h, and
-    u_j = v_h, v_j = u_h for every j > h.
+    u_j = v_h, v_j = u_h for every j > h: iff v is among exact._neighbors of u.
     """
     check_pair(u, v, m)
-    if tuple(u) == tuple(v):
+    # as Python ints, so that codes of NumPy digits stay exact past int64
+    u, v, m = tuple(map(index, u)), tuple(map(index, v)), index(m)
+    if u == v:
         raise ValueError("u and v must be distinct")
-    h = 0  # first differing position, 0-based
-    while u[h] == v[h]:
-        h += 1
-    return all(u[j] == v[h] and v[j] == u[h] for j in range(h + 1, len(u)))
+    return vertex_to_code(v, m) in _neighbors("sierpinski", u, m)
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,7 @@ def vertex_degrees(kind: str, n: int, m: int) -> np.ndarray:
     i^n, codes c (m^n - 1)/(m - 1), which have m - 1. In the single twist,
     x has m - 1 neighbours differing at its last digit k = x_(n-1), and
     one more at each h < n-1 whose later digits are all k, unless
-    2 x_h = k mod m (exact._twist_degree sums the same terms):
+    2 x_h = k mod m (the partners exact._neighbors lists):
     deg(x) = m - 1 + sum_h [x_(h+1..n-1) = k^(n-1-h)] [2 x_h != k mod m].
     The sum grows one leading digit a at a time: the j-digit degrees, one
     row per a, gain the m x m table [2a != k mod m] at the columns k^j,

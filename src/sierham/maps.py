@@ -45,6 +45,7 @@ from .exact import (  # re-exported: the scalar maps and the matrices live in th
     Vertex,
     VertexMap,
     _check_adds,
+    _check_digits,
     _edge_differences,
     _report,
     embedding_matrix,
@@ -60,7 +61,6 @@ from .graphs import (
     Graph,
     _check_scale,
     build_sierpinski,
-    check_vertex,
     digit_rows,
     edge_keys,
     row_blocks,
@@ -109,12 +109,12 @@ def _labels(codes: np.ndarray, n: int, m: int) -> list[Vertex]:
 
 
 def _checked_rows(out: list, n: int, m: int) -> np.ndarray:
-    """Vertex-map outputs as a (k, n) int64 array, each checked as check_vertex checks it.
+    """Vertex-map outputs as a (k, n) int64 array, each checked by _check_digits.
 
     When every output holds n integers in [0, m), one pass converts them
     all. struct.pack takes integers only (a float or a str raises, and so
     does a digit past int64), and such a block goes the other way:
-    check_vertex runs on each output in vertex order and raises on the
+    _check_digits runs on each output in vertex order and raises on the
     first bad one, as it would have when that output arrived.
     """
     try:
@@ -126,7 +126,7 @@ def _checked_rows(out: list, n: int, m: int) -> np.ndarray:
     except (TypeError, struct.error):
         pass
     for v in out:
-        check_vertex(v, n, m)
+        _check_digits(v, n, m)
     return np.asarray(out, np.int64)
 
 
@@ -150,7 +150,7 @@ def _edge_images(
     A LinearMap, already checked against n and m, maps digit_rows blocks
     by image. A callable or a mapping is called once per vertex tuple, a
     row_blocks block at a time, and each block of outputs is checked at
-    once (_checked_rows): check_vertex runs per output only when the block
+    once (_checked_rows): _check_digits runs per output only when the block
     holds a bad one, so the first bad vertex and its message are those a
     check on arrival would give.
     """

@@ -259,7 +259,9 @@ def test_twist_degree_formula_counts_every_vertex(n, m):
     for edge in oracles.single_twist_edges_loop(n, m):
         for code in edge:
             degrees[code] += 1
-    assert [exact._twist_degree(code_to_vertex(c, n, m), m) for c in range(m**n)] == degrees
+    assert [
+        len(exact._neighbors("single-twist", code_to_vertex(c, n, m), m)) for c in range(m**n)
+    ] == degrees
 
 
 def test_verify_epsilon():

@@ -254,6 +254,17 @@ def test_edge_rule_examples():
     assert not is_sierpinski_edge((0, 1, 2), (1, 0, 0), 3)
 
 
+def test_edge_rule_refuses_non_integer_digits():
+    for u, v in [((0.5, 1), (1, 0)), ((0, 1), (1.0, 0))]:
+        with pytest.raises(TypeError):
+            is_sierpinski_edge(u, v, 3)
+    assert is_sierpinski_edge(np.array([0, 1]), (np.int8(1), np.uint64(0)), np.int64(3))
+    # NumPy digits whose codes pass int64: 3^45 > 2^63
+    u, v = np.array([1] + [0] * 44), np.array([0] + [1] * 44)
+    assert is_sierpinski_edge(u, v, np.int64(3))
+    assert not is_sierpinski_edge(u, v[::-1], 3)
+
+
 def test_edge_rule_rejects_equal_and_mismatched():
     with pytest.raises(ValueError):
         is_sierpinski_edge((0, 1), (0, 1), 3)
@@ -550,6 +561,32 @@ def test_has_edge_matches_oracle_on_every_pair(kind, build):
             assert g.has_edge(u, v) == ((min(a, b), max(a, b)) in expected)
 
 
+def test_graph_refuses_non_integer_edges():
+    for edges in ([(0.5, 1.7)], [(0.0, 1.0)], np.array([[0, 1]], np.float32)):
+        with pytest.raises(TypeError, match="edge endpoints must be integers"):
+            Graph(2, 3, "sierpinski", edges)
+    expected = Graph(2, 3, "sierpinski", [(0, 1)])
+    for edges in (np.array([[0, 1]], np.int32), np.array([[1, 0]], np.uint8), [(np.int64(0), np.int16(1))]):
+        assert Graph(2, 3, "sierpinski", edges) == expected
+    assert Graph(2, 3, "x", []).num_edges == 0  # an empty list reads as float64 and holds no endpoint
+
+
+def test_from_edge_list_refuses_non_integer_digits():
+    for pairs in ([((0.5,), (1,))], [((0, 1), (0, 2.0))]):
+        with pytest.raises(TypeError):
+            from_edge_list(len(pairs[0][0]), 3, "k", pairs)
+    g = from_edge_list(2, 3, "k", [((np.int64(0), np.uint8(1)), np.array([0, 2]))])
+    assert g.edges.tolist() == [[1, 2]]
+
+
+def test_has_edge_refuses_non_integer_digits():
+    g = build_sierpinski(2, 3)
+    for u, v in [((0.0, 1), (1, 0)), ((0, 1), (1, 0.5))]:
+        with pytest.raises(TypeError):
+            g.has_edge(u, v)
+    assert g.has_edge(np.array([0, 1]), (np.int8(1), np.uint64(0)))
+
+
 def test_from_edge_list_validates():
     with pytest.raises(ValueError):
         from_edge_list(2, 3, "x", [((0, 1), (0, 3))])
@@ -586,7 +623,7 @@ def test_built_graphs_take_their_degrees_from_the_closed_form(kind, monkeypatch)
         degrees[:] = -1  # a fresh array: the next call does not see the write
         assert np.array_equal(g.degrees(), again)
         if kind == "single-twist" and m**n <= 3000:
-            assert again.tolist() == [exact._twist_degree(x, m) for x in oracles.all_vertices(n, m)]
+            assert again.tolist() == [len(exact._neighbors(kind, x, m)) for x in oracles.all_vertices(n, m)]
 
 
 @pytest.mark.parametrize("kind", BUILDERS)

@@ -56,6 +56,25 @@ def test_graph_edges_are_the_kernel_rows(n, m, poisoned_empty):
         assert all(type(c) is int for pair in edges for c in pair)
 
 
+# every (n, m) with m <= 16 and m^n <= 2 * 10^4
+NEIGHBOR_GRAPHS = [(n, m) for m in range(2, 17) for n in range(1, 15) if m**n <= 2 * 10**4]
+
+
+@pytest.mark.parametrize("n,m", NEIGHBOR_GRAPHS)
+def test_neighbors_are_each_vertex_adjacency_in_the_kernel_rows(n, m):
+    for kind, (kernel, _, count) in zip(("sierpinski", "hamming", "single-twist"), KERNEL_ORACLES):
+        rows = kernel(n, m)
+        ends = np.concatenate([rows, rows[:, ::-1]])
+        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]  # each vertex's neighbours, ascending
+        lists = [exact._neighbors(kind, x, m) for x in oracles.all_vertices(n, m)]
+        assert all(a == sorted(set(a)) for a in lists), kind
+        lengths = list(map(len, lists))
+        assert lengths == np.bincount(ends[:, 0], minlength=m**n).tolist(), kind
+        assert [w for a in lists for w in a] == ends[:, 1].tolist(), kind
+        assert sum(lengths) == 2 * count(n, m)
+        assert lengths == kernels.vertex_degrees(kind, n, m).tolist(), kind
+
+
 @pytest.mark.parametrize("block", [7, 20])
 @pytest.mark.parametrize(
     "n,m", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 7)]

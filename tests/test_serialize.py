@@ -132,6 +132,12 @@ def test_json_read_refuses_bad_input_in_order(n, m, edges, message):
         graph_from_json(json.dumps({"n": n, "m": m, "kind": "x", "edges": edges}))
 
 
+@pytest.mark.parametrize("n,m", [(2.0, 3), (2, 3.0)])
+def test_json_read_refuses_non_integer_sizes(n, m):
+    with pytest.raises(TypeError):
+        graph_from_json(json.dumps({"n": n, "m": m, "kind": "x", "edges": [["00", "01"]]}))
+
+
 def test_dot():
     text = graph_to_dot(build_sierpinski(2, 2))
     lines = text.splitlines()
