@@ -6,10 +6,10 @@ LinearMap, embedding_matrix, invert_linear_map), the row rule of
 verify_embedding, verify_single_twist, constant_corner_search, the one
 edge rule of the three graphs (_neighbors, a vertex's neighbour codes:
 graph_edges lists them in code order for gen, in an EdgeList,
-verify_single_twist counts them, graphs.is_sierpinski_edge looks one up),
-the vertex text format (_separators, format_vertex, parse_vertex,
-vertex_to_code), and the matrix writers with the two output primitives
-_lines and _json.
+verify_single_twist counts them, graphs.is_sierpinski_edge and a built
+Graph's has_edge look one up), the vertex text format (_separators,
+format_vertex, parse_vertex, vertex_to_code), and the matrix writers
+with the two output primitives _lines and _json.
 
 Each table has one row function, integer arithmetic on a row index that is
 a Python int or an index array: map_row (the digits of v and their image;
@@ -58,9 +58,11 @@ MAX_CELLS = 23 * 2**23  # digits in the largest classic play the row guard admit
 
 
 def vertex_to_code(v: Sequence[int], m: int) -> int:
-    c = 0
+    """The code sum(v_i * m**(n-i)) as a Python int, each digit read with operator.index:
+    exact past int64 for NumPy digits too."""
+    c, m = 0, index(m)
     for d in v:
-        c = c * m + d
+        c = c * m + index(d)
     return c
 
 
@@ -183,13 +185,20 @@ def _neighbors(kind: str, x: Sequence[int], m: int) -> list[int]:
     """
     if kind not in ("sierpinski", "single-twist", "hamming"):
         raise ValueError(f"unknown graph kind {kind!r}")
-    c, k = vertex_to_code(x, m), x[-1]
-    out, w = [c + s - k for s in range(m) if s != k], 1
+    c, k, w = vertex_to_code(x, m), x[-1], 1
+    if kind == "hamming":  # each digit i, of weight w, takes all m values: x itself once per digit
+        out = []
+        for i in reversed(x):
+            lo = c - i * w
+            out += range(lo, lo + m * w, w)
+            w *= m
+        out.sort()
+        at = out.index(c)
+        del out[at : at + len(x)]
+        return out
+    out = [c + s - k for s in range(m) if s != k]
     for i in reversed(x[:-1]):
         w *= m  # m^r
-        if kind == "hamming":
-            out += [c + (s - i) * w for s in range(m) if s != i]
-            continue
         j, t = (k, i) if kind == "sierpinski" else ((k - i) % m, k)
         if j != i:
             out.append(c + (j - i) * w + (t - k) * ((w - 1) // (m - 1)))

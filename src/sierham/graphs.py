@@ -7,17 +7,22 @@ v carries u_h). K_m^n joins tuples at Hamming distance 1. The single-twist
 graph replaces the crossed tails with a shared tail k = (i+j) mod m.
 
 Graphs store edges as an (E, 2) array of integer vertex codes,
-code(v) = sum(v_i * m**(n-i)), canonically sorted and frozen. Constructors
-refuse instances over 10**7 vertices or, by the closed-form counts, 3 * 10**7
-edges. Those guards and the counting and density formulas, exact at any
-size, live in the integer layer (exact), which imports no numpy; this
-module re-exports them. In bulk, vertices are rows of a (k, n) digit array
-(digit_rows decodes codes). Whole-table passes go a row_blocks slice at a
-time, as iter_rows does to yield a table's rows as tuples.
+code(v) = sum(v_i * m**(n-i)), canonically sorted and frozen. Graph checks
+that order a ROW_BLOCK of rows at a time and sorts only rows that fail it.
+A builder's graph keeps no key array: has_edge asks its kind's edge rule
+(exact._neighbors), and any other graph binary-searches its sorted keys.
+Constructors refuse instances over 10**7 vertices or, by the closed-form
+counts, 3 * 10**7 edges. Those guards and the counting and density
+formulas, exact at any size, live in the integer layer (exact), which
+imports no numpy; this module re-exports them. In bulk, vertices are rows
+of a (k, n) digit array (digit_rows decodes codes). Whole-table passes go
+a row_blocks slice at a time, as iter_rows does to yield a table's rows as
+tuples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, product
 from operator import index
 from typing import Iterable, Iterator, Sequence
@@ -30,6 +35,7 @@ from .exact import (  # re-exported: the guards, counts and vertex codes live in
     MAX_VERTICES,
     Vertex,
     _check_edges,
+    _check_digits,
     _check_graph,
     _check_params,
     _check_scale,
@@ -42,7 +48,9 @@ from .exact import (  # re-exported: the guards, counts and vertex codes live in
     vertex_to_code,
 )
 
-ROW_BLOCK = 1 << 16  # rows per row_blocks slice, where a whole-table pass would hold copies
+# rows per row_blocks slice, where a whole-table pass would hold copies, and per
+# block of _canonical's check, whose build times were lowest at 32-64 Ki rows
+ROW_BLOCK = 1 << 16
 MOD_ROWS = 1 << 11  # index rows from which a ModIndex's % pays for its ufunc wrapping
 
 
@@ -136,6 +144,37 @@ def edge_keys(u: np.ndarray, v: np.ndarray, num_vertices: int) -> np.ndarray:
     return key if fresh.all() else key[fresh]
 
 
+def _canonical(e: np.ndarray, size: int) -> bool:
+    """Whether int64 rows e are canonical: every endpoint in [0, size), u < v,
+    and keys u * size + v strictly ascending.
+
+    Checked a ROW_BLOCK of rows at a time into two block-sized buffers, the
+    last key carried across each boundary, so no whole key array is made:
+    on a fresh S(12,3) that array alone is 6.4 MB of page faults.
+    """
+    step = ROW_BLOCK
+    keys = np.empty(min(len(e), step) + 1, np.int64)  # keys[0]: the key before the block
+    ok = np.empty(len(keys) - 1, bool)
+    keys[0] = -1
+    for start in range(0, len(e), step):
+        block = e[start : start + step]
+        t = len(block)
+        if block.min() < 0 or block.max() >= size:
+            return False
+        u, v = block[:, 0], block[:, 1]
+        fine, k = ok[:t], keys[1 : t + 1]
+        np.less(u, v, out=fine)
+        if not fine.all():
+            return False
+        np.multiply(u, size, out=k)
+        k += v
+        np.greater(k, keys[:t], out=fine)
+        if not fine.all():
+            return False
+        keys[0] = k[-1]
+    return True
+
+
 class _Fresh(np.ndarray):
     """Kernel rows a builder hands to Graph: held by nothing else, so Graph need not copy them."""
 
@@ -148,7 +187,6 @@ class Graph:
     m: int
     kind: str
     edges: np.ndarray = field(repr=False)
-    _keys: np.ndarray = field(init=False, repr=False)  # edge_keys of edges
     _built: bool = field(init=False, repr=False)  # edges came as a builder's _Fresh rows
 
     def __post_init__(self) -> None:
@@ -161,24 +199,30 @@ class Graph:
         if e.size and (e.ndim != 2 or e.shape[1] != 2):
             raise ValueError(f"edges must be an (E, 2) array, got shape {e.shape}")
         e = e.astype(np.int64, copy=False).reshape(-1, 2)
-        # range first: a negative endpoint could alias the key of a real edge
-        if e.size and not (0 <= e.min() and e.max() < size):
-            raise ValueError("edge endpoint out of vertex range")
-        u, v = e[:, 0], e[:, 1]
-        keys = u * size
-        keys += v
-        if (u < v).all() and (keys[1:] > keys[:-1]).all():
+        if _canonical(e, size):
             edges = e if fresh else e.copy()  # canonical already, as every kernel emits it
         else:
+            # range first: a negative endpoint could alias the key of a real edge
+            if not (0 <= e.min() and e.max() < size):
+                raise ValueError("edge endpoint out of vertex range")
+            u, v = e[:, 0], e[:, 1]
             if (u == v).any():
                 raise ValueError("self-loop in edge list")
             keys = edge_keys(u, v, size)
             edges = np.stack(np.divmod(keys, size), axis=1)
-        keys.setflags(write=False)
+            keys.setflags(write=False)
+            object.__setattr__(self, "_keys", keys)
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_built", fresh)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The edge_keys of edges: stored by the sorting path, else made on first read."""
+        keys = self.edges[:, 0] * self.num_vertices
+        keys += self.edges[:, 1]
+        keys.setflags(write=False)
+        return keys
 
     @property
     def num_vertices(self) -> int:
@@ -200,13 +244,23 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.num_vertices)
 
     def has_edge(self, u: Sequence[int], v: Sequence[int]) -> bool:
-        check_vertex(u, self.n, self.m)
-        check_vertex(v, self.n, self.m)
-        a = vertex_to_code(u, self.m)
-        b = vertex_to_code(v, self.m)
+        """Whether u and v are joined, for vertices given as n digits in [0, m).
+
+        Each digit is read once with operator.index and checked. A builder's
+        graph looks v's code up among exact._neighbors of u, its kind's edge
+        rule; any other graph binary-searches its sorted _keys.
+        """
+        n, m = self.n, self.m
+        u, v = tuple(map(index, u)), tuple(map(index, v))
+        _check_digits(u, n, m)
+        _check_digits(v, n, m)
+        if self._built:
+            return vertex_to_code(v, m) in _neighbors(self.kind, u, m)
+        a, b = vertex_to_code(u, m), vertex_to_code(v, m)
         key = min(a, b) * self.num_vertices + max(a, b)
-        idx = int(np.searchsorted(self._keys, key))
-        return idx < self._keys.shape[0] and int(self._keys[idx]) == key
+        keys = self._keys
+        idx = int(np.searchsorted(keys, key))
+        return idx < keys.shape[0] and int(keys[idx]) == key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -3,9 +3,9 @@
 Each kernel is a closed form in numpy; the loop forms it replaces live in
 tests/oracles.py as references. The edge kernels emit their rows in
 canonical order: smaller endpoint first, rows sorted by (smaller, larger)
-endpoint with no repeats, so Graph only checks that order. vertex_degrees
-gives a built graph's degrees from the same closed forms, without reading
-its rows.
+endpoint with no repeats, so Graph only checks that order, a block of
+rows at a time with no whole key array. vertex_degrees gives a built
+graph's degrees from the same closed forms, without reading its rows.
 
 A build's fixed cost is a few numpy calls per level of S(n,m) (one
 nonzero for K_m, the 1 digit graph; then one np.add per run of copy rows

@@ -81,6 +81,15 @@ def test_code_bigint():
     assert code_to_vertex(code, 70, 3) == v
 
 
+def test_code_of_numpy_digits_stays_exact_past_int64():
+    # int64 digits once made every partial code an int64, which wrapped at 3^40
+    assert vertex_to_code(np.array([1] * 45), 3) == 1477156353275416849321
+    assert vertex_to_code([1] * 45, 3) == (3**45 - 1) // 2 == 1477156353275416849321
+    assert vertex_to_code([np.int8(2), np.uint64(1)], np.int64(3)) == 7
+    with pytest.raises(TypeError):
+        vertex_to_code((1, 0.0), 3)
+
+
 def test_check_vertex_errors():
     with pytest.raises(ValueError):
         check_vertex((0, 1), 3, 3)  # wrong length
@@ -472,6 +481,47 @@ def test_graph_checks_sorted_input_as_any_other():
         Graph(1, 3, "x", np.array([[1, 1], [1, 3]]))  # both faults: range first
 
 
+def test_graph_checks_rows_a_block_at_a_time(monkeypatch):
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 3)
+    canonical = [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5], [6, 7]]
+    g = Graph(2, 3, "x", np.array(canonical))
+    assert "_keys" not in vars(g)  # ascending across both boundaries: no sort, no key array
+    assert g.edges.tolist() == canonical
+    # ascending inside each block, descending (or repeated) across a boundary: sorted
+    for rows in ([[3, 4], [3, 5], [4, 5], [0, 1], [0, 2], [1, 2]], [[0, 1], [0, 2], [1, 2], [1, 2], [3, 4]]):
+        g = Graph(2, 3, "x", np.array(rows))
+        assert g.edges.tolist() == sorted(map(list, set(map(tuple, rows))))
+        assert "_keys" in vars(g)
+    # a later block's fault is still found, and range still comes before a self-loop
+    with pytest.raises(ValueError, match="^edge endpoint out of vertex range$"):
+        Graph(2, 3, "x", np.array([[0, 1], [1, 1], [1, 2], [2, 3], [3, 4], [4, 9]]))
+    with pytest.raises(ValueError, match="^edge endpoint out of vertex range$"):
+        Graph(2, 3, "x", np.array([[0, 1], [0, 2], [1, 2], [2, 3], [-1, 4]]))
+    with pytest.raises(ValueError, match="^self-loop in edge list$"):
+        Graph(2, 3, "x", np.array([[0, 1], [0, 2], [1, 2], [3, 4], [4, 4]]))
+
+
+def test_built_graphs_hold_no_whole_key_array():
+    n, m = 10, 3
+    rows = kernels.sierpinski_edges(n, m)
+    key_bytes = rows.shape[0] * 8
+    del rows
+    tracemalloc.start()
+    try:
+        kernels.sierpinski_edges(n, m)
+        _, kernel_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        g = build_sierpinski(n, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the check's block buffers fit beside the rows where one whole key array did not
+    assert peak < max(kernel_peak, g.edges.nbytes + key_bytes), (peak, kernel_peak)
+    assert "_keys" not in vars(g)
+    assert np.array_equal(g._keys, g.edges[:, 0] * m**n + g.edges[:, 1])
+    assert not g._keys.flags.writeable and g._keys is g._keys
+
+
 def test_graph_empty_edge_list():
     for empty in (np.empty((0, 2), np.int64), []):
         g = Graph(2, 3, "x", empty)
@@ -552,13 +602,16 @@ def _oracle_edges(kind: str, n: int, m: int) -> set[tuple[int, int]]:
     [("sierpinski", build_sierpinski), ("single-twist", build_single_twist), ("hamming", build_hamming)],
 )
 def test_has_edge_matches_oracle_on_every_pair(kind, build):
+    # a builder's graph answers from its kind's edge rule, the same rows given
+    # to Graph(...) from its sorted keys: both must agree with the oracle
     n, m = 3, 3
-    g = build(n, m)
+    built = build(n, m)
     expected = _oracle_edges(kind, n, m)
     vs = oracles.all_vertices(n, m)
-    for a, u in enumerate(vs):
-        for b, v in enumerate(vs):
-            assert g.has_edge(u, v) == ((min(a, b), max(a, b)) in expected)
+    for g in (built, Graph(n, m, "x", built.edges.copy())):
+        for a, u in enumerate(vs):
+            for b, v in enumerate(vs):
+                assert g.has_edge(u, v) == ((min(a, b), max(a, b)) in expected)
 
 
 def test_graph_refuses_non_integer_edges():
