@@ -806,12 +806,14 @@ def format_vertex(v: Sequence[int], m: int) -> str:
 
 
 def parse_vertex(s: str, m: int, n: int | None = None) -> Vertex:
-    """Parse a digit string; accepts spaces or commas between digits for m > 10."""
+    """Parse a vertex: spaces or commas separate its digits at any m; for m <= 10 a string
+    with neither has one digit per character. Digits are ASCII 0-9 only, unlike int()'s."""
     s = s.strip()
-    if not _separators(m)[0] and " " not in s and "," not in s:
-        digits = tuple(int(ch) for ch in s)
-    else:
-        digits = tuple(int(part) for part in s.replace(",", " ").split())
+    fields = s.replace(",", " ").split() if _separators(m)[0] or " " in s or "," in s else list(s)
+    bad = [part for part in fields if not (part.isascii() and part.isdigit())]
+    if bad:
+        raise ValueError(f"invalid digit {bad[0]!r} in vertex {s!r}")
+    digits = tuple(map(int, fields))
     if n is not None and len(digits) != n:
         raise ValueError(f"expected {n} digits, got {len(digits)} in {s!r}")
     if not digits:

@@ -9,8 +9,8 @@ graph replaces the crossed tails with a shared tail k = (i+j) mod m.
 Graphs store edges as an (E, 2) array of integer vertex codes,
 code(v) = sum(v_i * m**(n-i)), canonically sorted and frozen. Graph checks
 that order a ROW_BLOCK of rows at a time and sorts only rows that fail it.
-A builder's graph keeps no key array: has_edge asks its kind's edge rule
-(exact._neighbors), and any other graph binary-searches its sorted keys.
+No graph keeps a key array: has_edge asks a builder's graph its kind's edge
+rule (exact._neighbors), and binary-searches any other graph's sorted rows.
 Constructors refuse instances over 10**7 vertices or, by the closed-form
 counts, 3 * 10**7 edges. Those guards and the counting and density
 formulas, exact at any size, live in the integer layer (exact), which
@@ -22,7 +22,6 @@ tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, product
 from operator import index
 from typing import Iterable, Iterator, Sequence
@@ -205,24 +204,12 @@ class Graph:
             # range first: a negative endpoint could alias the key of a real edge
             if not (0 <= e.min() and e.max() < size):
                 raise ValueError("edge endpoint out of vertex range")
-            u, v = e[:, 0], e[:, 1]
-            if (u == v).any():
+            if (e[:, 0] == e[:, 1]).any():
                 raise ValueError("self-loop in edge list")
-            keys = edge_keys(u, v, size)
-            edges = np.stack(np.divmod(keys, size), axis=1)
-            keys.setflags(write=False)
-            object.__setattr__(self, "_keys", keys)
+            edges = np.stack(np.divmod(edge_keys(*e.T, size), size), axis=1)
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_built", fresh)
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        """The edge_keys of edges: stored by the sorting path, else made on first read."""
-        keys = self.edges[:, 0] * self.num_vertices
-        keys += self.edges[:, 1]
-        keys.setflags(write=False)
-        return keys
 
     @property
     def num_vertices(self) -> int:
@@ -248,7 +235,8 @@ class Graph:
 
         Each digit is read once with operator.index and checked. A builder's
         graph looks v's code up among exact._neighbors of u, its kind's edge
-        rule; any other graph binary-searches its sorted _keys.
+        rule; any other graph finds the run of rows at the smaller code in its
+        first column, a view, and the larger code among their deg entries.
         """
         n, m = self.n, self.m
         u, v = tuple(map(index, u)), tuple(map(index, v))
@@ -256,11 +244,9 @@ class Graph:
         _check_digits(v, n, m)
         if self._built:
             return vertex_to_code(v, m) in _neighbors(self.kind, u, m)
-        a, b = vertex_to_code(u, m), vertex_to_code(v, m)
-        key = min(a, b) * self.num_vertices + max(a, b)
-        keys = self._keys
-        idx = int(np.searchsorted(keys, key))
-        return idx < keys.shape[0] and int(keys[idx]) == key
+        a, b = sorted((vertex_to_code(u, m), vertex_to_code(v, m)))
+        lo, hi = self.edges[:, 0].searchsorted([a, a + 1]).tolist()
+        return b in self.edges[lo:hi, 1].tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -301,8 +287,7 @@ def from_edge_list(n: int, m: int, kind: str, pairs: Iterable[tuple[Vertex, Vert
         check_vertex(u, n, m)
         check_vertex(v, n, m)
         rows.append((vertex_to_code(u, m), vertex_to_code(v, m)))
-    arr = np.array(rows, np.int64).reshape(-1, 2)
-    return Graph(n, m, kind, arr)
+    return Graph(n, m, kind, np.array(rows, np.int64).reshape(-1, 2))
 
 
 def is_sierpinski_edge(u: Sequence[int], v: Sequence[int], m: int) -> bool:

@@ -27,6 +27,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .exact import _digits
+
 _CANDIDATE_BLOCK = 1 << 16  # candidate partners per step of hamming_edges
 
 
@@ -212,12 +214,12 @@ def vertex_degrees(kind: str, n: int, m: int) -> np.ndarray:
 
 
 def digit_diff_counts(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Number of differing base-m digits between paired codes a[t], b[t]."""
-    x = np.array(a, np.int64)
-    y = np.array(b, np.int64)
-    out = np.zeros(x.shape[0], np.int64)
-    for _ in range(n):
-        out += (x % m) != (y % m)
-        x //= m
-        y //= m
+    """Differing base-m digits of paired codes a[t], b[t], by exact._digits a ROW_BLOCK at a time."""
+    from .graphs import ROW_BLOCK as step  # at call time: graphs imports this module
+
+    a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+    out = np.zeros(a.shape[0], np.int64)
+    for s in range(0, a.shape[0], step):
+        for x, y in zip(_digits(a[s : s + step], n, m), _digits(b[s : s + step], n, m)):
+            out[s : s + step] += x != y
     return out

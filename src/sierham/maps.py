@@ -270,7 +270,7 @@ def _corner_certificate(g: Graph, degrees: np.ndarray) -> tuple[np.ndarray | Non
     if np.bincount(labels, minlength=size).max() > 1:
         return None, "the corner-distance labels are not a bijection"
     keys = edge_keys(labels[g.edges[:, 0]], labels[g.edges[:, 1]], size)
-    if not np.array_equal(keys, build_sierpinski(n, m)._keys):
+    if not np.array_equal(keys, build_sierpinski(n, m).edges @ (size, 1)):
         return None, f"the corner-distance labels do not carry the edges onto S({n},{m})"
     return labels, ""
 

@@ -141,10 +141,20 @@ def graph_from_json(text: str) -> Graph:
     from .graphs import Graph
 
     payload = json.loads(text)
-    n, m, kind = payload["n"], payload["m"], payload["kind"]
+    if type(payload) is not dict:
+        raise TypeError(f"graph JSON must be an object, got {type(payload).__name__}")
+    for key, want in (("n", int), ("m", int), ("kind", str), ("edges", list)):
+        if key not in payload:
+            raise ValueError(f"graph JSON has no {key!r} field")
+        if type(payload[key]) is not want:  # json gives exact types: true is a bool, not an int
+            raise TypeError(f"graph JSON field {key!r} must be {want.__name__}, got {payload[key]!r}")
+    n, m, kind, edges = payload["n"], payload["m"], payload["kind"], payload["edges"]
+    for e in edges:
+        if type(e) is not list or list(map(type, e)) != [str, str]:
+            raise TypeError(f"graph JSON field 'edges' must hold [u, v] label pairs, got {e!r}")
     code = lambda label: _code(parse_vertex(label, m, n), m)  # noqa: E731
     # parse_vertex checks every label, and Graph checks n and m after them
-    return Graph(n, m, kind, [(code(a), code(b)) for a, b in payload["edges"]])
+    return Graph(n, m, kind, [(code(a), code(b)) for a, b in edges])
 
 
 def graph_to_dot(g: AnyGraph) -> str:

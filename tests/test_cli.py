@@ -291,6 +291,11 @@ def test_solve_trivial_start():
     assert text == "ell  S(4,3)  T(4,3)\n  0  0000    0000\n"
 
 
+def test_solve_names_a_label_that_is_not_digits(capsys):
+    assert main(["hanoi", "solve", "--from", "12a"]) != 0
+    assert capsys.readouterr() == ("", "error: invalid digit 'a' in vertex '12a'\n")
+
+
 def test_solve_csv():
     text, _ = run(["hanoi", "solve", "--from", "21", "--format", "csv"])
     lines = text.splitlines()

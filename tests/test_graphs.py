@@ -48,6 +48,23 @@ from sierham.maps import (
 
 import oracles
 
+GRAPH_FIELDS = {"n", "m", "kind", "edges", "_built"}
+
+
+def holds_only_its_rows(g: Graph) -> bool:
+    """Whether g holds its fields and nothing derived from its rows, no key array included."""
+    return set(vars(g)) == GRAPH_FIELDS and not hasattr(g, "_keys")
+
+
+def answers_every_pair(g: Graph, expected: set[tuple[int, int]]) -> bool:
+    """Whether g.has_edge(u, v) is (min, max) in expected for every ordered pair of vertices."""
+    vs = oracles.all_vertices(g.n, g.m)
+    return all(
+        g.has_edge(u, v) == ((min(a, b), max(a, b)) in expected)
+        for a, u in enumerate(vs)
+        for b, v in enumerate(vs)
+    )
+
 
 # ---------------------------------------------------------------- codes
 
@@ -404,10 +421,13 @@ def test_graph_sorts_scrambled_kernel_rows_back(build):
     rows[flip] = rows[flip, ::-1]
     rows = np.concatenate((rows, rows[: rows.shape[0] // 3]))
     rng.shuffle(rows)
+    expected = oracles.edge_set(g)
     for scrambled in (rows, g.edges[::-1], np.repeat(g.edges, 2, axis=0)):
         h = Graph(4, 3, "x", scrambled)
         assert np.array_equal(h.edges, g.edges)
-        assert np.array_equal(h._keys, g._keys)
+        assert np.array_equal(h.edges, oracles.canonical_rows(scrambled))
+        assert answers_every_pair(h, expected)
+        assert holds_only_its_rows(h)
 
 
 @pytest.mark.parametrize("rows", [[[0, 1], [0, 2], [1, 2]], [[2, 0], [0, 1], [1, 2]]])
@@ -417,9 +437,9 @@ def test_graph_owns_its_edges(rows):
     g = Graph(1, 3, "x", given)
     given[:] = 0
     assert np.array_equal(g.edges, [[0, 1], [0, 2], [1, 2]])
-    assert np.array_equal(g._keys, [1, 2, 5])
+    assert answers_every_pair(g, {(0, 1), (0, 2), (1, 2)})
     assert not g.edges.flags.writeable
-    assert not g._keys.flags.writeable
+    assert holds_only_its_rows(g)
 
 
 @pytest.mark.parametrize(
@@ -444,7 +464,8 @@ def test_builders_keep_the_kernel_rows(build, kernel, monkeypatch):
     assert np.shares_memory(g.edges, made[0])
     assert type(g.edges) is np.ndarray and not g.edges.flags.writeable
     assert np.array_equal(g.edges, original(3, 3))
-    assert np.array_equal(g._keys, g.edges[:, 0] * 27 + g.edges[:, 1])
+    assert answers_every_pair(g, oracles.edge_set(g))
+    assert holds_only_its_rows(g)
 
 
 @pytest.mark.parametrize(
@@ -463,9 +484,11 @@ def test_adopted_rows_get_every_check(rows, error):
 
 
 def test_adopted_rows_out_of_order_are_rebuilt():
-    g = graphs._adopt(1, 3, "x", np.array([[1, 2], [2, 0], [0, 1], [0, 1]]))
+    # S(1,3) is K_3: its rows out of order and repeated are sorted back
+    g = graphs._adopt(1, 3, "sierpinski", np.array([[1, 2], [2, 0], [0, 1], [0, 1]]))
     assert np.array_equal(g.edges, [[0, 1], [0, 2], [1, 2]])
-    assert np.array_equal(g._keys, [1, 2, 5])
+    assert answers_every_pair(g, {(0, 1), (0, 2), (1, 2)})
+    assert holds_only_its_rows(g)
 
 
 def test_graph_checks_sorted_input_as_any_other():
@@ -483,15 +506,20 @@ def test_graph_checks_sorted_input_as_any_other():
 
 def test_graph_checks_rows_a_block_at_a_time(monkeypatch):
     monkeypatch.setattr(graphs, "ROW_BLOCK", 3)
+    sorts = []
+    monkeypatch.setattr(graphs, "edge_keys", lambda *a, f=graphs.edge_keys: sorts.append(a) or f(*a))
     canonical = [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5], [6, 7]]
     g = Graph(2, 3, "x", np.array(canonical))
-    assert "_keys" not in vars(g)  # ascending across both boundaries: no sort, no key array
+    assert not sorts  # ascending across both boundaries: no sort
     assert g.edges.tolist() == canonical
+    assert answers_every_pair(g, set(map(tuple, canonical))) and holds_only_its_rows(g)
     # ascending inside each block, descending (or repeated) across a boundary: sorted
     for rows in ([[3, 4], [3, 5], [4, 5], [0, 1], [0, 2], [1, 2]], [[0, 1], [0, 2], [1, 2], [1, 2], [3, 4]]):
+        sorts.clear()
         g = Graph(2, 3, "x", np.array(rows))
         assert g.edges.tolist() == sorted(map(list, set(map(tuple, rows))))
-        assert "_keys" in vars(g)
+        assert len(sorts) == 1
+        assert answers_every_pair(g, set(map(tuple, rows))) and holds_only_its_rows(g)
     # a later block's fault is still found, and range still comes before a self-loop
     with pytest.raises(ValueError, match="^edge endpoint out of vertex range$"):
         Graph(2, 3, "x", np.array([[0, 1], [1, 1], [1, 2], [2, 3], [3, 4], [4, 9]]))
@@ -517,9 +545,45 @@ def test_built_graphs_hold_no_whole_key_array():
         tracemalloc.stop()
     # the check's block buffers fit beside the rows where one whole key array did not
     assert peak < max(kernel_peak, g.edges.nbytes + key_bytes), (peak, kernel_peak)
-    assert "_keys" not in vars(g)
-    assert np.array_equal(g._keys, g.edges[:, 0] * m**n + g.edges[:, 1])
-    assert not g._keys.flags.writeable and g._keys is g._keys
+    assert np.array_equal(g.edges, kernels.sierpinski_edges(n, m))
+    for u, v in g.edges[::997].tolist():  # the rule answers, in either order, and keeps no keys
+        x, y = code_to_vertex(u, n, m), code_to_vertex(v, n, m)
+        assert g.has_edge(x, y) and g.has_edge(y, x) and is_sierpinski_edge(x, y, m)
+    assert holds_only_its_rows(g)
+
+
+@pytest.mark.parametrize("build", [build_sierpinski, build_single_twist, build_hamming])
+def test_outside_graphs_hold_their_rows_and_nothing_derived(build):
+    # a graph no builder made answers has_edge from its sorted rows alone:
+    # on every pair, whether its rows came canonical or scrambled
+    g = build(3, 3)
+    expected = oracles.edge_set(g)
+    rng = np.random.default_rng(33)
+    scrambled = g.edges[rng.permutation(g.num_edges)]
+    scrambled[::2] = scrambled[::2, ::-1]
+    for h in (Graph(3, 3, "x", g.edges.copy()), Graph(3, 3, "x", scrambled)):
+        assert answers_every_pair(h, expected)
+        assert holds_only_its_rows(h)
+    # the first query on a canonical outside copy at (10, 3) makes no key array,
+    # and a sorted one holds its rows without one
+    n, m = 10, 3
+    rows = build(n, m).edges
+    key_bytes = 8 * rows.shape[0]
+    canonical = Graph(n, m, "x", rows.copy())
+    scrambled = rows[rng.permutation(rows.shape[0])]
+    tracemalloc.start()
+    try:
+        assert canonical.has_edge((0,) * n, (0,) * (n - 1) + (1,))  # an edge of all three kinds
+        _, first_query = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sorted_back = Graph(n, m, "x", scrambled)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first_query < key_bytes, first_query
+    assert np.array_equal(sorted_back.edges, rows)
+    assert held < rows.nbytes + key_bytes, (held, rows.nbytes)
+    assert holds_only_its_rows(canonical) and holds_only_its_rows(sorted_back)
 
 
 def test_graph_empty_edge_list():
@@ -603,7 +667,7 @@ def _oracle_edges(kind: str, n: int, m: int) -> set[tuple[int, int]]:
 )
 def test_has_edge_matches_oracle_on_every_pair(kind, build):
     # a builder's graph answers from its kind's edge rule, the same rows given
-    # to Graph(...) from its sorted keys: both must agree with the oracle
+    # to Graph(...) from its sorted rows: both must agree with the oracle
     n, m = 3, 3
     built = build(n, m)
     expected = _oracle_edges(kind, n, m)

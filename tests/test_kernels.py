@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sierham import exact, kernels
+from sierham import exact, graphs, kernels
 from sierham.graphs import code_to_vertex, hamming_edge_count, sierpinski_edge_count
 
 import oracles
@@ -122,13 +122,15 @@ def diff_by_tuples(x: int, y: int, n: int, m: int) -> int:
 
 
 @pytest.mark.parametrize("n,m", [(5, 3), (7, 2), (4, 10), (3, 5)])
-def test_digit_diff_counts(n, m):
+def test_digit_diff_counts(n, m, monkeypatch):
     rng = np.random.default_rng(7)
     a = rng.integers(0, m**n, size=200)
     b = rng.integers(0, m**n, size=200)
     expected = np.array([diff_by_tuples(int(x), int(y), n, m) for x, y in zip(a, b)])
     assert np.array_equal(kernels.digit_diff_counts(a, b, n, m), expected)
     assert np.array_equal(oracles.digit_diff_counts_loop(a, b, n, m), expected)
+    monkeypatch.setattr(graphs, "ROW_BLOCK", 7)  # blocks that split the 200 pairs unevenly
+    assert np.array_equal(kernels.digit_diff_counts(a, b, n, m), expected)
 
 
 def test_digit_diff_extremes():

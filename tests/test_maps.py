@@ -1082,6 +1082,35 @@ def test_certificate_agrees_with_vf2(n, m):
         assert (sierpinski_isomorphism(h) is not None) == expected
 
 
+def test_certificate_refuses_a_graph_without_m_corners():
+    g = build_hamming(2, 3)  # 4-regular: no vertex has degree m - 1 = 2
+    assert sierpinski_isomorphism(g) is None
+    assert maps._corner_certificate(g, g.degrees()) == (None, "0 vertices of degree 2, expected 3 corners")
+
+
+def with_distance_columns(monkeypatch, columns):
+    """Make maps._corner_distances return the true distances' columns in the given vertex order."""
+    real = maps._corner_distances
+    monkeypatch.setattr(maps, "_corner_distances", lambda *args: real(*args)[:, columns])
+
+
+def test_certificate_refuses_labels_that_are_not_a_bijection(monkeypatch):
+    # every vertex reads vertex 0's distances, so every vertex decodes to label 0
+    g = build_sierpinski(2, 3)
+    with_distance_columns(monkeypatch, [0] * g.num_vertices)
+    assert maps._corner_certificate(g, g.degrees()) == (None, "the corner-distance labels are not a bijection")
+    assert sierpinski_isomorphism(g) is None
+
+
+def test_certificate_refuses_a_bijection_that_moves_an_edge(monkeypatch):
+    # 00 and 01 trade distances: a bijection, but the edge 01 -- 10 lands on 00 -- 10
+    g = build_sierpinski(2, 3)
+    with_distance_columns(monkeypatch, [1, 0, *range(2, g.num_vertices)])
+    reason = "the corner-distance labels do not carry the edges onto S(2,3)"
+    assert maps._corner_certificate(g, g.degrees()) == (None, reason)
+    assert sierpinski_isomorphism(g) is None
+
+
 @pytest.mark.parametrize(
     "n,m", [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 5)] + [(3, 4), (3, 5)]
 )

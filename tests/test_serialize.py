@@ -47,15 +47,32 @@ def test_parse_vertex():
     assert parse_vertex("10 0 3", 12) == (10, 0, 3)
     assert parse_vertex("10,0,3", 12) == (10, 0, 3)
     assert parse_vertex("1020", 3, n=4) == (1, 0, 2, 0)
+    assert parse_vertex("1 0,2", 3) == (1, 0, 2)  # spaces and commas separate digits at any m
 
 
 def test_parse_vertex_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("expected 3 digits, got 4 in '1020'")):
         parse_vertex("1020", 3, n=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("digit 9 out of range for alphabet {0..2}")):
         parse_vertex("1920", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty vertex string$"):
         parse_vertex("", 3)
+
+
+@pytest.mark.parametrize(
+    "label,m,field",
+    [
+        ("1_0,2", 13, "1_0"),  # int() reads 1_0 as 10
+        ("+1 2", 13, "+1"),
+        ("-0 2", 13, "-0"),
+        ("\u0661\u0662", 3, "\u0661"),  # Arabic-Indic digits, which int() reads as 1 and 2
+        ("1 \u00b2", 3, "\u00b2"),  # a superscript two, a digit to str.isdigit
+        ("12a", 3, "a"),
+    ],
+)
+def test_parse_vertex_takes_ascii_digits_only(label, m, field):
+    with pytest.raises(ValueError, match=re.escape(f"invalid digit {field!r} in vertex {label!r}")):
+        parse_vertex(label, m)
 
 
 def test_format_parse_roundtrip():
@@ -130,6 +147,31 @@ def test_json_read_checks_each_label_once(monkeypatch):
 def test_json_read_refuses_bad_input_in_order(n, m, edges, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         graph_from_json(json.dumps({"n": n, "m": m, "kind": "x", "edges": edges}))
+
+
+GOOD_GRAPH = {"n": 2, "m": 3, "kind": "x", "edges": [["00", "01"]]}
+
+
+@pytest.mark.parametrize(
+    "payload,error,message",
+    [
+        ([GOOD_GRAPH], TypeError, "graph JSON must be an object, got list"),
+        ({k: v for k, v in GOOD_GRAPH.items() if k != "n"}, ValueError, "graph JSON has no 'n' field"),
+        ({k: v for k, v in GOOD_GRAPH.items() if k != "edges"}, ValueError, "graph JSON has no 'edges' field"),
+        ({**GOOD_GRAPH, "n": True}, TypeError, "graph JSON field 'n' must be int, got True"),
+        ({**GOOD_GRAPH, "m": None}, TypeError, "graph JSON field 'm' must be int, got None"),
+        ({**GOOD_GRAPH, "kind": 5}, TypeError, "graph JSON field 'kind' must be str, got 5"),
+        ({**GOOD_GRAPH, "edges": "00 01"}, TypeError, "graph JSON field 'edges' must be list, got '00 01'"),
+        ({**GOOD_GRAPH, "edges": [["00", 0]]}, TypeError, "'edges' must hold [u, v] label pairs, got ['00', 0]"),
+        ({**GOOD_GRAPH, "edges": [["00", "01", "02"]]}, TypeError, "label pairs, got ['00', '01', '02']"),
+        ({**GOOD_GRAPH, "edges": [["00", "01"], {"u": "00"}]}, TypeError, "label pairs, got {'u': '00'}"),
+        # the types come first: the bad kind is named before the bad label
+        ({**GOOD_GRAPH, "kind": 5, "edges": [["00", "09"]]}, TypeError, "field 'kind' must be str"),
+    ],
+)
+def test_json_read_checks_each_field_type_first(payload, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        graph_from_json(json.dumps(payload))
 
 
 @pytest.mark.parametrize("n,m", [(2.0, 3), (2, 3.0)])
