@@ -6,10 +6,10 @@ LinearMap, embedding_matrix, invert_linear_map), the row rule of
 verify_embedding, verify_single_twist, constant_corner_search, the one
 edge rule of the three graphs (_neighbors, a vertex's neighbour codes:
 graph_edges lists them in code order for gen, in an EdgeList,
-verify_single_twist counts them, graphs.is_sierpinski_edge and a built
-Graph's has_edge look one up), the vertex text format (_separators,
-format_vertex, parse_vertex, vertex_to_code), and the matrix writers
-with the two output primitives _lines and _json.
+verify_single_twist counts them, graphs.is_sierpinski_edge looks one
+up), the vertex text format (_separators, format_vertex, parse_vertex,
+vertex_to_code), and the matrix writers with the two output primitives
+_lines and _json.
 
 Each table has one row function, integer arithmetic on a row index that is
 a Python int or an index array: map_row (the digits of v and their image;
@@ -126,29 +126,17 @@ def _check_adds(adds: int, what: str) -> None:
         raise ValueError(f"refusing to build {what} = {adds} multiply-adds (limit {MAX_VERTICES})")
 
 
-def _check_edges(n: int, m: int, count: int) -> None:
+def _check_graph(kind: str, n: int, m: int) -> int:
+    """The guards of K_m^n ("hamming"), or else of S(n,m) and the single
+    twist, which has one edge per S(n,m) edge: the vertex count, then the
+    edge count, which it returns."""
+    _check_scale(n, m)
+    count = (hamming_edge_count if kind == "hamming" else sierpinski_edge_count)(n, m)
     if count > MAX_EDGES:
         raise ValueError(
             f"refusing to build a graph with {count} edges on {m}^{n} vertices "
             f"(limit {MAX_EDGES}); the counting formulas remain available"
         )
-
-
-def _check_sierpinski(n: int, m: int) -> None:
-    """The guards of S(n,m), and of the single twist, which has one edge per S(n,m) edge."""
-    _check_scale(n, m)
-    _check_edges(n, m, sierpinski_edge_count(n, m))
-
-
-def _check_graph(kind: str, n: int, m: int) -> int:
-    """The guards of K_m^n ("hamming"), or else of S(n,m) and the single
-    twist, in their builders' order; returns the graph's edge count."""
-    if kind != "hamming":
-        _check_sierpinski(n, m)
-        return sierpinski_edge_count(n, m)
-    _check_scale(n, m)
-    count = hamming_edge_count(n, m)
-    _check_edges(n, m, count)
     return count
 
 
@@ -476,7 +464,8 @@ class LinearMap(_Value):
 
     def apply(self, v: Sequence[int]) -> Vertex:
         """The image of one vertex, A v mod m, in exact Python integers."""
-        check_vertex(v, self.n, self.m)
+        v = list(map(index, v))  # NumPy digits as Python ints, so that products past int64 stay exact
+        _check_digits(v, self.n, self.m)
         return tuple(sum(map(mul, row, v)) % self.m for row in self.rows)
 
 
@@ -645,7 +634,7 @@ def _edge_differences(lm: LinearMap, n: int, m: int) -> list[list[int]]:
     """
     if (lm.n, lm.m) != (n, m):
         raise ValueError(f"a {lm.n}x{lm.n} matrix mod {lm.m} does not map S({n},{m})")
-    _check_sierpinski(n, m)
+    _check_graph("sierpinski", n, m)
     out = []
     for r, row in enumerate(lm.rows):
         diffs = [0] * n
@@ -719,7 +708,7 @@ def verify_single_twist(n: int, m: int) -> dict:
     m^(n-3) (m^2 - 2m + g). The sampled violations are the first 10 such
     vertices in code order.
     """
-    _check_sierpinski(n, m)
+    _check_graph("single-twist", n, m)
     total = m ** (n - 3) * (m * m - 2 * m + math.gcd(2, m)) if n >= 3 else 0
     violations = []
     for x in product(range(m), repeat=n) if total else ():

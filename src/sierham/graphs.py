@@ -9,8 +9,7 @@ graph replaces the crossed tails with a shared tail k = (i+j) mod m.
 Graphs store edges as an (E, 2) array of integer vertex codes,
 code(v) = sum(v_i * m**(n-i)), canonically sorted and frozen. Graph checks
 that order a ROW_BLOCK of rows at a time and sorts only rows that fail it.
-No graph keeps a key array: has_edge asks a builder's graph its kind's edge
-rule (exact._neighbors), and binary-searches any other graph's sorted rows.
+No graph keeps a key array: has_edge binary-searches the sorted rows.
 Constructors refuse instances over 10**7 vertices or, by the closed-form
 counts, 3 * 10**7 edges. Those guards and the counting and density
 formulas, exact at any size, live in the integer layer (exact), which
@@ -33,12 +32,10 @@ from .exact import (  # re-exported: the guards, counts and vertex codes live in
     MAX_EDGES,
     MAX_VERTICES,
     Vertex,
-    _check_edges,
     _check_digits,
     _check_graph,
     _check_params,
     _check_scale,
-    _check_sierpinski,
     _neighbors,
     check_vertex,
     edge_density,
@@ -233,17 +230,14 @@ class Graph:
     def has_edge(self, u: Sequence[int], v: Sequence[int]) -> bool:
         """Whether u and v are joined, for vertices given as n digits in [0, m).
 
-        Each digit is read once with operator.index and checked. A builder's
-        graph looks v's code up among exact._neighbors of u, its kind's edge
-        rule; any other graph finds the run of rows at the smaller code in its
-        first column, a view, and the larger code among their deg entries.
+        Each digit is read once with operator.index and checked. The run of
+        rows at the smaller code is found in the first column, a view, and
+        the larger code among their deg entries.
         """
         n, m = self.n, self.m
         u, v = tuple(map(index, u)), tuple(map(index, v))
         _check_digits(u, n, m)
         _check_digits(v, n, m)
-        if self._built:
-            return vertex_to_code(v, m) in _neighbors(self.kind, u, m)
         a, b = sorted((vertex_to_code(u, m), vertex_to_code(v, m)))
         lo, hi = self.edges[:, 0].searchsorted([a, a + 1]).tolist()
         return b in self.edges[lo:hi, 1].tolist()
@@ -265,7 +259,7 @@ def _adopt(n: int, m: int, kind: str, rows: np.ndarray) -> Graph:
 
 
 def build_sierpinski(n: int, m: int) -> Graph:
-    _check_sierpinski(n, m)
+    _check_graph("sierpinski", n, m)
     return _adopt(n, m, "sierpinski", kernels.sierpinski_edges(n, m))
 
 
@@ -275,7 +269,7 @@ def build_hamming(n: int, m: int) -> Graph:
 
 
 def build_single_twist(n: int, m: int) -> Graph:
-    _check_sierpinski(n, m)
+    _check_graph("single-twist", n, m)
     return _adopt(n, m, "single-twist", kernels.single_twist_edges(n, m))
 
 

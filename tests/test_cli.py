@@ -198,25 +198,6 @@ def test_verify_counts_more_violations_from_the_total():
     assert text.splitlines()[-2] == "... and 31 more violations"
 
 
-def test_isomorphism_violation_line():
-    from sierham.cli import _violation_line
-
-    item = {"kind": "isomorphism", "detail": "6 vertices are not reachable from the corners"}
-    assert _violation_line(item, 3) == (
-        "isomorphism violation: 6 vertices are not reachable from the corners"
-    )
-
-
-def test_distance_violation_line():
-    edge, images = ((0, 1), (1, 0)), ((0, 1), (2, 2))
-    item = {"kind": "distance", "edge": edge, "images": images, "distance": 2}
-    assert cli._violation_line(item, 3) == (
-        "distance violation: edge 01 -- 10 maps to 01 -- 22 (2 differing coordinates)"
-    )
-    item = {"kind": "distance", "edge": ((0, 11), (1, 0)), "distance": 3}
-    assert cli._violation_line(item, 12) == "distance violation: edge 0 11 -- 1 0 (3 differing coordinates)"
-
-
 def test_verify_single_twist_depth_two_passes():
     text, code = run(["verify", "single-twist", "--n", "2", "--m", "5"])
     assert code == 0

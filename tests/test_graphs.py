@@ -546,7 +546,7 @@ def test_built_graphs_hold_no_whole_key_array():
     # the check's block buffers fit beside the rows where one whole key array did not
     assert peak < max(kernel_peak, g.edges.nbytes + key_bytes), (peak, kernel_peak)
     assert np.array_equal(g.edges, kernels.sierpinski_edges(n, m))
-    for u, v in g.edges[::997].tolist():  # the rule answers, in either order, and keeps no keys
+    for u, v in g.edges[::997].tolist():  # the row search answers, in either order, and keeps no keys
         x, y = code_to_vertex(u, n, m), code_to_vertex(v, n, m)
         assert g.has_edge(x, y) and g.has_edge(y, x) and is_sierpinski_edge(x, y, m)
     assert holds_only_its_rows(g)
@@ -666,8 +666,8 @@ def _oracle_edges(kind: str, n: int, m: int) -> set[tuple[int, int]]:
     [("sierpinski", build_sierpinski), ("single-twist", build_single_twist), ("hamming", build_hamming)],
 )
 def test_has_edge_matches_oracle_on_every_pair(kind, build):
-    # a builder's graph answers from its kind's edge rule, the same rows given
-    # to Graph(...) from its sorted rows: both must agree with the oracle
+    # every graph answers from its sorted rows, a builder's and the same rows
+    # given to Graph(...) alike: both must agree with the oracle
     n, m = 3, 3
     built = build(n, m)
     expected = _oracle_edges(kind, n, m)

@@ -405,6 +405,17 @@ def test_apply_is_exact_past_int64(m):
         assert [lm_inv.apply(lm.apply(v)) for v in vs] == vs
 
 
+@pytest.mark.parametrize("m", [2**40 + 15, 2**62 - 57])
+def test_apply_reads_numpy_digits_as_python_ints(m):
+    # past 2^32 a product of an entry and an int64 digit overflows int64
+    lm = embedding_matrix("tau", 3, m)
+    v = (m - 1, m - 2, m - 3)
+    want = lm.apply(v)
+    for digits in (np.array(v), np.array(v, np.uint64), [np.int64(d) for d in v]):
+        got = lm.apply(digits)
+        assert got == want and {type(x) for x in got} == {int}
+
+
 def all_ones_below(n, m):
     """w_i = v_1 + ... + v_i: unit lower-triangular, not an embedding."""
     return LinearMap(m, tuple(tuple(1 if j <= i else 0 for j in range(n)) for i in range(n)))
